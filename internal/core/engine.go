@@ -259,7 +259,7 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 		runner.Ring = e.masterRing
 		runner.RingCost = 1
 	}
-	e.master = k.Spawn("master", m, regs, runner)
+	e.master = k.Spawn("master", m, regs, nativeRunner(runner))
 	e.master.Hook = e
 	if opts.ProfInterval > 0 {
 		// The master's probe only maintains the shadow stack (observer

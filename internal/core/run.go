@@ -25,6 +25,12 @@ type NativeResult struct {
 	Profile *prof.Profile
 }
 
+// nativeRunner is the Runner of every uninstrumented execution: native
+// baseline runs and the SuperPin master. It is a variable only so the
+// package's tests can substitute a single-step reference runner and check
+// that the batched one is indistinguishable from it.
+var nativeRunner = func(r kernel.NativeRunner) kernel.Runner { return r }
+
 // RunNative executes program natively (no instrumentation, no monitoring)
 // on a fresh kernel — the "native" bar of the paper's figures.
 func RunNative(cfg kernel.Config, program *asm.Program, memSurcharge kernel.Cycles) (*NativeResult, error) {
@@ -51,7 +57,7 @@ func RunNativeCached(cfg kernel.Config, program *asm.Program, memSurcharge kerne
 	}
 	regs := cpu.Regs{PC: program.Entry}
 	regs.R[isa.RegSP] = DefaultStackTop
-	p := k.Spawn("native", m, regs, kernel.NativeRunner{MemSurcharge: memSurcharge})
+	p := k.Spawn("native", m, regs, nativeRunner(kernel.NativeRunner{MemSurcharge: memSurcharge}))
 	var probe *prof.Probe
 	if profInterval > 0 {
 		probe = prof.NewProbe(profInterval)

@@ -232,10 +232,10 @@ func Exec(r *Regs, m *mem.Memory, in isa.Inst) (Event, error) {
 	return EvNone, nil
 }
 
-// Step fetches and executes one instruction at r.PC. It calls the memory
-// image's FetchInst directly rather than going through Fetch: Step is the
-// hottest function in the simulator (every native run and every slice
-// replay funnels through it), and the extra call frame is measurable.
+// Step fetches and executes one instruction at r.PC. It is the
+// single-instruction reference the batched executors (RunBudget,
+// ExecBlock) are tested against, and the interpreter of SuperPin's
+// signature replay; native runs and the master go through RunBudget.
 func Step(r *Regs, m *mem.Memory) (Event, isa.Inst, error) {
 	in, err := m.FetchInst(r.PC)
 	if err != nil {

@@ -9,11 +9,9 @@ import (
 	"superpin/internal/mem"
 )
 
-// benchProg returns a loop long enough that b.N instructions can be
+// benchLoop is a loop long enough that b.N instructions can be
 // interpreted without the process exiting.
-func benchProg(b *testing.B) (*mem.Memory, cpu.Regs) {
-	b.Helper()
-	p, err := asm.Assemble(`
+const benchLoop = `
 	li r10, 0
 	li r11, 2000000000
 loop:
@@ -22,7 +20,30 @@ loop:
 	blt r10, r11, loop
 	li r1, 1
 	syscall
-`)
+`
+
+// benchStoreLoop is benchLoop with a load and a store per iteration,
+// striding over the 16 pages at 0x200000.
+const benchStoreLoop = `
+	li r10, 0
+	li r11, 2000000000
+	li r13, 0x00200000
+loop:
+	addi r10, r10, 1
+	andi r12, r10, 15
+	slli r12, r12, 12
+	add r12, r12, r13
+	sw r10, (r12)
+	lw r14, 4(r12)
+	blt r10, r11, loop
+	li r1, 1
+	syscall
+`
+
+// benchProg loads src and returns the image and entry registers.
+func benchProg(b *testing.B, src string) (*mem.Memory, cpu.Regs) {
+	b.Helper()
+	p, err := asm.Assemble(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,19 +55,49 @@ loop:
 }
 
 // BenchmarkNativeInterp measures raw interpreter throughput through the
-// kernel's NativeRunner.
+// kernel's NativeRunner. "alu" runs one unbounded batch of register
+// arithmetic. "surcharge-cow" charges MemSurcharge 3 and runs quantum-
+// sized batches over pages shared with a forked sibling, re-forked every
+// 1000 batches, so the batch loop keeps stopping at copy-on-write copies.
 func BenchmarkNativeInterp(b *testing.B) {
-	k := New(DefaultConfig())
-	m, regs := benchProg(b)
-	p := k.Spawn("bench", m, regs, NativeRunner{})
-	r := NativeRunner{}
-	b.ResetTimer()
-	for p.InsCount < uint64(b.N) {
-		if _, stop := r.Run(k, p, Cycles(b.N)-Cycles(p.InsCount)); stop == StopError {
-			b.Fatal(p.Err)
+	b.Run("alu", func(b *testing.B) {
+		k := New(DefaultConfig())
+		m, regs := benchProg(b, benchLoop)
+		r := NativeRunner{}
+		p := k.Spawn("bench", m, regs, r)
+		b.ResetTimer()
+		for p.InsCount < uint64(b.N) {
+			if _, stop := r.Run(k, p, Cycles(b.N)-Cycles(p.InsCount)); stop == StopError {
+				b.Fatal(p.Err)
+			}
 		}
-	}
-	b.ReportMetric(float64(p.InsCount)/b.Elapsed().Seconds(), "guest-ins/s")
+		b.ReportMetric(float64(p.InsCount)/b.Elapsed().Seconds(), "guest-ins/s")
+	})
+	b.Run("surcharge-cow", func(b *testing.B) {
+		k := New(DefaultConfig())
+		m, regs := benchProg(b, benchStoreLoop)
+		for i := uint32(0); i < 16; i++ {
+			m.StoreWord(0x0020_0000+i*mem.PageSize, i)
+		}
+		r := NativeRunner{MemSurcharge: 3}
+		p := k.Spawn("bench", m, regs, r)
+		quantum := k.Config().Cost.Quantum
+		b.ResetTimer()
+		var sibling *Proc
+		for calls := 0; p.InsCount < uint64(b.N); calls++ {
+			if calls%1000 == 0 {
+				if sibling != nil {
+					k.Exit(sibling, 0)
+				}
+				sibling = k.Fork(p, "sibling", r, false)
+			}
+			if _, stop := r.Run(k, p, quantum); stop == StopError {
+				b.Fatal(p.Err)
+			}
+		}
+		b.ReportMetric(float64(p.InsCount)/b.Elapsed().Seconds(), "guest-ins/s")
+		b.ReportMetric(float64(p.CowCost/k.Config().Cost.PageCopy)/float64(p.InsCount)*1e6, "copies/Mins")
+	})
 }
 
 // BenchmarkScheduler8Procs measures full discrete-event scheduling
@@ -57,7 +108,7 @@ func BenchmarkScheduler8Procs(b *testing.B) {
 	cfg.MaxCycles = Cycles(b.N)*8 + 1_000_000
 	k := New(cfg)
 	for i := 0; i < 8; i++ {
-		m, regs := benchProg(b)
+		m, regs := benchProg(b, benchLoop)
 		k.Spawn("w", m, regs, NativeRunner{})
 	}
 	b.ResetTimer()

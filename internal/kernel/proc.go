@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 
 	"superpin/internal/cpu"
 	"superpin/internal/mem"
@@ -47,9 +48,10 @@ const (
 )
 
 // Runner advances a process's guest execution. Different runners implement
-// the different execution modes of the system: plain interpretation for
-// the uninstrumented master (NativeRunner), the Pin JIT engine for
-// serial instrumented runs, and the SuperPin slice engine, which services
+// the different execution modes of the system: batched interpretation
+// through cpu.RunBudget for native baseline runs and the uninstrumented
+// master (NativeRunner), the Pin JIT engine for serial instrumented
+// runs, and the SuperPin slice engine, which services
 // system calls internally via record-and-playback and therefore rarely
 // returns StopSyscall.
 type Runner interface {
@@ -163,8 +165,10 @@ func (p *Proc) Group() PID {
 func (p *Proc) CowPending() bool { return p.Mem.CopyEvents != p.cowMark }
 
 // ChargeCow charges any copy-on-write page copies performed since the
-// last call, returning the cycles charged. It is used by every Runner
-// implementation (native and instrumented) after each guest instruction.
+// last call, returning the cycles charged. Every Runner implementation
+// (native and instrumented) calls it after each instruction or batch that
+// may have copied a page; the batch loops stop at the copying instruction,
+// so the charge lands there.
 func (p *Proc) ChargeCow(cost CostModel) Cycles {
 	delta := p.Mem.CopyEvents - p.cowMark
 	if delta == 0 {
@@ -178,7 +182,10 @@ func (p *Proc) ChargeCow(cost CostModel) Cycles {
 
 // NativeRunner interprets guest code directly, with no instrumentation.
 // It is the execution mode of the master application in SuperPin mode and
-// of plain native baseline runs.
+// of plain native baseline runs. Run is a thin wrapper around the batched
+// cpu.RunBudget loop: the loop retires instructions until the budget runs
+// out, a syscall traps, a copy-on-write copy happens or a fault stops it,
+// and the runner settles the instruction count and COW charge per batch.
 type NativeRunner struct {
 	// MemSurcharge is an extra cost per memory instruction, modeling a
 	// benchmark's cache behavior (memory-bound applications pay more per
@@ -187,7 +194,8 @@ type NativeRunner struct {
 
 	// Ring, when non-nil, records every executed instruction pointer
 	// (single-step/branch-trace monitoring), charging RingCost per
-	// instruction. SuperPin's rejected IP-history detector uses it.
+	// instruction. SuperPin's rejected IP-history detector uses it; the
+	// runner then drives the batch loop one instruction at a time.
 	Ring     *IPRing
 	RingCost Cycles
 }
@@ -196,27 +204,28 @@ type NativeRunner struct {
 func (r NativeRunner) Run(k *Kernel, p *Proc, budget Cycles) (Cycles, StopReason) {
 	var used Cycles
 	cost := k.cfg.Cost
-	pr := p.Prof
+	maxIns := math.MaxInt
+	if r.Ring != nil {
+		maxIns = 1
+	}
 	for used < budget {
 		pc := p.Regs.PC
-		ev, in, err := cpu.Step(&p.Regs, p.Mem)
+		// Entering with cowStart = cowMark stops the loop after its first
+		// instruction when a copy is still uncharged, so the charge lands
+		// where a per-instruction loop would put it.
+		n, u, ev, err := cpu.RunBudget(&p.Regs, p.Mem, uint64(budget-used), uint64(cost.InterpCost),
+			uint64(r.MemSurcharge), maxIns, p.cowMark, p.Prof)
+		used += Cycles(u)
+		p.InsCount += uint64(n)
 		if err != nil {
 			p.Err = err
 			return used, StopError
-		}
-		used += cost.InterpCost
-		if in.Op.IsMem() {
-			used += r.MemSurcharge
 		}
 		if r.Ring != nil {
 			r.Ring.Push(pc)
 			used += r.RingCost
 		}
 		used += p.ChargeCow(cost)
-		p.InsCount++
-		if pr != nil {
-			pr.OnExec(in, pc+4, p.Regs.PC)
-		}
 		if ev == cpu.EvSyscall {
 			return used, StopSyscall
 		}

@@ -533,7 +533,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 
 	// cowClear caches "no copy-on-write charge is pending" so the hot loop
 	// can skip the p.CowPending probe. It is trusted only when true: it is
-	// set after every chargeCow and dropped whenever something other than
+	// set after every p.ChargeCow and dropped whenever something other than
 	// guest execution may have touched guest memory (Run entry, syscall
 	// filters, analysis calls after the charge point).
 	cowClear := false
@@ -700,7 +700,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					n, ev, err = cpu.ExecBlock(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents)
 				}
 				if n > 0 {
-					used += kernel.Cycles(sb.Cum[off+n-1]-pre) + chargeCow(p, kcost)
+					used += kernel.Cycles(sb.Cum[off+n-1]-pre) + p.ChargeCow(kcost)
 					cowClear = true
 					p.InsCount += uint64(n)
 					e.stats.ExecIns += uint64(n)
@@ -782,7 +782,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		if ci.Inst.Op.IsMem() {
 			used += cost.MemSurcharge
 		}
-		used += chargeCow(p, kcost)
+		used += p.ChargeCow(kcost)
 		cowClear = true
 		p.InsCount++
 		e.stats.ExecIns++
@@ -1182,10 +1182,4 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32, hoisted bool) k
 func (e *Engine) hoistedAt(idx int) bool {
 	h := e.cur.Hot
 	return h != nil && h.Hoist != nil && h.Hoist[idx]
-}
-
-// chargeCow charges copy-on-write page copies triggered by the last
-// instruction, mirroring kernel.NativeRunner's accounting.
-func chargeCow(p *kernel.Proc, cost kernel.CostModel) kernel.Cycles {
-	return p.ChargeCow(cost)
 }

@@ -33,7 +33,7 @@ echo "== go test =="
 go test -timeout 5m ./...
 
 echo "== go test -race (engine packages + harness) =="
-go test -race -timeout 5m ./internal/kernel/... ./internal/core/... ./internal/jit/... \
+go test -race -timeout 5m ./internal/cpu/... ./internal/kernel/... ./internal/core/... ./internal/jit/... \
     ./internal/mem/... ./internal/bench/... ./internal/obs/... ./internal/artifact/... \
     ./internal/telemetry/... ./internal/sa/...
 
