@@ -1,26 +1,16 @@
 // Command spbench regenerates the SuperPin paper's evaluation (Section
 // 6): Figures 3-7 and the Section 4.4 signature-detection statistics, as
-// aligned text tables and optionally CSV files.
+// aligned text tables and optionally CSV files. It also runs the
+// differential harness that holds every host-side tier to the reference
+// configuration. Host speed is measured by `go run ./benchmark`, not here.
 //
 //	spbench                      # every experiment at the default scale
 //	spbench -exp fig6 -scale 1   # one experiment, full-size workloads
 //	spbench -csv out/            # also write out/fig3.csv etc.
 //	spbench -j 8                 # fan runs out over 8 host workers
-//	spbench -hostjson BENCH_host.json  # also write host-perf metrics
 //	spbench -trace-dir traces/   # write per-benchmark Chrome trace JSON
-//	spbench -exp obssmoke        # verify trace invariants end to end
-//	spbench -exp fastpathdiff    # verify engine fast paths change nothing
-//	spbench -exp sadiff          # verify the static analysis changes nothing
-//	spbench -exp ipdiff          # verify the interprocedural tier changes nothing
-//	spbench -exp profdiff        # verify serial and SuperPin profiles match
-//	spbench -exp jitdiff         # verify the hot trace tier changes nothing
-//	spbench -exp cachediff       # verify the artifact cache changes nothing
-//	spbench -warmstart           # measure cold vs warm vs disk-warm wall-clock
+//	spbench -exp diff            # verify no host-side tier changes a virtual result
 //	spbench -cachedir dir        # share predecode/SA/hot-seed artifacts across runs
-//	spbench -nofastpath          # run with the dispatch fast paths off
-//	spbench -nosa                # run with the load-time static analysis off
-//	spbench -saintra             # run with only the intraprocedural analysis tier
-//	spbench -nohottier           # run with the second-tier trace compiler off
 //	spbench -cpuprofile cpu.pprof  # host CPU profile of the harness itself
 //	spbench -serve 127.0.0.1:8080  # live /metrics /status /trace HTTP plane
 //	spbench -lastgasp crash.json   # dump the flight recorder on panic/SIGTERM
@@ -32,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -49,32 +38,6 @@ import (
 	"superpin/internal/telemetry"
 )
 
-// hostPerf is the BENCH_host.json artifact: host-side performance of one
-// spbench invocation, tracked across PRs for the perf trajectory.
-type hostPerf struct {
-	ElapsedSec float64 `json:"elapsed_sec"`
-	Workers    int     `json:"workers"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Scale      float64 `json:"scale"`
-	SuiteRuns  int     `json:"suite_runs"`
-	// GuestIns is a lower bound on guest instructions executed: each
-	// suite triple runs its benchmark at least three times (native, Pin,
-	// SuperPin; the SuperPin master+slice double execution is not
-	// counted).
-	GuestIns  uint64  `json:"guest_ins_min"`
-	GuestMIPS float64 `json:"guest_mips_min"`
-	// NoFastPath records whether the engine's dispatch fast paths were
-	// disabled; Host aggregates their counters (from the suites' serial
-	// Pin runs) so the artifact shows how much the fast paths engaged.
-	NoFastPath bool               `json:"nofastpath"`
-	Host       bench.HostCounters `json:"host_counters"`
-	// Warmstart is the -warmstart sweep: wall-clock of serial-Pin passes
-	// over the configured benchmarks cold, warm (populated in-process
-	// artifact store) and disk-warm, with the time-to-first-promotion
-	// dispatch totals.
-	Warmstart *bench.WarmstartResult `json:"warmstart,omitempty"`
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "spbench:", err)
@@ -85,23 +48,17 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("spbench", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment: all|fig3|fig4|fig5|fig6|fig7|sigstats|ablations|obssmoke|fastpathdiff|sadiff|ipdiff|profdiff|jitdiff|cachediff")
+		exp        = fs.String("exp", "all", "experiment: all|fig3|fig4|fig5|fig6|fig7|sigstats|ablations|diff")
 		scale      = fs.Float64("scale", 0.25, "workload scale (1.0 = full size)")
 		msec       = fs.Float64("msec", 0, "timeslice interval in virtual ms (0 = scale-proportional default)")
 		maxSlices  = fs.Int("spmp", 8, "maximum running slices for suite runs")
 		benchmarks = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all 26)")
 		csvDir     = fs.String("csv", "", "directory to also write <experiment>.csv files into")
 		jobs       = fs.Int("j", 0, "host worker-pool size (0 = $SPBENCH_J, else GOMAXPROCS; 1 = serial)")
-		hostJSON   = fs.String("hostjson", "", "file to write host-perf metrics (wall-clock, guest-MIPS) into")
 		traceDir   = fs.String("trace-dir", "", "directory to write per-benchmark Chrome trace JSON files into")
-		noFastPath = fs.Bool("nofastpath", false, "disable the engine's dispatch fast paths (trace linking, superblock batching)")
-		noSA       = fs.Bool("nosa", false, "disable the load-time static analysis (verifier, liveness elision, shared predecode)")
-		saIntra    = fs.Bool("saintra", false, "restrict the static analysis to its intraprocedural tier (no call graph, cross-call liveness or value folding)")
-		noHotTier  = fs.Bool("nohottier", false, "disable the second-tier trace compiler (profile-guided layout, register caching, spill hoisting)")
 		cpuProf    = fs.String("cpuprofile", "", "write a host CPU profile (runtime/pprof) of the harness to this file")
 		memProf    = fs.String("memprofile", "", "write a host heap profile of the harness to this file")
 		cacheDir   = fs.String("cachedir", os.Getenv("SUPERPIN_CACHE"), "persistent artifact cache directory shared by every run (created if missing; default $SUPERPIN_CACHE; virtual results are identical warm or cold)")
-		warmstart  = fs.Bool("warmstart", false, "after the experiments, measure cold vs warm vs disk-warm serial-Pin wall-clock over the configured benchmarks")
 		serveAddr  = fs.String("serve", os.Getenv("SUPERPIN_SERVE"), "serve live telemetry over HTTP on this address while the harness runs (/metrics, /metrics.json, /status, /trace, /healthz, /debug/pprof/; default $SUPERPIN_SERVE; empty = off)")
 		flightCap  = fs.Int("flightcap", telemetry.DefaultFlightCap, "flight-recorder ring capacity in events for -serve/-lastgasp")
 		lastGasp   = fs.String("lastgasp", os.Getenv("SUPERPIN_LASTGASP"), "write a Perfetto trace snapshot of the flight recorder to this file on SIGTERM/SIGINT or panic (default $SUPERPIN_LASTGASP; empty = off)")
@@ -111,6 +68,9 @@ func run(args []string) error {
 			return nil
 		}
 		return err
+	}
+	if *jobs < 0 {
+		return fmt.Errorf("-j %d: want 0 (automatic) or a positive worker count", *jobs)
 	}
 
 	if *cpuProf != "" {
@@ -140,10 +100,6 @@ func run(args []string) error {
 	cfg.MaxSlices = *maxSlices
 	cfg.Workers = *jobs
 	cfg.TraceDir = *traceDir
-	cfg.NoFastPath = *noFastPath
-	cfg.NoSA = *noSA
-	cfg.NoHotTier = *noHotTier
-	cfg.SAIntra = *saIntra
 	if *msec > 0 {
 		cfg.TimesliceMSec = *msec
 	} else {
@@ -194,33 +150,11 @@ func run(args []string) error {
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
 
-	// Host-perf accounting for -hostjson: every suite Result stands for
-	// at least three executions of its benchmark.
-	var suiteIns uint64
-	var hostTotals bench.HostCounters
-	suiteRuns := 0
-	account := func(rs []*bench.Result) {
-		for _, r := range rs {
-			suiteIns += 3 * r.Ins
-			suiteRuns += 3
-			hostTotals.Dispatches += r.Host.Dispatches
-			hostTotals.LinkHits += r.Host.LinkHits
-			hostTotals.LinkMisses += r.Host.LinkMisses
-			hostTotals.LinkInvalidations += r.Host.LinkInvalidations
-			hostTotals.SuperblockIns += r.Host.SuperblockIns
-			hostTotals.HotPromotions += r.Host.HotPromotions
-			hostTotals.HotIns += r.Host.HotIns
-			hostTotals.HoistedSaves += r.Host.HoistedSaves
-			hostTotals.HotLinkHits += r.Host.HotLinkHits
-		}
-	}
-
 	if want("fig3") || want("fig4") {
 		t3, rs, err := bench.Fig3(cfg)
 		if err != nil {
 			return err
 		}
-		account(rs)
 		if want("fig3") {
 			if err := emit("fig3", t3); err != nil {
 				return err
@@ -239,11 +173,10 @@ func run(args []string) error {
 		}
 	}
 	if want("fig5") {
-		t5, rs, err := bench.Fig5(cfg)
+		t5, _, err := bench.Fig5(cfg)
 		if err != nil {
 			return err
 		}
-		account(rs)
 		if err := emit("fig5", t5); err != nil {
 			return err
 		}
@@ -310,228 +243,22 @@ func run(args []string) error {
 		}
 		ran = true
 	}
-	if *exp == "fastpathdiff" {
-		t := report.New("Fast-path differential: fast vs -nofastpath, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "link hits", "sb ins", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunFastPathDiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					r.LinkHits, r.SuperblockIns, r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("fastpathdiff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "sadiff" {
-		t := report.New("Static-analysis differential: SA vs -nosa, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "shared runs", "saved regs (sa/nosa)", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunSADiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					r.SharedRuns, fmt.Sprintf("%d/%d", r.SavedRegsSA, r.SavedRegsRef), r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("sadiff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "ipdiff" {
-		reports, err := bench.RunIPDiff(cfg)
+	// The differential is a check, not a figure, so "all" leaves it out.
+	if *exp == "diff" {
+		reports, err := bench.RunDiff(cfg)
 		if err != nil {
 			return err
 		}
-		t := report.New("Interprocedural-analysis differential: full vs -saintra vs -nosa, identical virtual results",
-			"benchmark", "ins", "pin cycles", "sp cycles", "saved regs (full/intra/nosa)", "folded sites", "folded preds", "hits", "events", "verdict")
-		for _, r := range reports {
-			t.Row(r.Name, r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-				fmt.Sprintf("%d/%d/%d", r.SavedRegsFull, r.SavedRegsIntra, r.SavedRegsRef),
-				r.FoldedSites, r.FoldedPreds, r.Hits, r.Events, "ok")
-		}
-		if err := emit("ipdiff", t); err != nil {
+		if err := emit("diff", bench.DiffTable(reports)); err != nil {
 			return err
 		}
-		if len(reports) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range reports[0].Checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "profdiff" {
-		reports, err := bench.RunProfDiff(cfg, bench.Icount1)
-		if err != nil {
-			return err
-		}
-		t := report.New("Profile differential: native vs serial Pin vs SuperPin-merged, fast and -nofastpath",
-			"benchmark", "ins", "interval", "samples", "max stack", "slices", "sp cycles", "verdict")
-		for _, r := range reports {
-			t.Row(r.Name, r.Ins, r.Interval, r.Samples, r.MaxStack, r.Slices, uint64(r.SPCycles), "ok")
-		}
-		if err := emit("profdiff", t); err != nil {
-			return err
-		}
-		if len(reports) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range reports[0].Checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "jitdiff" {
-		t := report.New("Hot-tier differential: hot vs -nohottier, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "promos (pin/sp)", "hot ins", "link hits", "hoisted", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunJITDiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					fmt.Sprintf("%d/%d", r.Promotions, r.SPPromotions),
-					r.HotIns, r.HotLinkHits, r.SPHoistedSaves, r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("jitdiff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "obssmoke" {
-		reports, err := bench.RunObsSmoke(cfg, bench.Icount1)
-		if err != nil {
-			return err
-		}
-		t := report.New("Observability smoke: trace invariants per benchmark",
-			"benchmark", "events", "slices", "verdict")
-		for _, r := range reports {
-			t.Row(r.Name, r.Events, r.Slices, "ok")
-		}
-		if err := emit("obssmoke", t); err != nil {
-			return err
-		}
-		if len(reports) > 0 {
-			fmt.Println("invariants checked:")
-			for _, c := range reports[0].Checks {
-				fmt.Println("  -", c)
-			}
-		}
-		ran = true
-	}
-	if *exp == "cachediff" {
-		t := report.New("Artifact-cache differential: cold vs warm vs disk-warm, identical virtual results",
-			"benchmark", "tool", "ins", "pin cycles", "sp cycles", "warm promos", "ttfp (cold/warm)", "disk hits", "events", "verdict")
-		var checks []string
-		for _, kind := range []bench.ToolKind{bench.Icount1, bench.Icount2} {
-			reports, err := bench.RunCacheDiff(cfg, kind)
-			if err != nil {
-				return err
-			}
-			for _, r := range reports {
-				t.Row(r.Name, kind.String(), r.Ins, uint64(r.PinCycles), uint64(r.SPCycles),
-					r.WarmPromotions, fmt.Sprintf("%d/%d", r.ColdTTFP, r.WarmTTFP),
-					r.DiskHits, r.Events, "ok")
-				checks = r.Checks
-			}
-		}
-		if err := emit("cachediff", t); err != nil {
-			return err
-		}
-		if len(checks) > 0 {
-			fmt.Println("equalities checked:")
-			for _, c := range checks {
-				fmt.Println("  -", c)
-			}
-		}
+		fmt.Println(bench.DiffArms())
 		ran = true
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("(scale %.2f, timeslice %.0f ms, elapsed %s)\n", cfg.Scale, cfg.TimesliceMSec, elapsed.Round(time.Millisecond))
-
-	// The warmstart sweep runs after the elapsed snapshot, so the
-	// headline guest-MIPS stays comparable across artifacts that did and
-	// did not request it.
-	var warmRes *bench.WarmstartResult
-	if *warmstart {
-		wr, err := bench.RunWarmstart(cfg)
-		if err != nil {
-			return err
-		}
-		warmRes = wr
-		wt := report.New("Warm-start wall-clock (serial Pin sweep over the configured benchmarks)",
-			"pass", "elapsed (s)", "ttfp dispatches", "warm promos")
-		wt.Row("cold", fmt.Sprintf("%.3f", warmRes.ColdSec), warmRes.ColdTTFP, uint64(0))
-		wt.Row("warm", fmt.Sprintf("%.3f", warmRes.WarmSec), warmRes.WarmTTFP, warmRes.WarmPromotions)
-		wt.Row("disk-warm", fmt.Sprintf("%.3f", warmRes.DiskSec), uint64(0), uint64(0))
-		if err := emit("warmstart", wt); err != nil {
-			return err
-		}
-		fmt.Printf("warm-start speedup: %.2fx (cold %.3fs -> warm %.3fs)\n",
-			warmRes.Speedup, warmRes.ColdSec, warmRes.WarmSec)
-	}
-
-	if *hostJSON != "" {
-		hp := hostPerf{
-			ElapsedSec: elapsed.Seconds(),
-			Workers:    *jobs,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Scale:      cfg.Scale,
-			SuiteRuns:  suiteRuns,
-			GuestIns:   suiteIns,
-			NoFastPath: *noFastPath,
-			Host:       hostTotals,
-			Warmstart:  warmRes,
-		}
-		if hp.ElapsedSec > 0 {
-			hp.GuestMIPS = float64(suiteIns) / (hp.ElapsedSec * 1e6)
-		}
-		data, err := json.MarshalIndent(hp, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*hostJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
+	fmt.Printf("(scale %.2f, timeslice %.0f ms, elapsed %s)\n", cfg.Scale, cfg.TimesliceMSec, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -1,10 +1,17 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+
+	"superpin/internal/bench"
 )
 
 func TestRunSingleExperimentWithCSV(t *testing.T) {
@@ -22,57 +29,91 @@ func TestRunSingleExperimentWithCSV(t *testing.T) {
 	}
 }
 
-func TestRunParallelWithHostJSON(t *testing.T) {
-	dir := t.TempDir()
-	hj := filepath.Join(dir, "BENCH_host.json")
-	args := []string{"-exp", "fig3", "-scale", "0.02", "-benchmarks", "gzip,mgrid",
-		"-j", "2", "-hostjson", hj}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(hj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hp struct {
-		ElapsedSec float64 `json:"elapsed_sec"`
-		Workers    int     `json:"workers"`
-		SuiteRuns  int     `json:"suite_runs"`
-		GuestIns   uint64  `json:"guest_ins_min"`
-		GuestMIPS  float64 `json:"guest_mips_min"`
-	}
-	if err := json.Unmarshal(data, &hp); err != nil {
-		t.Fatal(err)
-	}
-	if hp.Workers != 2 || hp.SuiteRuns != 6 || hp.GuestIns == 0 || hp.GuestMIPS <= 0 || hp.ElapsedSec <= 0 {
-		t.Fatalf("host perf = %+v", hp)
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "fig99"}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
-// TestRunJITDiffExperiment: -exp jitdiff runs the hot-tier differential
-// and writes its CSV; -nohottier on a suite run must also be accepted.
+// diffOnce holds the one `-exp diff` run the experiment tests share: the
+// gzip row of its CSV, keyed by column header.
+var diffOnce struct {
+	sync.Once
+	row map[string]string
+	err error
+}
+
+func diffRow(t *testing.T) map[string]string {
+	t.Helper()
+	diffOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "spbench-diff-csv-*")
+		if err != nil {
+			diffOnce.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		args := []string{"-exp", "diff", "-scale", "0.02", "-benchmarks", "gzip", "-j", "1", "-csv", dir}
+		if diffOnce.err = run(args); diffOnce.err != nil {
+			return
+		}
+		f, err := os.Open(filepath.Join(dir, "diff.csv"))
+		if err != nil {
+			diffOnce.err = err
+			return
+		}
+		defer f.Close()
+		recs, err := csv.NewReader(f).ReadAll()
+		if err != nil || len(recs) != 2 {
+			diffOnce.err = fmt.Errorf("diff CSV: %d records, err %v", len(recs), err)
+			return
+		}
+		diffOnce.row = map[string]string{}
+		for i, col := range recs[0] {
+			diffOnce.row[col] = recs[1][i]
+		}
+	})
+	if diffOnce.err != nil {
+		t.Fatal(diffOnce.err)
+	}
+	return diffOnce.row
+}
+
+// positive fails unless the named diff CSV columns hold positive integers.
+func positive(t *testing.T, row map[string]string, cols ...string) {
+	t.Helper()
+	for _, col := range cols {
+		if n, err := strconv.ParseUint(row[col], 10, 64); err != nil || n == 0 {
+			t.Errorf("diff CSV %q = %q, want a positive count", col, row[col])
+		}
+	}
+}
+
+// TestRunDiffExperiment: -exp diff runs the differential harness and
+// writes its CSV, one verified row per benchmark.
+func TestRunDiffExperiment(t *testing.T) {
+	row := diffRow(t)
+	if row["benchmark"] != "gzip" || row["verdict"] != "ok" {
+		t.Fatalf("diff CSV row = %v", row)
+	}
+	positive(t, row, "ins", "pin cycles", "sp cycles", "arm runs")
+}
+
+// TestRunJITDiffExperiment: -exp diff holds the hot tier (the nohottier
+// arm) to the reference, which really promotes traces.
 func TestRunJITDiffExperiment(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-exp", "jitdiff", "-scale", "0.02", "-benchmarks", "gzip", "-csv", dir}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "jitdiff.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty jitdiff CSV")
-	}
-	if err := run([]string{"-exp", "sigstats", "-scale", "0.02", "-benchmarks", "gzip", "-nohottier"}); err != nil {
-		t.Fatalf("-nohottier suite run: %v", err)
-	}
+	positive(t, diffRow(t), "promos")
+}
+
+// TestRunObsSmokeExperiment: -exp diff traces every SuperPin run and
+// verifies its stream; the reported trace is nonempty and spans slices.
+func TestRunObsSmokeExperiment(t *testing.T) {
+	positive(t, diffRow(t), "events", "slices")
+}
+
+// TestRunCacheDiffExperiment: -exp diff holds warm and disk-hydrated
+// artifact stores to the reference, and both stores really serve runs.
+func TestRunCacheDiffExperiment(t *testing.T) {
+	positive(t, diffRow(t), "store hits", "disk hits")
 }
 
 func TestRunBadFlag(t *testing.T) {
@@ -81,26 +122,30 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-func TestRunHelpIsNotAnError(t *testing.T) {
-	if err := run([]string{"-h"}); err != nil {
-		t.Fatalf("run(-h): %v", err)
+// TestRunRejectsBadHarnessInput: a negative -j, a malformed or
+// non-positive $SPBENCH_J and a benchmark listed twice (which would
+// double-weight it in the AVG rows) are errors, not silent fallbacks.
+func TestRunRejectsBadHarnessInput(t *testing.T) {
+	fig3 := func(extra ...string) []string {
+		return append([]string{"-exp", "fig3", "-scale", "0.01"}, extra...)
+	}
+	if err := run(fig3("-benchmarks", "gzip", "-j", "-3")); err == nil || !strings.Contains(err.Error(), "-j") {
+		t.Errorf("-j -3: err = %v", err)
+	}
+	if err := run(fig3("-benchmarks", "gzip,gzip")); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("-benchmarks gzip,gzip: err = %v", err)
+	}
+	for _, v := range []string{"abc", "0", "-2"} {
+		t.Setenv(bench.WorkersEnv, v)
+		if err := run(fig3("-benchmarks", "gzip")); err == nil || !strings.Contains(err.Error(), bench.WorkersEnv) {
+			t.Errorf("%s=%s: err = %v", bench.WorkersEnv, v, err)
+		}
 	}
 }
 
-// TestRunObsSmokeExperiment: -exp obssmoke traces each benchmark and
-// verifies the invariants; -trace-dir makes fig runs write Chrome JSON.
-func TestRunObsSmokeExperiment(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-exp", "obssmoke", "-scale", "0.02", "-benchmarks", "gzip", "-csv", dir}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "obssmoke.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty obssmoke CSV")
+func TestRunHelpIsNotAnError(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("run(-h): %v", err)
 	}
 }
 
@@ -129,58 +174,38 @@ func TestRunUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestRunCacheDiffExperiment: -exp cachediff runs the artifact-cache
-// differential and writes its CSV.
-func TestRunCacheDiffExperiment(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-exp", "cachediff", "-scale", "0.02", "-benchmarks", "gzip", "-j", "1", "-csv", dir}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "cachediff.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty cachediff CSV")
-	}
-}
-
-// TestRunWarmstartAndCacheDir: -warmstart produces the warm-start block
-// in the host-perf JSON, and -cachedir creates a missing nested
-// directory and persists artifacts into it across the suite.
+// TestRunWarmstartAndCacheDir: -cachedir creates a missing nested
+// directory and persists artifacts into it across a suite fanned out over
+// two workers, and a second suite that warm-starts from that directory
+// reports byte-identical figures.
 func TestRunWarmstartAndCacheDir(t *testing.T) {
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "deep", "cache")
-	hj := filepath.Join(dir, "host.json")
-	args := []string{"-exp", "fig3", "-scale", "0.02", "-benchmarks", "gzip",
-		"-j", "1", "-warmstart", "-cachedir", cache, "-hostjson", hj}
-	if err := run(args); err != nil {
-		t.Fatal(err)
+	var csvs [2][]byte
+	for i, pass := range []string{"cold", "warm"} {
+		out := filepath.Join(dir, pass)
+		args := []string{"-exp", "fig3", "-scale", "0.02", "-benchmarks", "gzip,mgrid",
+			"-j", "2", "-cachedir", cache, "-csv", out}
+		if err := run(args); err != nil {
+			t.Fatalf("%s pass: %v", pass, err)
+		}
+		data, err := os.ReadFile(filepath.Join(out, "fig3.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		csvs[i] = data
+		if i == 0 {
+			ents, err := os.ReadDir(cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) < 6 {
+				t.Fatalf("cache dir holds %d entries, want predecode+sa+seed for both benchmarks", len(ents))
+			}
+		}
 	}
-	ents, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) < 3 {
-		t.Fatalf("cache dir holds %d entries, want predecode+sa+seed", len(ents))
-	}
-	data, err := os.ReadFile(hj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hp struct {
-		Warmstart *struct {
-			ColdSec float64 `json:"cold_sec"`
-			WarmSec float64 `json:"warm_sec"`
-			DiskSec float64 `json:"disk_sec"`
-		} `json:"warmstart"`
-	}
-	if err := json.Unmarshal(data, &hp); err != nil {
-		t.Fatal(err)
-	}
-	if hp.Warmstart == nil || hp.Warmstart.ColdSec <= 0 || hp.Warmstart.WarmSec <= 0 || hp.Warmstart.DiskSec <= 0 {
-		t.Fatalf("warmstart block = %+v", hp.Warmstart)
+	if string(csvs[0]) != string(csvs[1]) {
+		t.Fatalf("warm-start figures differ from cold:\n%s\nvs\n%s", csvs[0], csvs[1])
 	}
 }
 

@@ -17,7 +17,7 @@
 // structurally validated against the image, and the warm seed merely
 // accelerates second-tier promotion — so virtual results are
 // byte-identical with the store attached, warm or cold (`spbench -exp
-// cachediff` proves exactly that).
+// diff`'s warm and disk-warm arms prove exactly that).
 package artifact
 
 import (

@@ -77,32 +77,12 @@ type Config struct {
 	// and writes each run's Chrome trace-format JSON (loadable in
 	// Perfetto) to <TraceDir>/<benchmark>.<tool>.trace.json.
 	TraceDir string
-	// NoFastPath disables the Pin engine's host-side dispatch fast paths
-	// (trace linking and batched superblock execution) in every run the
-	// harness performs. Virtual-cycle results are identical either way;
-	// the flag exists for differential testing and host-perf comparison.
-	NoFastPath bool
-	// NoSA disables the load-time static analysis (verifier, liveness
-	// elision, shared predecode) in every run the harness performs.
-	// Virtual-cycle results are identical either way (`-exp sadiff`
-	// proves it).
-	NoSA bool
-	// NoHotTier disables the second-tier trace compiler (profile-guided
-	// hot-successor layout, register-cached superblocks, predicate-spill
-	// hoisting) in every run the harness performs. Virtual-cycle results
-	// are identical either way (`-exp jitdiff` proves it).
-	NoHotTier bool
-	// SAIntra restricts the static analysis to its intraprocedural tier
-	// (no call graph, no cross-call liveness, no value analysis) in
-	// every run the harness performs. Virtual-cycle results are
-	// identical either way (`-exp ipdiff` proves it).
-	SAIntra bool
 	// Artifacts, when non-nil, is the content-addressed artifact store
 	// every run the harness performs shares: concurrent suite runs of the
 	// same benchmark predecode and analyze each image exactly once, and
 	// later runs warm-start the hot tier from earlier runs' harvests.
 	// Virtual-cycle results are identical with or without a store
-	// (`-exp cachediff` proves it).
+	// (`-exp diff`'s warm and disk-warm arms prove it).
 	Artifacts *artifact.Store
 	// Metrics, when non-nil, is the live telemetry registry every run the
 	// harness performs reports into: kernel live counters and the
@@ -147,21 +127,9 @@ func (c *Config) normalize() {
 		c.Kernel = kernel.DefaultConfig()
 		c.Kernel.MaxCycles = 200_000_000_000
 	}
-	if c.NoFastPath {
-		c.PinCost.NoFastPath = true
-	}
-	if c.NoSA {
-		c.PinCost.NoSA = true
-	}
-	if c.NoHotTier {
-		c.PinCost.NoHotTier = true
-	}
-	if c.SAIntra {
-		c.PinCost.SAIntra = true
-	}
 	// Thread the telemetry plane through the kernel config so every run
-	// the harness performs — native, Pin baseline, SuperPin, and all the
-	// differential experiments — inherits it without per-harness wiring.
+	// the harness performs — native, Pin baseline, SuperPin — inherits it
+	// without per-harness wiring (the differential's reference strips it).
 	if c.Metrics != nil && c.Kernel.Metrics == nil {
 		c.Kernel.Metrics = c.Metrics
 	}
@@ -170,17 +138,23 @@ func (c *Config) normalize() {
 	}
 }
 
-// specs resolves the configured benchmark list.
+// specs resolves the configured benchmark list. A name listed twice is
+// an error: it would double-weight that benchmark in the AVG rows.
 func (c *Config) specs() ([]workload.Spec, error) {
 	if len(c.Benchmarks) == 0 {
 		return workload.Catalog(), nil
 	}
 	out := make([]workload.Spec, 0, len(c.Benchmarks))
+	seen := make(map[string]bool, len(c.Benchmarks))
 	for _, name := range c.Benchmarks {
 		s, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown benchmark %q", name)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("bench: benchmark %q listed twice", name)
+		}
+		seen[name] = true
 		out = append(out, s)
 	}
 	return out, nil
@@ -213,48 +187,6 @@ type Result struct {
 	Speedup float64
 	// Detail is the full SuperPin result.
 	Detail *core.Result
-	// Host holds the serial Pin run's host-side dispatch fast-path
-	// counters (all zero under Config.NoFastPath).
-	Host HostCounters
-}
-
-// HostCounters are the Pin engine's host-side dispatch fast-path
-// counters for one run: they describe what the host paid, never what the
-// guest was charged, so they may differ between fast-path and
-// -nofastpath runs whose virtual-cycle results are identical.
-type HostCounters struct {
-	Dispatches        uint64 `json:"dispatches"`
-	LinkHits          uint64 `json:"link_hits"`
-	LinkMisses        uint64 `json:"link_misses"`
-	LinkInvalidations uint64 `json:"link_invalidations"`
-	SuperblockIns     uint64 `json:"superblock_ins"`
-	HotPromotions     uint64 `json:"hot_promotions"`
-	HotIns            uint64 `json:"hot_ins"`
-	HoistedSaves      uint64 `json:"hoisted_saves"`
-	HotLinkHits       uint64 `json:"hot_link_hits"`
-}
-
-// hostCounters extracts the fast-path counters from a serial Pin result.
-func hostCounters(res *core.PinResult) HostCounters {
-	return HostCounters{
-		Dispatches:        res.Engine.Dispatches,
-		LinkHits:          res.Cache.LinkHits,
-		LinkMisses:        res.Cache.LinkMisses,
-		LinkInvalidations: res.Cache.LinkInvalidations,
-		SuperblockIns:     res.Engine.SuperblockIns,
-		HotPromotions:     res.Engine.HotPromotions,
-		HotIns:            res.Engine.HotIns,
-		HoistedSaves:      res.Engine.HoistedSaves,
-		HotLinkHits:       res.Engine.HotLinkHits,
-	}
-}
-
-// zeroHotStats clears the hot-tier host counters in a stats copy so the
-// differential experiments can compare everything else exactly (the hot
-// tier exists only in fast-path runs, and only moves host-side work).
-func zeroHotStats(s *pin.Stats) {
-	s.HotPromotions, s.HotIns, s.HoistedSaves, s.HotLinkHits = 0, 0, 0, 0
-	s.WarmPromotions, s.FirstPromoDispatch = 0, 0
 }
 
 // RunBenchmark measures one benchmark under native, Pin and SuperPin
@@ -320,7 +252,6 @@ func RunBenchmark(cfg Config, spec workload.Spec, kind ToolKind) (*Result, error
 		SP:     spRes.TotalTime,
 		Ins:    native.Ins,
 		Detail: spRes,
-		Host:   hostCounters(pinRes),
 	}
 	r.PinPct = 100 * float64(r.Pin) / float64(r.Native)
 	r.SPPct = 100 * float64(r.SP) / float64(r.Native)

@@ -1,0 +1,812 @@
+package bench
+
+import (
+	"fmt"
+	"os"
+	"reflect"
+	"strings"
+	"sync"
+
+	"superpin/internal/artifact"
+	"superpin/internal/asm"
+	"superpin/internal/core"
+	"superpin/internal/kernel"
+	"superpin/internal/obs"
+	"superpin/internal/pin"
+	"superpin/internal/prof"
+	"superpin/internal/report"
+	"superpin/internal/tools"
+	"superpin/internal/workload"
+)
+
+// The differential harness (`spbench -exp diff`) checks the invariant
+// every host-side tier promises: dispatch fast paths, the hot tier, the
+// static-analysis tiers, the artifact store, telemetry and the profiler
+// change what the host pays, never a virtual result. Each benchmark runs
+// every leg (tool x mode) once under the reference setup and once per
+// arm; each arm flips one host-side axis, declares the host-only counters
+// that axis may move, and checks that its machinery really ran. One
+// comparator holds every arm to the reference.
+
+// diffLeg is one tool run the harness repeats under every arm.
+type diffLeg struct {
+	tool     string // icount1, icount2, watch or watch-opaque
+	superpin bool   // SuperPin rather than serial Pin
+	prof     bool   // profiler attached in the reference
+	shared   bool   // SuperPin shared code cache (Section 8)
+}
+
+func (l diffLeg) String() string {
+	if l.superpin {
+		return "superpin/" + l.tool
+	}
+	return "pin/" + l.tool
+}
+
+// diffLegs is the per-benchmark coverage. Serial Pin runs both counting
+// tools and both watchpoint variants: the declared watch lets the value
+// analysis fold its predicate, the opaque one cannot fold, so its spill
+// count isolates liveness narrowing. SuperPin merges a profile across
+// slices under icount1 and shares translations under icount2.
+var diffLegs = []diffLeg{
+	{tool: "icount1"},
+	{tool: "icount2", prof: true},
+	{tool: "watch"},
+	{tool: "watch-opaque"},
+	{tool: "icount1", superpin: true, prof: true},
+	{tool: "icount2", superpin: true, shared: true},
+	{tool: "watch", superpin: true},
+}
+
+// storeKind is the artifact-store axis of a setup.
+type storeKind int
+
+const (
+	noStore   storeKind = iota
+	warmStore           // compare a second run on the store the first populated
+	diskStore           // compare a run on a fresh store hydrated from disk
+)
+
+// diffSetup is everything an arm may flip for one run.
+type diffSetup struct {
+	kernel kernel.Config
+	cost   pin.CostModel
+	prof   bool // profiled legs keep their profiler
+	store  storeKind
+}
+
+// diffArm flips one host-side axis off the reference setup.
+type diffArm struct {
+	name string
+	axis string
+	// apply flips the axis. It runs once per leg, so per-run state such
+	// as a telemetry registry is fresh for every run.
+	apply func(*diffSetup)
+	// host names the result fields the axis may move, as paths into
+	// core.PinResult; "Profile" applies to core.Result too. The
+	// comparator zeroes exactly these, in both results, before comparing.
+	host []string
+	// profiledOnly skips legs without a profiler, where the arm would
+	// repeat the reference.
+	profiledOnly bool
+	// check asserts that the arm's machinery engaged in the reference or
+	// stayed inert in the arm (nil: equality only); engaged describes it.
+	check   func(*armCheck) error
+	engaged string
+}
+
+// armCheck is what an arm's check sees for one leg.
+type armCheck struct {
+	leg      diffLeg
+	ref, got *diffRun
+	prior    map[string]*diffRun // earlier arms' runs of this leg
+}
+
+// warmHost are the counters a warm start moves: the seed promotes traces
+// at compile time, which shifts hot-tier work and the first-tier link and
+// spill traffic it displaces.
+var warmHost = []string{"Engine.PredSaveRegs", "Engine.HotPromotions", "Engine.HotIns",
+	"Engine.HoistedSaves", "Engine.HotLinkHits", "Engine.IPHoists", "Engine.WarmPromotions",
+	"Engine.FirstPromoDispatch", "Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"}
+
+// diffArms is the arm table, in run order (nosa's check reads saintra's
+// run). EXPERIMENTS.md documents it row for row.
+var diffArms = []diffArm{
+	{
+		name:  "nofastpath",
+		axis:  "dispatch fast paths off (trace linking, superblocks; the hot tier rides on them)",
+		apply: func(s *diffSetup) { s.cost.NoFastPath = true },
+		host: []string{"Engine.SuperblockIns", "Engine.PredSaveRegs", "Engine.SASharedRuns",
+			"Engine.SAPrivateRuns", "Engine.HotPromotions", "Engine.HotIns", "Engine.HoistedSaves",
+			"Engine.HotLinkHits", "Engine.IPHoists", "Engine.FirstPromoDispatch",
+			"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"},
+		check:   checkNoFastPath,
+		engaged: "reference icount2 links traces and runs superblocks; arm reports no fast-path, sealing or hot activity",
+	},
+	{
+		name:  "nohottier",
+		axis:  "second-tier trace compiler off",
+		apply: func(s *diffSetup) { s.cost.NoHotTier = true },
+		host: []string{"Engine.PredSaveRegs", "Engine.HotPromotions", "Engine.HotIns",
+			"Engine.HoistedSaves", "Engine.HotLinkHits", "Engine.IPHoists", "Engine.FirstPromoDispatch",
+			"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"},
+		check:   checkNoHotTier,
+		engaged: "reference promotes wherever it dispatched >= 4096 times; arm reports no hot activity",
+	},
+	{
+		name:  "saintra",
+		axis:  "static analysis restricted to its intraprocedural tier",
+		apply: func(s *diffSetup) { s.cost.SAIntra = true },
+		host: []string{"Engine.PredSaveRegs", "Engine.HoistedSaves",
+			"Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"},
+		check:   checkSAIntra,
+		engaged: "predicate saves full <= intra; arm reports no fold activity",
+	},
+	{
+		name:  "nosa",
+		axis:  "load-time static analysis off",
+		apply: func(s *diffSetup) { s.cost.NoSA = true },
+		host: []string{"Engine.PredSaveRegs", "Engine.SASharedRuns", "Engine.SAPrivateRuns",
+			"Engine.HotIns", "Engine.HoistedSaves", "Engine.FoldedSites", "Engine.FoldedPreds",
+			"Engine.IPHoists"},
+		check:   checkNoSA,
+		engaged: "reference icount2 seals superblocks over the shared predecode; predicate saves intra <= nosa; arm reports no sealing or fold activity",
+	},
+	{
+		name:    "warm",
+		axis:    "second run on a populated in-process artifact store",
+		apply:   func(s *diffSetup) { s.store = warmStore },
+		host:    warmHost,
+		check:   checkWarm,
+		engaged: "one predecode and one analysis compute, then store hits; serial runs seed promotions and promote earlier",
+	},
+	{
+		name:    "disk-warm",
+		axis:    "fresh artifact store hydrated from a cache directory",
+		apply:   func(s *diffSetup) { s.store = diskStore },
+		host:    warmHost,
+		check:   checkDiskWarm,
+		engaged: "disk hits with zero predecode or analysis recomputes",
+	},
+	{
+		name: "telemetry",
+		axis: "live metrics registry and ring-buffer tracer attached",
+		apply: func(s *diffSetup) {
+			s.kernel.Metrics = obs.NewMetrics()
+			s.kernel.Trace = obs.NewRingTracer(1 << 22)
+		},
+		check:   checkTelemetry,
+		engaged: "registry counts retired instructions; the ring records events and drops none",
+	},
+	{
+		name:         "unprofiled",
+		axis:         "profiler detached",
+		apply:        func(s *diffSetup) { s.prof = false },
+		host:         []string{"Profile"},
+		profiledOnly: true,
+		check: func(c *armCheck) error {
+			if c.got.profile() != nil {
+				return fmt.Errorf("unprofiled run produced a profile")
+			}
+			return nil
+		},
+		engaged: "arm result carries no profile",
+	},
+}
+
+func checkNoFastPath(c *armCheck) error {
+	if c.leg.superpin {
+		return nil
+	}
+	if err := inert(c.got.pin, "Engine.SuperblockIns", "Engine.SASharedRuns", "Engine.SAPrivateRuns",
+		"Engine.HotPromotions", "Engine.HotIns", "Engine.HoistedSaves", "Engine.HotLinkHits",
+		"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"); err != nil {
+		return err
+	}
+	if ref := c.ref.pin; c.leg.tool == "icount2" && (ref.Cache.LinkHits == 0 || ref.Engine.SuperblockIns == 0) {
+		return fmt.Errorf("reference fast paths idle: %d link hits, %d superblock instructions",
+			ref.Cache.LinkHits, ref.Engine.SuperblockIns)
+	}
+	return nil
+}
+
+func checkNoHotTier(c *armCheck) error {
+	if c.leg.superpin {
+		return nil
+	}
+	if err := inert(c.got.pin, "Engine.HotPromotions", "Engine.HotIns", "Engine.HoistedSaves",
+		"Engine.HotLinkHits", "Engine.WarmPromotions"); err != nil {
+		return err
+	}
+	// Promotion is driven by per-trace dispatch counts, so demand it only
+	// where the run dispatched enough to guarantee a hot trace exists.
+	if e := c.ref.pin.Engine; e.Dispatches >= 4096 && e.HotPromotions == 0 {
+		return fmt.Errorf("reference dispatched %d times but promoted no trace", e.Dispatches)
+	}
+	return nil
+}
+
+func checkSAIntra(c *armCheck) error {
+	if c.leg.superpin {
+		return nil
+	}
+	if err := inert(c.got.pin, "Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"); err != nil {
+		return err
+	}
+	return saveOrder("full", c.ref, "saintra", c.got)
+}
+
+func checkNoSA(c *armCheck) error {
+	if c.leg.superpin {
+		return nil
+	}
+	if err := inert(c.got.pin, "Engine.SASharedRuns", "Engine.SAPrivateRuns",
+		"Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"); err != nil {
+		return err
+	}
+	// icount1 instruments every instruction, leaving no call-free run to
+	// seal; block-granularity tools must seal over the shared predecode.
+	if c.leg.tool == "icount2" && c.ref.pin.Engine.SASharedRuns == 0 {
+		return fmt.Errorf("reference sealed no superblock over the shared predecode")
+	}
+	if intra := c.prior["saintra"]; intra != nil {
+		return saveOrder("saintra", intra, "nosa", c.got)
+	}
+	return saveOrder("full", c.ref, "nosa", c.got)
+}
+
+// saveOrder errors if the more precise analysis tier saved more registers
+// around predicates than the less precise one.
+func saveOrder(preciseName string, precise *diffRun, coarseName string, coarse *diffRun) error {
+	if p, q := precise.pin.Engine.PredSaveRegs, coarse.pin.Engine.PredSaveRegs; p > q {
+		return fmt.Errorf("predicate save set widened: %s saved %d registers, %s %d", preciseName, p, coarseName, q)
+	}
+	return nil
+}
+
+func checkWarm(c *armCheck) error {
+	if c.got.store == nil {
+		return fmt.Errorf("no artifact store attached")
+	}
+	st := c.got.store.Stats()
+	if st.PredecodeComputes != 1 || st.SAComputes != 1 || st.PredecodeHits == 0 || st.SAHits == 0 {
+		return fmt.Errorf("store did not serve the second run: predecode %d computes/%d hits, analysis %d computes/%d hits",
+			st.PredecodeComputes, st.PredecodeHits, st.SAComputes, st.SAHits)
+	}
+	if c.leg.superpin {
+		return nil
+	}
+	// The seed only matters where the cold run promotes at all; there it
+	// must fire at compile time, strictly before the cold first promotion.
+	ref, got := c.ref.pin.Engine, c.got.pin.Engine
+	if ref.HotPromotions > 0 && (got.WarmPromotions == 0 || got.FirstPromoDispatch >= ref.FirstPromoDispatch) {
+		return fmt.Errorf("no warm start: %d seeded promotions, first promotion at dispatch %d (cold %d)",
+			got.WarmPromotions, got.FirstPromoDispatch, ref.FirstPromoDispatch)
+	}
+	return nil
+}
+
+func checkDiskWarm(c *armCheck) error {
+	if c.got.store == nil {
+		return fmt.Errorf("no artifact store attached")
+	}
+	if st := c.got.store.Stats(); st.DiskHits == 0 || st.PredecodeComputes != 0 || st.SAComputes != 0 {
+		return fmt.Errorf("store did not hydrate from disk: %d disk hits, %d predecode and %d analysis computes",
+			st.DiskHits, st.PredecodeComputes, st.SAComputes)
+	}
+	return nil
+}
+
+func checkTelemetry(c *armCheck) error {
+	if c.got.metrics.Counter("kernel.live.retired_ins") == 0 {
+		return fmt.Errorf("registry counted no retired instructions")
+	}
+	if n, dropped := c.got.ring.Len(), c.got.ring.Dropped(); n == 0 || dropped != 0 {
+		return fmt.Errorf("ring tracer holds %d events, dropped %d", n, dropped)
+	}
+	return nil
+}
+
+// inert errors unless every named counter of a serial result is zero.
+func inert(r *core.PinResult, paths ...string) error {
+	v := reflect.ValueOf(r).Elem()
+	for _, p := range paths {
+		if n := fieldByPath(v, p).Uint(); n != 0 {
+			return fmt.Errorf("%s = %d in the arm, want 0", p, n)
+		}
+	}
+	return nil
+}
+
+// diffRun is one leg's outcome under one setup.
+type diffRun struct {
+	pin    *core.PinResult // serial legs
+	sp     *core.Result    // SuperPin legs
+	events []obs.Event     // SuperPin legs
+	out    uint64          // tool output: instructions counted or watchpoint hits
+
+	store   *artifact.Store
+	metrics *obs.Metrics
+	ring    *obs.Tracer
+}
+
+func (r *diffRun) profile() *prof.Profile {
+	if r.pin != nil {
+		return r.pin.Profile
+	}
+	return r.sp.Profile
+}
+
+// compareRuns is the harness's one comparator. It zeroes the arm's
+// declared host fields in copies of both results, then requires the
+// results, the SuperPin event streams and the tool outputs to be equal,
+// naming the first differing fields.
+func compareRuns(ref, got *diffRun, host []string) error {
+	var d differ
+	if ref.pin != nil {
+		d.diff("", zeroed(*ref.pin, host), zeroed(*got.pin, host))
+	} else {
+		d.diff("", zeroed(*ref.sp, host), zeroed(*got.sp, host))
+		d.diff("events", ref.events, got.events)
+	}
+	d.diff("tool output", ref.out, got.out)
+	if len(d.diffs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("differs from the reference at %s", strings.Join(d.diffs, "; "))
+}
+
+// zeroed returns v with every field named by paths (dotted, e.g.
+// "Engine.HotIns") set to its zero value; paths v lacks are skipped.
+func zeroed[T any](v T, paths []string) T {
+	rv := reflect.ValueOf(&v).Elem()
+	for _, p := range paths {
+		if f := fieldByPath(rv, p); f.IsValid() {
+			f.SetZero()
+		}
+	}
+	return v
+}
+
+// fieldByPath resolves a dotted field path in a struct value (the zero
+// Value when a field is missing).
+func fieldByPath(v reflect.Value, path string) reflect.Value {
+	for _, name := range strings.Split(path, ".") {
+		if v.Kind() != reflect.Struct {
+			return reflect.Value{}
+		}
+		if v = v.FieldByName(name); !v.IsValid() {
+			return v
+		}
+	}
+	return v
+}
+
+// maxDiffs bounds how many differing fields one mismatch reports.
+const maxDiffs = 6
+
+// differ collects the paths of differing leaves, in field order.
+type differ struct{ diffs []string }
+
+// diff records where a and b differ. Equal values, the common case, cost
+// one DeepEqual; only a mismatch is walked field by field.
+func (d *differ) diff(path string, a, b any) {
+	if !reflect.DeepEqual(a, b) {
+		d.walk(path, reflect.ValueOf(a), reflect.ValueOf(b))
+	}
+}
+
+func (d *differ) walk(path string, a, b reflect.Value) {
+	if len(d.diffs) >= maxDiffs {
+		return
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				d.add(path, a, b)
+			}
+			return
+		}
+		if a.Elem().Type() != b.Elem().Type() {
+			d.add(path, a.Elem(), b.Elem())
+			return
+		}
+		d.walk(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			name := a.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			d.walk(name, a.Field(i), b.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		n := min(a.Len(), b.Len())
+		for i := 0; i < n; i++ {
+			d.walk(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i))
+		}
+		if a.Len() != b.Len() && len(d.diffs) < maxDiffs {
+			d.diffs = append(d.diffs, fmt.Sprintf("len(%s) (ref %d, arm %d)", path, a.Len(), b.Len()))
+		}
+	default:
+		if !a.Equal(b) {
+			d.add(path, a, b)
+		}
+	}
+}
+
+func (d *differ) add(path string, a, b reflect.Value) {
+	d.diffs = append(d.diffs, fmt.Sprintf("%s (ref %v, arm %v)", path, a, b))
+}
+
+// DiffReport is one benchmark's differential outcome: every arm matched
+// the reference on every leg. The reference counters show that the
+// machinery the arms switch off was really running.
+type DiffReport struct {
+	Name string
+	// Ins is the benchmark's guest instruction count.
+	Ins uint64
+	// PinCycles and SPCycles are the serial Pin and SuperPin icount1
+	// runtimes, identical in every arm.
+	PinCycles kernel.Cycles
+	SPCycles  kernel.Cycles
+	// Runs counts the arm runs compared against a reference.
+	Runs int
+	// LinkHits and SuperblockIns are the serial icount2 reference's
+	// fast-path counters; Promotions sums hot promotions over the serial
+	// references.
+	LinkHits      uint64
+	SuperblockIns uint64
+	Promotions    uint64
+	// SavedRegs are the opaque watchpoint's predicate spills under the
+	// full, intraprocedural and no-analysis tiers.
+	SavedRegs [3]uint64
+	// FoldedPreds are the declared watchpoint's predicate evaluations the
+	// value analysis decided at compile time.
+	FoldedPreds uint64
+	// StoreHits sums the warm arm's predecode and analysis store hits, and
+	// DiskHits the disk-warm arm's loads from the cache directory, over
+	// every leg.
+	StoreHits uint64
+	DiskHits  uint64
+	// Samples, MaxStack and Slices describe the merged SuperPin icount1
+	// profile (identical to the native one): sample count, deepest shadow
+	// stack, and the slices it was merged from.
+	Samples  int
+	MaxStack int
+	Slices   int
+	// Events is the SuperPin icount1 trace length.
+	Events int
+}
+
+// RunDiff runs every configured benchmark's legs under the reference and
+// every arm of the table, and verifies that no arm changed a virtual
+// result. It then asserts the analysis tiers earned their keep somewhere
+// in the suite — a spill mask strictly narrower than the intraprocedural
+// tier's, and a predicate folded at compile time — and that some merged
+// profile spans several slices and a nonempty call stack.
+func RunDiff(cfg Config) ([]*DiffReport, error) {
+	reports, err := runDiff(cfg, diffArms)
+	if err != nil {
+		return nil, err
+	}
+	var narrowed, folded, merged bool
+	for _, r := range reports {
+		narrowed = narrowed || r.SavedRegs[0] < r.SavedRegs[1]
+		folded = folded || r.FoldedPreds > 0
+		merged = merged || (r.Slices >= 2 && r.MaxStack > 0)
+	}
+	switch {
+	case !narrowed:
+		return nil, fmt.Errorf("diff: interprocedural liveness never narrowed a spill mask below the intraprocedural tier")
+	case !folded:
+		return nil, fmt.Errorf("diff: value analysis never folded a declared predicate")
+	case !merged:
+		return nil, fmt.Errorf("diff: no merged profile spans two slices and a call")
+	}
+	return reports, nil
+}
+
+// runDiff is RunDiff over an arbitrary arm table, without the suite-wide
+// checks.
+func runDiff(cfg Config, arms []diffArm) ([]*DiffReport, error) {
+	cfg.normalize()
+	specs, err := cfg.specs()
+	if err != nil {
+		return nil, err
+	}
+	benches, err := runIndexed(cfg.Workers, len(specs), func(i int) (*diffBench, error) {
+		return newDiffBench(cfg, specs[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Legs are independent runs too: fanning out over (benchmark, leg)
+	// pairs keeps every worker busy even when few benchmarks are listed.
+	n := len(diffLegs)
+	if _, err := runIndexed(cfg.Workers, len(benches)*n, func(i int) (struct{}, error) {
+		return struct{}{}, benches[i/n].runLegArms(diffLegs[i%n], arms)
+	}); err != nil {
+		return nil, err
+	}
+	reports := make([]*DiffReport, len(benches))
+	for i, b := range benches {
+		for _, h := range b.hits {
+			if h != b.hits[0] {
+				return nil, fmt.Errorf("diff %s: watchpoint hits disagree across legs: %v", b.spec.Name, b.hits)
+			}
+		}
+		reports[i] = b.rep
+	}
+	return reports, nil
+}
+
+// diffBench is one benchmark's fixed inputs and the report its legs fill.
+type diffBench struct {
+	cfg      Config
+	spec     workload.Spec
+	prog     *asm.Program
+	base     diffSetup
+	native   *core.NativeResult // profiled
+	interval uint64
+	symtab   *prof.Symtab
+	folded   string // native profile's folded stacks
+
+	// mu guards rep and hits, which concurrent legs fill. Every report
+	// field is written by one leg or summed, so the result does not
+	// depend on leg order.
+	mu   sync.Mutex
+	rep  *DiffReport
+	hits []uint64 // reference watchpoint hits, one per watch leg
+}
+
+func newDiffBench(cfg Config, spec workload.Spec) (*diffBench, error) {
+	spec = spec.Scaled(cfg.Scale)
+	prog, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	// The reference runs without telemetry; the telemetry arm brings its
+	// own registry and tracer.
+	base := diffSetup{kernel: cfg.Kernel, cost: cfg.PinCost, prof: true}
+	base.kernel.Metrics, base.kernel.Trace = nil, nil
+
+	plain, err := core.RunNative(base.kernel, prog, spec.NativeMemCost)
+	if err != nil {
+		return nil, fmt.Errorf("diff %s: native: %w", spec.Name, err)
+	}
+	// ~500 samples per run whatever its length; +1 keeps the interval
+	// nonzero.
+	interval := plain.Ins/499 + 1
+	native, err := core.RunNativeProf(base.kernel, prog, spec.NativeMemCost, interval)
+	if err != nil {
+		return nil, fmt.Errorf("diff %s: native profiled: %w", spec.Name, err)
+	}
+	if native.Time != plain.Time || native.Ins != plain.Ins || len(native.Profile.Samples) == 0 {
+		return nil, fmt.Errorf("diff %s: profiled native run: %d cycles/%d ins/%d samples vs %d/%d unprofiled",
+			spec.Name, native.Time, native.Ins, len(native.Profile.Samples), plain.Time, plain.Ins)
+	}
+	symtab := prof.NewSymtab(prog.Symbols)
+	return &diffBench{
+		cfg: cfg, spec: spec, prog: prog, base: base, native: native, interval: interval,
+		symtab: symtab, folded: native.Profile.Folded(symtab),
+		rep: &DiffReport{Name: spec.Name, Ins: native.Ins},
+	}, nil
+}
+
+// runLegArms runs one leg under the reference and every arm, holding each
+// arm to the reference, and notes the leg's counters in the report.
+func (h *diffBench) runLegArms(leg diffLeg, arms []diffArm) error {
+	fail := func(arm string, err error) error {
+		return fmt.Errorf("diff %s %s [%s]: %w", h.spec.Name, leg, arm, err)
+	}
+	ref, err := h.runLeg(h.base, leg, nil)
+	if err != nil {
+		return fail("reference", err)
+	}
+	watch := strings.HasPrefix(leg.tool, "watch")
+	if !watch && ref.out != h.native.Ins {
+		return fail("reference", fmt.Errorf("counted %d instructions, native executed %d", ref.out, h.native.Ins))
+	}
+	if leg.prof {
+		p := ref.profile()
+		if d := h.native.Profile.Diff(p); d != "" {
+			return fail("reference", fmt.Errorf("profile differs from native: %s", d))
+		}
+		if p.Folded(h.symtab) != h.folded {
+			return fail("reference", fmt.Errorf("folded stacks differ from native"))
+		}
+	}
+	runs := make(map[string]*diffRun, len(arms))
+	for _, arm := range arms {
+		if arm.profiledOnly && !leg.prof {
+			continue
+		}
+		got, err := h.runArm(arm, leg)
+		if err == nil {
+			err = compareRuns(ref, got, arm.host)
+		}
+		if err == nil && arm.check != nil {
+			err = arm.check(&armCheck{leg: leg, ref: ref, got: got, prior: runs})
+		}
+		if err != nil {
+			return fail(arm.name, err)
+		}
+		runs[arm.name] = got
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.rep.Runs += len(runs)
+	h.rep.note(leg, ref, runs)
+	if watch {
+		h.hits = append(h.hits, ref.out)
+	}
+	return nil
+}
+
+// note records a leg's reference (and analysis-tier) counters.
+func (r *DiffReport) note(leg diffLeg, ref *diffRun, runs map[string]*diffRun) {
+	if run := runs["warm"]; run != nil && run.store != nil {
+		st := run.store.Stats()
+		r.StoreHits += st.PredecodeHits + st.SAHits
+	}
+	if run := runs["disk-warm"]; run != nil && run.store != nil {
+		r.DiskHits += run.store.Stats().DiskHits
+	}
+	if leg.superpin {
+		if leg.tool == "icount1" {
+			r.SPCycles, r.Events, r.Slices = ref.sp.TotalTime, len(ref.events), len(ref.sp.Slices)
+			r.Samples = len(ref.sp.Profile.Samples)
+			for _, s := range ref.sp.Profile.Samples {
+				r.MaxStack = max(r.MaxStack, len(s.Stack))
+			}
+		}
+		return
+	}
+	e := ref.pin.Engine
+	r.Promotions += e.HotPromotions
+	switch leg.tool {
+	case "icount1":
+		r.PinCycles = ref.pin.Time
+	case "icount2":
+		r.LinkHits, r.SuperblockIns = ref.pin.Cache.LinkHits, e.SuperblockIns
+	case "watch":
+		r.FoldedPreds = e.FoldedPreds
+	case "watch-opaque":
+		r.SavedRegs[0] = e.PredSaveRegs
+		for i, arm := range []string{"saintra", "nosa"} {
+			if run := runs[arm]; run != nil {
+				r.SavedRegs[i+1] = run.pin.Engine.PredSaveRegs
+			}
+		}
+	}
+}
+
+// runArm runs one leg under an arm's setup, first priming the artifact
+// store when the arm compares a warm run.
+func (h *diffBench) runArm(arm diffArm, leg diffLeg) (*diffRun, error) {
+	s := h.base
+	arm.apply(&s)
+	switch s.store {
+	case warmStore:
+		store := artifact.NewStore()
+		if _, err := h.runLeg(s, leg, store); err != nil {
+			return nil, err
+		}
+		return h.runLeg(s, leg, store)
+	case diskStore:
+		dir, err := os.MkdirTemp("", "spbench-diff-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		prime, err := artifact.NewDiskStore(dir)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := h.runLeg(s, leg, prime); err != nil {
+			return nil, err
+		}
+		hydrated, err := artifact.NewDiskStore(dir)
+		if err != nil {
+			return nil, err
+		}
+		return h.runLeg(s, leg, hydrated)
+	}
+	return h.runLeg(s, leg, nil)
+}
+
+// runLeg executes one leg under setup s. A SuperPin run traces into the
+// setup's tracer when it has one, else into a private one, and its
+// stream must pass VerifyTrace.
+func (h *diffBench) runLeg(s diffSetup, leg diffLeg, store *artifact.Store) (*diffRun, error) {
+	factory, out := diffTool(leg.tool)
+	var interval uint64
+	if leg.prof && s.prof {
+		interval = h.interval
+	}
+	r := &diffRun{store: store, metrics: s.kernel.Metrics, ring: s.kernel.Trace}
+	if !leg.superpin {
+		cost := s.cost
+		cost.MemSurcharge = h.spec.PinMemCost
+		res, err := core.RunPinCached(s.kernel, h.prog, factory, cost, interval, store)
+		if err != nil {
+			return nil, err
+		}
+		r.pin, r.out = res, out()
+		return r, nil
+	}
+	opts := core.DefaultOptions()
+	opts.SliceMSec = h.cfg.TimesliceMSec
+	opts.MaxSlices = h.cfg.MaxSlices
+	opts.PinCost = s.cost
+	opts.PinCost.MemSurcharge = h.spec.SliceMemCost
+	opts.NativeMemSurcharge = h.spec.NativeMemCost
+	opts.ProfInterval = interval
+	opts.SharedCodeCache = leg.shared
+	opts.Artifacts = store
+	opts.Trace = s.kernel.Trace
+	if opts.Trace == nil {
+		opts.Trace = obs.NewTracer()
+	}
+	res, err := core.Run(s.kernel, h.prog, factory, opts)
+	if err != nil {
+		return nil, err
+	}
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	r.sp, r.out, r.events = res, out(), opts.Trace.Events()
+	if err := VerifyTrace(r.events, res, h.native.Time); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// diffTool builds a leg's tool: its factory and its observable output.
+func diffTool(name string) (core.ToolFactory, func() uint64) {
+	switch name {
+	case "icount1":
+		t := tools.NewIcount1(nil)
+		return t.Factory(), t.Total
+	case "icount2":
+		t := tools.NewIcount2(nil)
+		return t.Factory(), t.Total
+	case "watch":
+		w := tools.NewWatch(nil, workload.DataReg, workload.DataBase)
+		return w.Factory(), w.Hits
+	default:
+		w := tools.NewWatchOpaque(nil, workload.DataReg, workload.DataBase)
+		return w.Factory(), w.Hits
+	}
+}
+
+// DiffTable renders RunDiff's reports.
+func DiffTable(rs []*DiffReport) *report.Table {
+	t := report.New("Differential harness: every arm vs the reference, identical virtual results",
+		"benchmark", "ins", "pin cycles", "sp cycles", "arm runs", "link hits", "sb ins", "promos",
+		"saved regs (full/intra/nosa)", "folded preds", "store hits", "disk hits", "samples", "max stack",
+		"slices", "events", "verdict")
+	for _, r := range rs {
+		t.Row(r.Name, r.Ins, uint64(r.PinCycles), uint64(r.SPCycles), r.Runs, r.LinkHits, r.SuperblockIns,
+			r.Promotions, fmt.Sprintf("%d/%d/%d", r.SavedRegs[0], r.SavedRegs[1], r.SavedRegs[2]),
+			r.FoldedPreds, r.StoreHits, r.DiskHits, r.Samples, r.MaxStack, r.Slices, r.Events, "ok")
+	}
+	return t
+}
+
+// DiffArms describes the arm table: what each arm flips, the host
+// counters it may move, and what it checks beyond equality.
+func DiffArms() string {
+	var sb strings.Builder
+	sb.WriteString("Differential arms (reference: fast paths, full analysis, hot tier, no store, no telemetry):\n")
+	for _, a := range diffArms {
+		fmt.Fprintf(&sb, "  %-10s  %s\n", a.name, a.axis)
+		if len(a.host) > 0 {
+			fmt.Fprintf(&sb, "  %10s  host: %s\n", "", strings.Join(a.host, " "))
+		}
+		fmt.Fprintf(&sb, "  %10s  check: %s\n", "", a.engaged)
+	}
+	return sb.String()
+}

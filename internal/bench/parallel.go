@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -13,17 +14,22 @@ import (
 const WorkersEnv = "SPBENCH_J"
 
 // resolveWorkers picks the worker-pool size: an explicit positive value
-// wins, then the SPBENCH_J environment override, then GOMAXPROCS.
-func resolveWorkers(n int) int {
+// wins, then the SPBENCH_J environment override, then GOMAXPROCS. A set
+// SPBENCH_J that is not a positive integer is an error, not a silent
+// fallback.
+func resolveWorkers(n int) (int, error) {
 	if n > 0 {
-		return n
+		return n, nil
 	}
-	if s := os.Getenv(WorkersEnv); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
+	s := os.Getenv(WorkersEnv)
+	if s == "" {
+		return runtime.GOMAXPROCS(0), nil
 	}
-	return runtime.GOMAXPROCS(0)
+	v, err := strconv.Atoi(s)
+	if err != nil || v <= 0 {
+		return 0, fmt.Errorf("bench: $%s=%q: want a positive worker count", WorkersEnv, s)
+	}
+	return v, nil
 }
 
 // runIndexed evaluates fn(0..n-1) over a bounded worker pool and returns
@@ -40,7 +46,10 @@ func runIndexed[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	if n == 0 {
 		return out, nil
 	}
-	workers = resolveWorkers(workers)
+	workers, err := resolveWorkers(workers)
+	if err != nil {
+		return nil, err
+	}
 	if workers > n {
 		workers = n
 	}

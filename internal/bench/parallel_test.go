@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -134,15 +135,21 @@ func TestRunIndexedSerialPath(t *testing.T) {
 }
 
 func TestResolveWorkers(t *testing.T) {
-	if got := resolveWorkers(5); got != 5 {
-		t.Fatalf("explicit workers = %d, want 5", got)
+	t.Setenv(WorkersEnv, "")
+	if got, err := resolveWorkers(0); err != nil || got < 1 {
+		t.Fatalf("default workers = %d, %v; want >= 1", got, err)
 	}
 	t.Setenv(WorkersEnv, "3")
-	if got := resolveWorkers(0); got != 3 {
-		t.Fatalf("env workers = %d, want 3", got)
+	if got, err := resolveWorkers(0); err != nil || got != 3 {
+		t.Fatalf("env workers = %d, %v; want 3", got, err)
 	}
-	t.Setenv(WorkersEnv, "junk")
-	if got := resolveWorkers(0); got < 1 {
-		t.Fatalf("fallback workers = %d, want >= 1", got)
+	for _, bad := range []string{"junk", "0", "-2"} {
+		t.Setenv(WorkersEnv, bad)
+		if got, err := resolveWorkers(5); err != nil || got != 5 {
+			t.Fatalf("explicit workers under %s=%q = %d, %v; want 5", WorkersEnv, bad, got, err)
+		}
+		if _, err := resolveWorkers(0); err == nil || !strings.Contains(err.Error(), WorkersEnv) {
+			t.Fatalf("%s=%q: err = %v, want a rejection naming the variable", WorkersEnv, bad, err)
+		}
 	}
 }

@@ -6,82 +6,10 @@ import (
 	"superpin/internal/core"
 	"superpin/internal/kernel"
 	"superpin/internal/obs"
-	"superpin/internal/workload"
 )
 
-// ObsReport is one benchmark's observability smoke-check outcome: the
-// run traced cleanly and every invariant below held.
-type ObsReport struct {
-	Name   string
-	Events int
-	Slices int
-	// Checks lists the invariants verified, for human-readable output.
-	Checks []string
-}
-
-// obsInvariants are the trace properties the smoke runner asserts.
-var obsInvariants = []string{
-	"per-track timestamps non-decreasing",
-	"sleep/wake and lifecycle spans balanced per process",
-	"every slice has spawn <= detect <= merge",
-	"breakdown reconstructed from trace == Result.Breakdown",
-}
-
-// RunObsSmoke runs each configured benchmark under SuperPin with the
-// tracer attached and verifies the trace invariants against the run's
-// Result. It is the end-to-end check that the observability layer
-// reports the schedule the engine actually executed.
-func RunObsSmoke(cfg Config, kind ToolKind) ([]*ObsReport, error) {
-	cfg.normalize()
-	specs, err := cfg.specs()
-	if err != nil {
-		return nil, err
-	}
-	return runIndexed(cfg.Workers, len(specs), func(i int) (*ObsReport, error) {
-		return runObsSmokeOne(cfg, specs[i], kind)
-	})
-}
-
-func runObsSmokeOne(cfg Config, spec workload.Spec, kind ToolKind) (*ObsReport, error) {
-	spec = spec.Scaled(cfg.Scale)
-	prog, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	native, err := core.RunNative(cfg.Kernel, prog, spec.NativeMemCost)
-	if err != nil {
-		return nil, fmt.Errorf("obssmoke %s: native: %w", spec.Name, err)
-	}
-
-	opts := core.DefaultOptions()
-	opts.SliceMSec = cfg.TimesliceMSec
-	opts.MaxSlices = cfg.MaxSlices
-	opts.PinCost = cfg.PinCost
-	opts.PinCost.MemSurcharge = spec.SliceMemCost
-	opts.NativeMemSurcharge = spec.NativeMemCost
-	opts.Trace = obs.NewTracer()
-	tool := newTool(kind)
-	res, err := core.Run(cfg.Kernel, prog, tool.Factory(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("obssmoke %s: superpin: %w", spec.Name, err)
-	}
-	if res.Err != nil {
-		return nil, fmt.Errorf("obssmoke %s: superpin: %w", spec.Name, res.Err)
-	}
-
-	events := opts.Trace.Events()
-	if err := VerifyTrace(events, res, native.Time); err != nil {
-		return nil, fmt.Errorf("obssmoke %s: %w", spec.Name, err)
-	}
-	return &ObsReport{
-		Name:   spec.Name,
-		Events: len(events),
-		Slices: len(res.Slices),
-		Checks: obsInvariants,
-	}, nil
-}
-
-// VerifyTrace checks a SuperPin run's event stream against its Result:
+// VerifyTrace checks a SuperPin run's event stream against its Result
+// (the differential harness applies it to every SuperPin run):
 //
 //  1. timestamps are non-decreasing per track (per guest process, and
 //     per CPU context for occupancy spans, which also must not overlap),

@@ -27,28 +27,6 @@ func obsTestConfig() Config {
 	return cfg
 }
 
-// TestRunObsSmoke is the observability smoke check: traced SuperPin runs
-// satisfy every trace invariant, including exact breakdown agreement.
-func TestRunObsSmoke(t *testing.T) {
-	cfg := obsTestConfig()
-	cfg.Benchmarks = []string{"gzip", "gcc", "mgrid"}
-	reports, err := RunObsSmoke(cfg, Icount1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports", len(reports))
-	}
-	for _, r := range reports {
-		if r.Events == 0 || r.Slices == 0 {
-			t.Fatalf("%s: empty report %+v", r.Name, r)
-		}
-		if len(r.Checks) == 0 {
-			t.Fatalf("%s: no checks recorded", r.Name)
-		}
-	}
-}
-
 // TestVerifyTraceRejectsViolations feeds VerifyTrace corrupted traces
 // and expects each corruption to be caught.
 func TestVerifyTraceRejectsViolations(t *testing.T) {
@@ -147,5 +125,36 @@ func TestRunBenchmarkTraceDir(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("empty traceEvents")
+	}
+}
+
+// TestRunBenchmarkNoFastPath: Config.PinCost reaches every run, and
+// turning the dispatch fast paths off through it leaves the measured
+// virtual cycles identical to a default run, while a virtual cost change
+// through the same field moves them.
+func TestRunBenchmarkNoFastPath(t *testing.T) {
+	cfg := obsTestConfig()
+	spec := mustSpec(t, "gzip")
+	fast, err := RunBenchmark(cfg, spec, Icount2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowCfg := cfg
+	slowCfg.PinCost.NoFastPath = true
+	slow, err := RunBenchmark(slowCfg, spec, Icount2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Native != slow.Native || fast.Pin != slow.Pin || fast.SP != slow.SP || fast.Ins != slow.Ins {
+		t.Fatalf("virtual results differ: fast %+v vs nofast %+v", fast, slow)
+	}
+	costlyCfg := cfg
+	costlyCfg.PinCost.Dispatch++
+	costly, err := RunBenchmark(costlyCfg, spec, Icount2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costly.Pin == fast.Pin || costly.SP == fast.SP {
+		t.Fatalf("Dispatch+1 left Pin (%d) or SuperPin (%d) cycles unchanged", costly.Pin, costly.SP)
 	}
 }

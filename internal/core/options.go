@@ -167,7 +167,7 @@ type Options struct {
 	// shares the image's hot-trace warm-start seed, and the slices'
 	// harvested hotness merges back at run end. Purely a host-side
 	// accelerator: results are byte-identical with or without a store,
-	// warm or cold (`spbench -exp cachediff`).
+	// warm or cold (`spbench -exp diff`'s warm and disk-warm arms).
 	Artifacts *artifact.Store
 }
 

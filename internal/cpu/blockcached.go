@@ -21,7 +21,7 @@ import (
 // The stop conditions, counting rules and fault semantics are identical
 // to ExecBlock (see there); the two executors are differentially tested
 // against each other over random programs and the whole benchmark
-// catalog (`spbench -exp jitdiff`).
+// catalog (`spbench -exp diff`'s nohottier arm).
 //
 // wb must be the run's written-register mask with bit 0 set (writing r0
 // back is harmless — it is zero in both copies — and a non-zero mask is

@@ -8,7 +8,7 @@ package jit
 // dominator-redundant and loop-invariant predicate spills, and a
 // preferred hot-successor link. Everything in a HotTrace is host-side
 // execution strategy: virtual-cycle results are byte-identical with the
-// hot tier on or off (`spbench -exp jitdiff` proves it).
+// hot tier on or off (`spbench -exp diff`'s nohottier arm proves it).
 //
 // Lifetime and invalidation mirror the first tier exactly: a HotTrace
 // hangs off its CompiledTrace, so a whole-cache Flush drops both

@@ -99,7 +99,7 @@ func BenchmarkEngineUninstrumented(b *testing.B) {
 // same workload: the ratio to BenchmarkEngineUninstrumented is the
 // superblock fast path's speedup.
 func BenchmarkEngineUninstrumentedNoFastPath(b *testing.B) {
-	k, p, e := setupEngine(b, benchLoop, func(e *Engine) { e.NoFastPath = true })
+	k, p, e := setupEngine(b, benchLoop, func(e *Engine) { e.Cost.NoFastPath = true })
 	runN(b, e, k, p)
 }
 
@@ -114,7 +114,7 @@ func BenchmarkEngineDispatchLinked(b *testing.B) {
 // BenchmarkEngineDispatchUnlinked is the same hop chain through the
 // dispatcher's map lookup on every transfer.
 func BenchmarkEngineDispatchUnlinked(b *testing.B) {
-	k, p, e := setupEngine(b, benchHops, func(e *Engine) { e.NoFastPath = true })
+	k, p, e := setupEngine(b, benchHops, func(e *Engine) { e.Cost.NoFastPath = true })
 	runN(b, e, k, p)
 }
 
@@ -138,7 +138,7 @@ func BenchmarkEngineIcount1Style(b *testing.B) {
 func BenchmarkEngineIcount1StyleNoFastPath(b *testing.B) {
 	var n uint64
 	k, p, e := setupEngine(b, benchLoop, func(e *Engine) {
-		e.NoFastPath = true
+		e.Cost.NoFastPath = true
 		e.AddTraceInstrumenter(func(tr *Trace) {
 			for _, bbl := range tr.Bbls() {
 				for _, ins := range bbl.Ins() {
@@ -170,7 +170,7 @@ func BenchmarkEngineIcount2Style(b *testing.B) {
 func BenchmarkEngineIcount2StyleNoFastPath(b *testing.B) {
 	var n uint64
 	k, p, e := setupEngine(b, benchLoop, func(e *Engine) {
-		e.NoFastPath = true
+		e.Cost.NoFastPath = true
 		e.AddTraceInstrumenter(func(tr *Trace) {
 			for _, bbl := range tr.Bbls() {
 				c := uint64(bbl.NumIns())

@@ -65,15 +65,15 @@ type CostModel struct {
 	// no verifier, no liveness-guided predicate save/restore elision,
 	// no shared predecode for superblock sealing. Like NoFastPath it is
 	// host-side only — virtual results are byte-identical either way
-	// (`spbench -exp sadiff` proves it) — and rides in the cost model
-	// for the same plumbing reason.
+	// (`spbench -exp diff`'s nosa arm proves it) — and rides in the cost
+	// model for the same plumbing reason.
 	NoSA bool
 
 	// SAIntra restricts the static analysis to its intraprocedural tier
 	// (sa.AnalyzeIntra): no call-graph recovery, no cross-call liveness,
 	// no value analysis, no predicate folding. Host-side only like NoSA
-	// — `spbench -exp ipdiff` proves virtual results are byte-identical
-	// across full/intra/off — and rides in the cost model for the same
+	// — `spbench -exp diff`'s saintra and nosa arms prove virtual results
+	// byte-identical across full/intra/off — and rides in the cost model for the same
 	// plumbing reason. Ignored when NoSA is set.
 	SAIntra bool
 
@@ -82,8 +82,8 @@ type CostModel struct {
 	// register-cached superblock execution and no predicate-spill
 	// hoisting. The hot tier rides on the superblock machinery, so it is
 	// also off whenever NoFastPath is set. Host-side only — virtual
-	// results are byte-identical either way (`spbench -exp jitdiff`
-	// proves it) — and rides in the cost model for the same plumbing
+	// results are byte-identical either way (`spbench -exp diff`'s
+	// nohottier arm proves it) — and rides in the cost model for the same plumbing
 	// reason as the other two escape hatches.
 	NoHotTier bool
 
@@ -214,14 +214,6 @@ type Engine struct {
 	// instruction count the master recorded.
 	InsLimit uint64
 
-	// NoFastPath mirrors CostModel.NoFastPath (see there); it may also
-	// be toggled directly on the engine before the first Run.
-	NoFastPath bool
-
-	// NoHotTier mirrors CostModel.NoHotTier (see there); it may also be
-	// toggled directly on the engine before the first Run.
-	NoHotTier bool
-
 	// SA, when non-nil, is the load-time static analysis of the guest
 	// program (internal/sa). The engine consumes it in two host-side
 	// ways: per-instruction liveness masks elide dead registers from the
@@ -295,10 +287,8 @@ type Engine struct {
 // NewEngine creates an engine with the given cost model.
 func NewEngine(cost CostModel) *Engine {
 	return &Engine{
-		Cost:       cost,
-		NoFastPath: cost.NoFastPath,
-		NoHotTier:  cost.NoHotTier,
-		cache:      jit.NewCodeCache(cost.CacheCapacity),
+		Cost:  cost,
+		cache: jit.NewCodeCache(cost.CacheCapacity),
 	}
 }
 
@@ -479,7 +469,7 @@ func (e *Engine) FlushCache() {
 // instrumented guest code for p.
 //
 // Two host-side fast paths accelerate the loop without changing any
-// virtual-cycle outcome (disable both with NoFastPath):
+// virtual-cycle outcome (disable both with Cost.NoFastPath):
 //
 //   - trace linking (Pin paper Section 2.2): each trace exit records its
 //     successor in a small per-trace cache, so the next dispatch is a
@@ -492,8 +482,9 @@ func (e *Engine) FlushCache() {
 //     instruction where the reference loop's per-instruction budget or
 //     InsLimit check would stop, so stop points are unchanged.
 //
-// A second tier rides on top of the fast paths (disable with NoHotTier,
-// prove equivalence with `spbench -exp jitdiff`): traces whose dispatch
+// A second tier rides on top of the fast paths (disable with
+// Cost.NoHotTier; `spbench -exp diff`'s nohottier arm proves
+// equivalence): traces whose dispatch
 // count crosses the hotness threshold are promoted — their superblocks
 // execute on a host-local register file with a static-written-set
 // writeback (cpu.ExecBlockCached), dominator-redundant and loop-invariant
@@ -512,8 +503,8 @@ func (e *Engine) Run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (kernel.Cycles, kernel.StopReason) {
 	cost := e.Cost
 	kcost := k.Config().Cost
-	fast := !e.NoFastPath
-	e.hotTier = fast && !e.NoHotTier
+	fast := !cost.NoFastPath
+	e.hotTier = fast && !cost.NoHotTier
 	if e.hotTier {
 		e.hotThr = DefaultHotThreshold
 		if cost.HotThreshold > 0 {
@@ -873,8 +864,9 @@ func (e *Engine) leaveTrace(nextPC uint32, fast bool) {
 				// fall-through. An epoch-valid hot link stages the successor
 				// directly; a stale one was evicted by a flush and is
 				// dropped. The first-tier link counters are left alone —
-				// they keep describing the link cache only (jitdiff
-				// normalizes them; HotLinkHits is the hot tier's own
+				// they keep describing the link cache only (the
+				// differential's nohottier arm declares them host-only;
+				// HotLinkHits is the hot tier's own
 				// counter).
 				if next, _ := h.Next(e.cache.Epoch()); next != nil {
 					e.stats.HotLinkHits++

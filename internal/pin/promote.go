@@ -19,8 +19,8 @@ import (
 // the units of virtual-cycle accounting; a promoted trace attaches a
 // jit.HotTrace describing how the host executes that same sequence. That
 // is what keeps the hot tier byte-identical on the virtual timeline
-// (`spbench -exp jitdiff` proves it for every benchmark, under serial
-// Pin and SuperPin).
+// (`spbench -exp diff`'s nohottier arm proves it for every benchmark,
+// under serial Pin and SuperPin).
 
 // DefaultHotThreshold is the per-trace dispatch count that triggers
 // promotion when CostModel.HotThreshold is unset. Low enough that
@@ -115,7 +115,8 @@ func (e *Engine) promote(ct *jit.CompiledTrace) {
 // cache insertion, so a warm run reaches its second-tier layout at the
 // first dispatch instead of after HotThreshold of them. The seed only
 // moves the promotion point earlier on the host timeline; the virtual
-// timeline never observes it (cachediff proves byte-identity).
+// timeline never observes it (the differential's warm arm proves
+// byte-identity).
 func (e *Engine) applyWarm(ct *jit.CompiledTrace) {
 	w, ok := e.Warm.Lookup(ct.Addr)
 	if !ok {

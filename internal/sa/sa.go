@@ -20,7 +20,7 @@
 // marking slice a load-time predecode instead of rebuilding one per
 // compile. Both are host-side optimizations: virtual-cycle results are
 // byte-identical with the analysis attached or not (the -nosa escape
-// hatch, proven by `spbench -exp sadiff`).
+// hatch, proven by `spbench -exp diff`'s nosa arm).
 package sa
 
 import (
@@ -219,7 +219,7 @@ func Analyze(p *asm.Program) *Analysis { return analyze(p, true) }
 
 // AnalyzeIntra runs the intraprocedural pass only — the exact PR 5
 // pipeline, with calls treated as opaque and no value analysis. It is
-// the reference point the `spbench -exp ipdiff` differential holds the
+// the reference point the `spbench -exp diff` saintra arm holds the
 // interprocedural tier against (the -saintra mode).
 func AnalyzeIntra(p *asm.Program) *Analysis { return analyze(p, false) }
 

@@ -8,7 +8,7 @@
 // simulation goroutine, so a mid-run snapshot sees a well-ordered
 // prefix-with-bounded-window of the exact stream a full -trace export
 // would produce. Virtual results are never read or written: the
-// differential gates (-exp jitdiff/cachediff) pass byte-identical with
+// differential's telemetry arm (-exp diff) passes byte-identical with
 // telemetry enabled.
 package telemetry
 

@@ -23,7 +23,8 @@ import (
 // programs the watchpoint is provably never hit, and the engine's
 // pin.sa.ip.folded counter records the checks it never had to run. The
 // count and the virtual timeline are byte-identical with folding off
-// (`spbench -exp ipdiff` proves it): folding substitutes the verdict
+// (`spbench -exp diff`'s saintra and nosa arms prove it): folding
+// substitutes the verdict
 // the predicate would have computed, never a different one.
 type Watch struct {
 	reg     uint8

@@ -3,7 +3,7 @@
 //
 // The simulator's load-bearing promise is that virtual results are
 // byte-identical across hosts, harness fan-out and repeat runs — the
-// differential experiments (sadiff, ipdiff, jitdiff, ...) all assert
+// differential harness (`spbench -exp diff`) asserts
 // it. Three host-side constructs can silently break that promise when
 // they leak into result-bearing code:
 //
