@@ -25,13 +25,10 @@ type HotTrace struct {
 	// not promoted to register caching and stays on the shared-state
 	// executor (bit 0 — r0, hard-wired zero and harmless to write back —
 	// is always set in a valid mask, so zero is never ambiguous).
+	// Register caching requires the analysis to cover the run (see the
+	// DESIGN.md soundness argument for why liveness gates eligibility
+	// but never narrows WB below the written-set).
 	WB []uint32
-	// LiveIn[i] is the analysis's live-in mask at Sblocks[i]'s first
-	// instruction, recorded at promotion for diagnostics; register
-	// caching requires the analysis to cover the run (see the DESIGN.md
-	// soundness argument for why liveness gates eligibility but never
-	// narrows WB below the written-set).
-	LiveIn []uint32
 	// Hoist[i] marks compiled instruction i's inlined predicate spill as
 	// suppressed: an identical spill already happened on every path to it
 	// (dominator-redundant), or it is the loop-invariant spill of a

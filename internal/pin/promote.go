@@ -82,18 +82,15 @@ func (e *Engine) promote(ct *jit.CompiledTrace) {
 	if e.SA != nil {
 		if len(ct.Sblocks) > 0 {
 			h.WB = make([]uint32, len(ct.Sblocks))
-			h.LiveIn = make([]uint32, len(ct.Sblocks))
 			for i := range ct.Sblocks {
 				sb := &ct.Sblocks[i]
 				n := len(sb.Block)
 				if n < minCachedRunIns {
 					continue
 				}
-				liveIn, _, ok := e.SA.Summary(ct.Ins[sb.Start].Addr, n)
-				if !ok {
+				if _, _, ok := e.SA.Summary(ct.Ins[sb.Start].Addr, n); !ok {
 					continue
 				}
-				h.LiveIn[i] = liveIn
 				h.WB[i] = writtenMask(ct.Ins[sb.Start : sb.Start+n])
 			}
 		}

@@ -27,6 +27,9 @@ func coldstartImages(b *testing.B) []*asm.Program {
 	return progs
 }
 
+// analyzeSink keeps the benchmarked results alive.
+var analyzeSink *Analysis
+
 // BenchmarkAnalyze times one analysis of all eight coldstart images per
 // op, for the full interprocedural tier and the intraprocedural one.
 func BenchmarkAnalyze(b *testing.B) {
@@ -39,7 +42,7 @@ func BenchmarkAnalyze(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, p := range progs {
-					tier.fn(p)
+					analyzeSink = tier.fn(p)
 				}
 			}
 		})

@@ -30,6 +30,7 @@
 package sa
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -42,86 +43,88 @@ type callInfo struct {
 }
 
 // ipInfo is the interprocedural summary attached to a full Analysis.
+// Every table is dense, indexed by block id; the per-function ones hold
+// data only at function entries.
 type ipInfo struct {
-	fns      []int            // function entry block ids, sorted
-	body     map[int][]int    // fn → body block ids (sorted)
-	owners   [][]int          // block id → owning fn entries (sorted)
-	mayDef   map[int]uint32   // fn → may-modify mask (r0 stripped)
-	mustKill map[int]uint32   // fn → certain-kill mask (r0 stripped)
-	wildFn   map[int]bool     // fn body contains statically unknown control
-	callAt   map[int]callInfo // resolved call block id → shape
-	retSites map[int][]int    // fn → continuation block ids of its call sites
-	retBlks  map[int][]int    // fn → canonical return blocks in its body
-	wild     bool             // whole-program wildness (classifyWild)
+	fns      []int      // function entry block ids, sorted
+	body     [][]int    // fn → body block ids (sorted)
+	owners   [][]int    // return block id → owning fn entries (sorted)
+	mayDef   []uint32   // fn → may-modify mask (r0 stripped)
+	mustKill []uint32   // fn → certain-kill mask (r0 stripped)
+	wildFn   []bool     // fn body contains statically unknown control
+	callAt   []callInfo // resolved call block id → shape (nil callees elsewhere)
+	retSites [][]int    // fn → continuation block ids of its call sites
+	retBlks  [][]int    // fn → canonical return blocks in its body
+	wild     bool       // whole-program wildness (classifyWild)
 }
 
-// blockDefs returns the union of registers written anywhere in the
-// block, r0 stripped.
-func (a *Analysis) blockDefs(b *block) uint32 {
-	r := a.regions[b.ri]
-	var def uint32
-	for i := b.start; i < b.end; i++ {
-		_, d := useDef(r.ins[i])
-		def |= d
-	}
-	return def &^ 1
+// call returns the shape of block id when it is a resolved call.
+func (ip *ipInfo) call(id int) (callInfo, bool) {
+	ci := ip.callAt[id]
+	return ci, ci.callees != nil
 }
 
 // buildInterproc recovers the call graph over the current (possibly
 // patched) CFG and computes the function summaries.
-func (a *Analysis) buildInterproc() *ipInfo {
+func (z *analyzer) buildInterproc() *ipInfo {
+	n := len(z.blocks)
 	ip := &ipInfo{
-		body:     make(map[int][]int),
-		owners:   make([][]int, len(a.blocks)),
-		mayDef:   make(map[int]uint32),
-		mustKill: make(map[int]uint32),
-		wildFn:   make(map[int]bool),
-		callAt:   make(map[int]callInfo),
-		retSites: make(map[int][]int),
-		retBlks:  make(map[int][]int),
+		body:     make([][]int, n),
+		owners:   make([][]int, n),
+		mayDef:   make([]uint32, n),
+		mustKill: make([]uint32, n),
+		wildFn:   make([]bool, n),
+		callAt:   make([]callInfo, n),
+		retSites: make([][]int, n),
+		retBlks:  make([][]int, n),
+	}
+	if z.mark == nil {
+		z.mark, z.kin = make([]int, n), make([]uint32, n)
 	}
 
 	// Function entries: program entry, call-edge targets, symbol-labeled
 	// leaders.
-	fnSet := make(map[int]bool)
-	if e := a.entryBlockID(); e >= 0 {
-		fnSet[e] = true
+	isFn := make([]bool, n)
+	if e := z.entryBlockID(); e >= 0 {
+		isFn[e] = true
 	}
-	for _, b := range a.blocks {
+	for _, b := range z.blocks {
 		for i, s := range b.succs {
 			if b.kinds[i] == edgeCall {
-				fnSet[s] = true
+				isFn[s] = true
 			}
 		}
 	}
-	for _, addr := range a.prog.Symbols { //detguard:ok set insertion only
-		if sb := a.blockAt(addr); sb != nil {
-			if a.regions[sb.ri].wordAddr(sb.start) == addr {
-				fnSet[int(a.regions[sb.ri].blockOf[sb.start])] = true
+	for _, addr := range z.prog.Symbols { //detguard:ok set insertion only
+		if sb := z.blockAt(addr); sb != nil {
+			if z.regions[sb.ri].wordAddr(sb.start) == addr {
+				isFn[z.regions[sb.ri].blockOf[sb.start]] = true
 			}
 		}
 	}
-	for f := range fnSet { //detguard:ok sorted below
-		ip.fns = append(ip.fns, f)
+	for f, ok := range isFn {
+		if ok {
+			ip.fns = append(ip.fns, f)
+		}
 	}
-	sort.Ints(ip.fns)
 
 	// Bodies, per-block call shapes, and the call multigraph.
-	callees := make(map[int][]int) // fn → callee fns (with duplicates)
+	callees := make([][]int, n) // fn → callee fns (with duplicates)
+	var body []int
 	for _, f := range ip.fns {
-		var body []int
-		seen := make(map[int]bool)
-		stack := []int{f}
-		seen[f] = true
+		body = body[:0]
+		seen := z.nextGen()
+		stack := append(z.work[:0], f)
+		z.mark[f] = seen
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			body = append(body, id)
-			b := a.blocks[id]
-			if b.conservative && !a.isReturnBlock(b) {
+			b := z.blocks[id]
+			if b.conservative && !z.ret[id] {
 				ip.wildFn[f] = true
 			}
-			if a.isReturnBlock(b) {
+			if z.ret[id] {
 				ip.retBlks[f] = append(ip.retBlks[f], id)
 			}
 			isCall := false
@@ -146,24 +149,25 @@ func (a *Analysis) buildInterproc() *ipInfo {
 				if b.kinds[i] == edgeCall {
 					continue
 				}
-				if !seen[s] {
-					seen[s] = true
+				if z.mark[s] != seen {
+					z.mark[s] = seen
 					stack = append(stack, s)
 				}
 			}
 		}
+		z.work = stack
 		sort.Ints(body)
-		ip.body[f] = body
+		ip.body[f] = slices.Clone(body)
 		sort.Ints(ip.retBlks[f])
 	}
 	for _, f := range ip.fns {
-		for _, id := range ip.body[f] {
+		for _, id := range ip.retBlks[f] {
 			ip.owners[id] = append(ip.owners[id], f)
 		}
 	}
-	for _, id := range sortedKeys(ip.callAt) {
-		ci := ip.callAt[id]
-		if ci.ret < 0 {
+	for id := range ip.callAt {
+		ci, ok := ip.call(id)
+		if !ok || ci.ret < 0 {
 			continue
 		}
 		for _, c := range ci.callees {
@@ -184,7 +188,7 @@ func (a *Analysis) buildInterproc() *ipInfo {
 					md = AllRegs &^ 1
 				}
 				for _, id := range ip.body[f] {
-					md |= a.blockDefs(a.blocks[id])
+					md |= z.def[id]
 				}
 				for _, c := range callees[f] {
 					md |= ip.mayDef[c]
@@ -205,7 +209,7 @@ func (a *Analysis) buildInterproc() *ipInfo {
 		for stable := false; !stable; {
 			stable = true
 			for _, f := range scc {
-				mk := a.fnMustKill(ip, f)
+				mk := z.fnMustKill(ip, f)
 				if mk != ip.mustKill[f] {
 					ip.mustKill[f] = mk
 					stable = false
@@ -215,8 +219,11 @@ func (a *Analysis) buildInterproc() *ipInfo {
 	}
 
 	// Call-site kill masks, now that mustKill has settled.
-	for _, id := range sortedKeys(ip.callAt) {
-		ci := ip.callAt[id]
+	for id := range ip.callAt {
+		ci, ok := ip.call(id)
+		if !ok {
+			continue
+		}
 		ci.kill = AllRegs &^ 1
 		for _, c := range ci.callees {
 			ci.kill &= ip.mustKill[c]
@@ -224,37 +231,41 @@ func (a *Analysis) buildInterproc() *ipInfo {
 		ip.callAt[id] = ci
 	}
 
-	ip.wild = a.classifyWild()
+	ip.wild = z.classifyWild()
 	return ip
 }
 
 // fnMustKill runs the forward certain-kill dataflow over one function
 // body using the current mustKill estimates for callees.
-func (a *Analysis) fnMustKill(ip *ipInfo, f int) uint32 {
+func (z *analyzer) fnMustKill(ip *ipInfo, f int) uint32 {
 	if ip.wildFn[f] {
 		// Statically unknown control inside the body: nothing is
 		// certainly overwritten on the way to a return.
 		return 0
 	}
 	const unvisited = ^uint32(0) // ⊤ of the must lattice
-	kin := make(map[int]uint32, len(ip.body[f]))
+	// kin[id] is live only for this body's blocks, which mark[id] ==
+	// inBody identifies.
+	inBody := z.nextGen()
+	kin := z.kin
 	for _, id := range ip.body[f] {
 		kin[id] = unvisited
+		z.mark[id] = inBody
 	}
 	kin[f] = 0
-	work := []int{f}
+	work := append(z.work[:0], f)
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
-		b := a.blocks[id]
-		kout := kin[id] | a.blockDefs(b)
+		b := z.blocks[id]
+		kout := kin[id] | z.def[id]
 		for i, s := range b.succs {
 			if b.kinds[i] == edgeCall {
 				continue
 			}
 			cand := kout
 			if b.kinds[i] == edgeRet {
-				if ci, ok := ip.callAt[id]; ok {
+				if ci, ok := ip.call(id); ok {
 					kill := AllRegs &^ 1
 					for _, c := range ci.callees {
 						kill &= ip.mustKill[c]
@@ -264,7 +275,8 @@ func (a *Analysis) fnMustKill(ip *ipInfo, f int) uint32 {
 				// An unresolved call's continuation gains nothing: the
 				// unknown callee may kill no registers at all.
 			}
-			if old, ok := kin[s]; ok {
+			if z.mark[s] == inBody {
+				old := kin[s]
 				nv := old & cand
 				if nv != old {
 					kin[s] = nv
@@ -273,6 +285,7 @@ func (a *Analysis) fnMustKill(ip *ipInfo, f int) uint32 {
 			}
 		}
 	}
+	z.work = work
 	rets := ip.retBlks[f]
 	if len(rets) == 0 {
 		// A function that never returns kills everything vacuously.
@@ -283,23 +296,23 @@ func (a *Analysis) fnMustKill(ip *ipInfo, f int) uint32 {
 		if kin[id] == unvisited {
 			continue // return block unreachable from the entry inside this body
 		}
-		mk &= kin[id] | a.blockDefs(a.blocks[id])
+		mk &= kin[id] | z.def[id]
 	}
 	return mk
 }
 
 // tarjanSCC returns the strongly connected components of the call
 // graph restricted to nodes, in Tarjan emission order (every SCC
-// before any SCC that calls into it — callees first). Deterministic:
-// nodes are visited in sorted order and edge lists preserve discovery
-// order.
-func tarjanSCC(nodes []int, edges map[int][]int) [][]int {
-	index := make(map[int]int)
-	lowlink := make(map[int]int)
-	onStack := make(map[int]bool)
+// before any SCC that calls into it — callees first). edges is indexed
+// by node id and covers every node. Deterministic: nodes are visited
+// in the given (sorted) order and edge lists preserve discovery order.
+func tarjanSCC(nodes []int, edges [][]int) [][]int {
+	index := make([]int, len(edges)) // 0 = unvisited; visit numbers start at 1
+	lowlink := make([]int, len(edges))
+	onStack := make([]bool, len(edges))
 	var stack []int
 	var sccs [][]int
-	next := 0
+	next := 1
 
 	var strongconnect func(v int)
 	strongconnect = func(v int) {
@@ -309,7 +322,7 @@ func tarjanSCC(nodes []int, edges map[int][]int) [][]int {
 		stack = append(stack, v)
 		onStack[v] = true
 		for _, w := range edges[v] {
-			if _, seen := index[w]; !seen {
+			if index[w] == 0 {
 				strongconnect(w)
 				lowlink[v] = min(lowlink[v], lowlink[w])
 			} else if onStack[w] {
@@ -332,34 +345,25 @@ func tarjanSCC(nodes []int, edges map[int][]int) [][]int {
 		}
 	}
 	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
+		if index[v] == 0 {
 			strongconnect(v)
 		}
 	}
 	return sccs
 }
 
-// calleeMayDefs rebuilds the summaries on the current graph and
-// returns the callee-entry → may-define map the SCCP return edges
-// consume. Used once per resolution round, before each SCCP sweep.
-func (a *Analysis) calleeMayDefs() map[int]uint32 {
-	ip := a.buildInterproc()
-	out := make(map[int]uint32, len(ip.fns))
+// calleeMayDefs returns the per-block may-define masks the SCCP return
+// edges consume: a function entry's mayDef, or every register when its
+// body is wild or the block is no function entry.
+func (ip *ipInfo) calleeMayDefs() []uint32 {
+	out := make([]uint32, len(ip.mayDef))
+	for i := range out {
+		out[i] = AllRegs
+	}
 	for _, f := range ip.fns {
-		if ip.wildFn[f] {
-			out[f] = AllRegs
-			continue
+		if !ip.wildFn[f] {
+			out[f] = ip.mayDef[f]
 		}
-		out[f] = ip.mayDef[f]
 	}
-	return out
-}
-
-func sortedKeys(m map[int]callInfo) []int {
-	out := make([]int, 0, len(m))
-	for k := range m { //detguard:ok sorted below
-		out = append(out, k)
-	}
-	sort.Ints(out)
 	return out
 }

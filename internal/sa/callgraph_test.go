@@ -2,6 +2,7 @@ package sa
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"superpin/internal/asm"
@@ -13,12 +14,13 @@ import (
 // determinism across repeated runs are all pinned.
 func TestTarjanSCCHandBuilt(t *testing.T) {
 	nodes := []int{1, 2, 3, 4, 5, 6}
-	edges := map[int][]int{
+	edges := [][]int{
 		1: {2},
 		2: {3},
 		3: {1, 4}, // the three-cycle calls into the two-cycle
 		4: {5},
 		5: {4},
+		6: nil,
 	}
 	want := [][]int{{4, 5}, {1, 2, 3}, {6}}
 	first := tarjanSCC(nodes, edges)
@@ -30,6 +32,19 @@ func TestTarjanSCCHandBuilt(t *testing.T) {
 			t.Fatalf("run %d: nondeterministic sccs: %v vs %v", i, got, first)
 		}
 	}
+}
+
+// rebuiltAnalyzer returns scratch state for a finished analysis, so a
+// test can rerun a pass on its final CFG. The syscall-number states
+// buildBlocks handed the original are replayed from the instructions.
+func rebuiltAnalyzer(a *Analysis) *analyzer {
+	r1 := make([]r1State, len(a.blocks))
+	for id, b := range a.blocks {
+		for i := b.start; i < b.end-1; i++ {
+			r1[id] = trackR1(r1[id], a.regions[b.ri].ins[i])
+		}
+	}
+	return newAnalyzer(a, r1)
 }
 
 // mutualSrc is a mutually recursive even/odd pair: the call graph's
@@ -79,10 +94,10 @@ func TestSCCFixpointConverges(t *testing.T) {
 
 	// Recover the function-level call multigraph from the analysis and
 	// confirm even/odd form the one multi-member SCC.
-	edges := make(map[int][]int)
+	edges := make([][]int, a.NumBlocks())
 	for _, f := range a.ip.fns {
 		for _, b := range a.ip.body[f] {
-			if ci, ok := a.ip.callAt[b]; ok {
+			if ci, ok := a.ip.call(b); ok {
 				edges[f] = append(edges[f], ci.callees...)
 			}
 		}
@@ -116,7 +131,8 @@ func TestSCCFixpointConverges(t *testing.T) {
 		return m
 	}
 	before := snapshot()
-	a.computeLiveness(a.buildInterproc())
+	z := rebuiltAnalyzer(a)
+	z.computeLiveness(z.buildInterproc())
 	after := snapshot()
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("second liveness sweep moved a converged mask")
@@ -130,5 +146,27 @@ func TestSCCFixpointConverges(t *testing.T) {
 			t.Fatalf("LiveOut(%#x): interprocedural mask %#x wider than intra %#x",
 				addr, m.out, intra.LiveOut(addr))
 		}
+	}
+}
+
+// TestResolveRoundCap drives indirect-target resolution past
+// maxResolveRounds: each call in the chain is reached, and so resolved,
+// only once the call before it has been. The loop stops with the last
+// call unresolved and no fold-grade states, and the call graph analyze
+// rebuilds is the one of the final CFG.
+func TestResolveRoundCap(t *testing.T) {
+	n := maxResolveRounds + 1
+	src := ".entry main\nk: ret\nmain:\n" + strings.Repeat("la r5, k\njalr r31, r5, 0\n", n) + "li r1, 1\nsyscall\n"
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	a := Analyze(prog)
+	got := a.IPStats()
+	if got.ResolvedIndirect != maxResolveRounds || got.UnresolvedIndirect != 1 || got.ValuesOK {
+		t.Fatalf("IPStats = %+v, want %d resolved, 1 unresolved, no fold-grade values", got, maxResolveRounds)
+	}
+	if !reflect.DeepEqual(a.ip, rebuiltAnalyzer(a).buildInterproc()) {
+		t.Fatal("call graph differs from a fresh build on the final CFG")
 	}
 }

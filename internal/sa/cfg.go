@@ -275,8 +275,9 @@ func (a *Analysis) fallOffDiag(r *region, iaddr uint32) {
 }
 
 // buildBlocks partitions the discovered code into basic blocks and
-// resolves their direct successor edges.
-func (a *Analysis) buildBlocks() {
+// resolves their direct successor edges. It returns, per block ending
+// in a control instruction, the syscall-number state before it.
+func (a *Analysis) buildBlocks() []r1State {
 	for ri, r := range a.regions {
 		for wi := 0; wi < r.words(); {
 			if r.reach[wi] == reachNone || !r.ok[wi] {
@@ -300,7 +301,8 @@ func (a *Analysis) buildBlocks() {
 	// Resolve edges. A terminal syscall block has no successors; blocks
 	// whose run ended without a terminator (undecodable word, image end)
 	// have statically unknown continuations and are conservative.
-	for _, b := range a.blocks {
+	r1s := make([]r1State, len(a.blocks))
+	for id, b := range a.blocks {
 		r := a.regions[b.ri]
 		last := b.end - 1
 		in := r.ins[last]
@@ -321,6 +323,7 @@ func (a *Analysis) buildBlocks() {
 		for i := b.start; i < last; i++ {
 			r1 = trackR1(r1, r.ins[i])
 		}
+		r1s[id] = r1
 		succs, cons, _ := successors(in, r.wordAddr(last), r1)
 		b.conservative = cons
 		for _, s := range succs {
@@ -333,4 +336,5 @@ func (a *Analysis) buildBlocks() {
 			b.kinds = append(b.kinds, s.kind)
 		}
 	}
+	return r1s
 }

@@ -1,6 +1,9 @@
 package sa
 
 import (
+	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"superpin/internal/asm"
@@ -12,7 +15,10 @@ import (
 // panicking, and the resulting Analysis must uphold its structural
 // invariants (diagnostics ordered errors-first, Err consistent with
 // Errors, per-instruction masks carrying the r0 marker bit, predecode
-// agreeing with a fresh Decode of the image words).
+// agreeing with a fresh Decode of the image words). Two checks cover
+// analyze's reuse of the last resolution round's call graph: it must
+// equal a fresh build on the final CFG, and a second Analyze of the
+// same program must encode byte for byte the same.
 func FuzzAnalyze(f *testing.F) {
 	seeds := []string{
 		"",
@@ -40,6 +46,10 @@ func FuzzAnalyze(f *testing.F) {
 		".entry main\nmain: la r4, tab\nlw r5, (r4)\njalr r31, r5, 0\nli r1, 1\nsyscall\n.org 0x2000\nk0: ret\n.org 0x3000\ntab: .word 0x2000\n",
 		// function-shaped body nothing calls (unreachable-fn shape)
 		".entry main\ndead: addi r3, r0, 7\nret\nmain: li r1, 1\nsyscall\n",
+		// nine chained indirect calls: each continuation is reached only
+		// once the call before it resolves, so resolution runs out of
+		// rounds and the call graph is rebuilt on the final CFG
+		".entry main\nk: ret\nmain:\n" + strings.Repeat("la r5, k\njalr r31, r5, 0\n", 9) + "li r1, 1\nsyscall\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -50,6 +60,12 @@ func FuzzAnalyze(f *testing.F) {
 			return
 		}
 		a := Analyze(p)
+		if a.ip != nil && !reflect.DeepEqual(a.ip, rebuiltAnalyzer(a).buildInterproc()) {
+			t.Fatal("the call graph kept from resolution differs from a fresh build on the final CFG")
+		}
+		if !bytes.Equal(a.Encode(), Analyze(p).Encode()) {
+			t.Fatal("two analyses of one program encode differently")
+		}
 
 		diags := a.Diags()
 		seenWarn := false

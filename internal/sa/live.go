@@ -23,22 +23,17 @@ func useDef(in isa.Inst) (use, def uint32) {
 }
 
 // syscallUse returns the refined use mask for the SYSCALL that ends
-// block b, or the maximal mask when no refinement is possible. SYSCALL
+// block id, or the maximal mask when no refinement is possible. SYSCALL
 // is a control instruction, so when a block contains one it is always
 // the last instruction — the same block-local constant propagation that
 // proves terminal exits can prove the syscall number here. A proven
 // non-spawn syscall observes only the architectural argument registers
 // (r1..r5); an unknown number, or a spawn (which hands the child a copy
 // of the whole register file), keeps everything observable.
-func (a *Analysis) syscallUse(b *block) uint32 {
-	r := a.regions[b.ri]
-	last := b.end - 1
-	var s r1State
-	for i := b.start; i < last; i++ {
-		s = trackR1(s, r.ins[i])
-	}
-	if s.known && s.val != kernel.SysSpawn {
-		return r.ins[last].SrcRegs() &^ 1
+func (z *analyzer) syscallUse(id int) uint32 {
+	b := z.blocks[id]
+	if s := z.r1[id]; s.known && s.val != kernel.SysSpawn {
+		return z.regions[b.ri].ins[b.end-1].SrcRegs() &^ 1
 	}
 	return AllRegs &^ 1
 }
@@ -66,38 +61,19 @@ func (a *Analysis) syscallUse(b *block) uint32 {
 //     unless the program is wild, where any call site may be unknown;
 //   - a patched indirect jump propagates its targets' liveness like
 //     any flow edge (the patched graph makes this the ordinary case).
-func (a *Analysis) computeLiveness(ip *ipInfo) {
-	n := len(a.blocks)
+func (z *analyzer) computeLiveness(ip *ipInfo) {
+	n := len(z.blocks)
 	if n == 0 {
 		return
 	}
-	// Per-block upward-exposed use / kill summaries. sysUse caches the
-	// refined SYSCALL use mask for blocks ending in one.
-	bUse := make([]uint32, n)
-	bDef := make([]uint32, n)
-	sysUse := make([]uint32, n)
-	for id, b := range a.blocks {
-		r := a.regions[b.ri]
-		if r.ins[b.end-1].Op == isa.OpSYSCALL {
-			sysUse[id] = a.syscallUse(b)
-		}
-		var use, def uint32
-		for i := b.end - 1; i >= b.start; i-- {
-			u, d := useDef(r.ins[i])
-			if i == b.end-1 && r.ins[i].Op == isa.OpSYSCALL {
-				u = sysUse[id]
-			}
-			use = u | (use &^ d)
-			def |= d
-		}
-		bUse[id], bDef[id] = use, def
-	}
-
 	// retLive[f]: registers live at some continuation of a resolved
 	// call to f — what a return from f must preserve. Recomputed at the
 	// top of every sweep from the current liveIn estimates (monotone,
 	// so the combined fixpoint is still the least one).
-	retLive := make(map[int]uint32)
+	var retLive []uint32
+	if ip != nil {
+		retLive = make([]uint32, n)
+	}
 
 	liveIn := make([]uint32, n)
 	liveOut := make([]uint32, n)
@@ -117,10 +93,10 @@ func (a *Analysis) computeLiveness(ip *ipInfo) {
 			}
 		}
 		for id := n - 1; id >= 0; id-- {
-			b := a.blocks[id]
+			b := z.blocks[id]
 			var out uint32
 			switch {
-			case ip != nil && a.isReturnBlock(b):
+			case ip != nil && z.ret[id]:
 				if ip.wild || len(ip.owners[id]) == 0 {
 					out = AllRegs &^ 1
 				} else {
@@ -132,7 +108,7 @@ func (a *Analysis) computeLiveness(ip *ipInfo) {
 				out = AllRegs &^ 1
 			default:
 				if ip != nil {
-					if ci, ok := ip.callAt[id]; ok {
+					if ci, ok := ip.call(id); ok {
 						for _, c := range ci.callees {
 							out |= liveIn[c]
 						}
@@ -146,7 +122,7 @@ func (a *Analysis) computeLiveness(ip *ipInfo) {
 					out |= liveIn[s]
 				}
 			}
-			in := bUse[id] | (out &^ bDef[id])
+			in := z.use[id] | (out &^ z.def[id])
 			if out != liveOut[id] || in != liveIn[id] {
 				liveOut[id], liveIn[id] = out, in
 				changed = true
@@ -155,14 +131,14 @@ func (a *Analysis) computeLiveness(ip *ipInfo) {
 	}
 
 	// Per-instruction masks, by a backward walk through each block.
-	for id, b := range a.blocks {
-		r := a.regions[b.ri]
+	for id, b := range z.blocks {
+		r := z.regions[b.ri]
 		live := liveOut[id]
 		for i := b.end - 1; i >= b.start; i-- {
 			r.liveOut[i] = live | 1
 			u, d := useDef(r.ins[i])
 			if i == b.end-1 && r.ins[i].Op == isa.OpSYSCALL {
-				u = sysUse[id]
+				u = z.syscallUse(id)
 			}
 			live = u | (live &^ d)
 			r.liveIn[i] = live | 1

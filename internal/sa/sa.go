@@ -231,28 +231,82 @@ func analyze(p *asm.Program, interproc bool) *Analysis {
 	}
 	a.buildRegions()
 	a.discover()
-	a.buildBlocks()
+	z := newAnalyzer(a, a.buildBlocks())
+	var ip *ipInfo
 	if interproc {
 		// Patch provable indirect edges into the CFG before dominators
 		// and liveness run, so both see the resolved graph.
-		a.resolveValues()
+		ip = z.resolveValues()
 	}
 	a.computeDominators()
 	if interproc {
-		a.ip = a.buildInterproc()
+		if ip == nil {
+			// Resolution ran out of rounds, so the graph moved after
+			// the last call-graph build.
+			ip = z.buildInterproc()
+		}
+		a.ip = ip
 		if a.vals != nil {
 			a.vals.ok = a.vals.ok && !a.ip.wild
 			a.vals.stats.ValuesOK = a.vals.ok
 		}
-		a.computeLiveness(a.ip)
+		z.computeLiveness(a.ip)
 	} else {
-		a.computeLiveness(nil)
+		z.computeLiveness(nil)
 	}
 	a.verify()
 	if interproc {
 		a.verifyInterproc()
 	}
 	return a
+}
+
+// analyzer is the scratch state of one analyze call. It holds the
+// per-block facts that depend only on a block's instructions, which
+// never change after buildBlocks (indirect-edge patching rewrites only
+// succs, kinds and conservative), plus reusable work buffers. It is
+// dropped when analyze returns: the Analysis keeps none of it.
+type analyzer struct {
+	*Analysis
+	def []uint32  // per block: registers written anywhere (r0 stripped)
+	use []uint32  // per block: upward-exposed uses (syscall refinement applied)
+	ret []bool    // per block: canonical return shape
+	r1  []r1State // per block: syscall-number state before its control instruction
+
+	// Scratch for the per-function walks: mark[id] == gen tags the
+	// blocks of the current walk, kin is fnMustKill's dataflow state.
+	mark []int
+	gen  int
+	kin  []uint32
+	work []int
+}
+
+func newAnalyzer(a *Analysis, r1 []r1State) *analyzer {
+	n := len(a.blocks)
+	z := &analyzer{Analysis: a, def: make([]uint32, n), use: make([]uint32, n),
+		ret: make([]bool, n), r1: r1}
+	for id, b := range a.blocks {
+		r := a.regions[b.ri]
+		last := b.end - 1
+		use, def := useDef(r.ins[last])
+		if r.ins[last].Op == isa.OpSYSCALL {
+			use = z.syscallUse(id)
+		}
+		z.ret[id] = a.isReturnBlock(b)
+		for i := last - 1; i >= b.start; i-- {
+			u, d := useDef(r.ins[i])
+			use = u | (use &^ d)
+			def |= d
+		}
+		z.use[id], z.def[id] = use, def
+	}
+	return z
+}
+
+// nextGen starts a new mark generation for a per-function walk.
+func (z *analyzer) nextGen() int {
+	z.gen++
+	return z.gen
 }
 
 // Diags returns all findings, errors first, in discovery order within

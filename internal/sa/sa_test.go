@@ -1,11 +1,15 @@
 package sa
 
 import (
+	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"superpin/internal/asm"
 	"superpin/internal/isa"
+	"superpin/internal/workload"
 )
 
 // diamond builds the canonical if/else/join shape:
@@ -262,4 +266,60 @@ func TestSummary(t *testing.T) {
 	if _, _, ok := a.Summary(0x1014, 1000); ok {
 		t.Error("Summary past the region end must fail")
 	}
+}
+
+// TestAnalysisConcurrentReaders shares one Analysis of gcc between
+// eight goroutines, as the artifact store and SuperPin's slice engines
+// do, and has each run every query over every image word. Run under
+// -race it proves the queries only read; each goroutine must also see
+// exactly the answers of a serial pass.
+func TestAnalysisConcurrentReaders(t *testing.T) {
+	spec, _ := workload.ByName("gcc")
+	prog, err := spec.Scaled(0.02).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Analyze(prog)
+	if !a.IPStats().ValuesOK {
+		t.Fatal("gcc has no fold-grade value states; ProveCond would not be exercised")
+	}
+	type answer struct {
+		liveIn, sumIn, sumOut uint32
+		sumOK, dom, eqVal     bool
+		eqProven, preOK       bool
+		pre                   isa.Inst
+	}
+	query := func() []answer {
+		var out []answer
+		for _, r := range a.regions {
+			for i := 0; i < r.words(); i++ {
+				addr := r.wordAddr(i)
+				var ans answer
+				ans.liveIn = a.LiveIn(addr)
+				ans.sumIn, ans.sumOut, ans.sumOK = a.Summary(addr, 4)
+				ans.eqVal, ans.eqProven = a.ProveCond(addr, Cond{Kind: CondEQ, Reg: isa.RegSys, Imm: 1})
+				ans.dom = a.Dominates(prog.Entry, addr)
+				if run, ok := a.Predecoded(addr); ok {
+					ans.preOK, ans.pre = true, run[0].Inst
+				}
+				out = append(out, ans)
+			}
+		}
+		return out
+	}
+	want := query()
+	if !slices.ContainsFunc(want, func(w answer) bool { return w.eqProven }) {
+		t.Fatal("no ProveCond query was decided; the fold path would go untested")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := query(); !reflect.DeepEqual(got, want) {
+				t.Error("a concurrent reader saw different answers than the serial pass")
+			}
+		}()
+	}
+	wg.Wait()
 }

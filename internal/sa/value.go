@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"superpin/internal/isa"
@@ -166,8 +167,29 @@ func vjoin(a, b vval) vval {
 	return out
 }
 
+// subsumes reports that vjoin(v, w) is v again: v's interval contains
+// w's, v's trailing-zeros claim is no stronger, and v carries no exact
+// set or one that w's set adds nothing to.
+func (v *vval) subsumes(w *vval) bool {
+	if v.lo > w.lo || v.hi < w.hi || v.tz > w.tz {
+		return false
+	}
+	switch {
+	case v.set == nil:
+		return true
+	case w.set == nil:
+		return len(v.set) == 0 // the join drops the set; eq sees no difference
+	default:
+		return len(v.set) <= setMax && isSubset(w.set, v.set)
+	}
+}
+
 // unionSets merges two sorted sets, returning nil past the size cap.
+// When b ⊆ a the result is a itself.
 func unionSets(a, b []uint32) []uint32 {
+	if len(a) <= setMax && isSubset(b, a) {
+		return a
+	}
 	out := make([]uint32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
@@ -196,15 +218,8 @@ func mapSet(set []uint32, f func(uint32) uint32) []uint32 {
 	for i, c := range set {
 		out[i] = f(c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 0
-	for i, c := range out {
-		if i == 0 || c != out[w-1] {
-			out[w] = c
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // imageWords is a raw little-endian word view of the program image,
@@ -364,6 +379,23 @@ func cmpEQ(a, b vval) (val, proven bool) {
 		return false, true
 	}
 	return false, false
+}
+
+// isSubset reports b ⊆ a for sorted sets.
+func isSubset(b, a []uint32) bool {
+	if len(b) > 0 && len(b) <= len(a) && &b[0] == &a[0] {
+		return true // b is a prefix of the same backing array
+	}
+	i := 0
+	for _, c := range b {
+		for i < len(a) && a[i] < c {
+			i++
+		}
+		if i == len(a) || a[i] != c {
+			return false
+		}
+	}
+	return true
 }
 
 func setsIntersect(a, b []uint32) bool {
@@ -629,15 +661,8 @@ func loadv(addr vval, img *imageWords) vval {
 		}
 		vals = append(vals, w)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	w := 0
-	for i, c := range vals {
-		if i == 0 || c != vals[w-1] {
-			vals[w] = c
-			w++
-		}
-	}
-	return vFromSet(vals[:w])
+	slices.Sort(vals)
+	return vFromSet(slices.Compact(vals))
 }
 
 // vstep applies one instruction's register effect to st in place.
@@ -922,22 +947,11 @@ func (a *Analysis) classifyTerm(b *block) termKind {
 	return termFlow
 }
 
-// blockR1 replays the block-local syscall-number constant state up to
-// (excluding) the terminator.
-func (a *Analysis) blockR1(b *block) r1State {
-	r := a.regions[b.ri]
-	var s r1State
-	for i := b.start; i < b.end-1; i++ {
-		s = trackR1(s, r.ins[i])
-	}
-	return s
-}
-
 // sccp runs the worklist fixpoint over the current CFG. mayDefOf maps
 // a callee entry block id to the registers the callee (transitively)
-// may modify; it must cover every edgeCall target in the graph.
+// may modify (see ipInfo.calleeMayDefs).
 // Returns nil states with ok=false when the sweep cap was exceeded.
-func (a *Analysis) sccp(img *imageWords, mayDefOf map[int]uint32) *valueInfo {
+func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) *valueInfo {
 	n := len(a.blocks)
 	vi := &valueInfo{reached: make([]bool, n), entry: make([][]vval, n)}
 	entryID := a.entryBlockID()
@@ -963,10 +977,18 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf map[int]uint32) *valueInfo {
 	vi.entry[entryID] = seed
 	enqueue(entryID)
 
+	// propagate copies st on first reach (into a slot carved from a
+	// chunked slab) and never retains it, so callers may pass reused
+	// buffers.
+	var slab []vval
 	propagate := func(to int, st []vval) {
 		if !vi.reached[to] {
 			vi.reached[to] = true
-			cp := make([]vval, isa.NumRegs)
+			if len(slab) == 0 {
+				slab = make([]vval, 16*isa.NumRegs)
+			}
+			cp := slab[:isa.NumRegs:isa.NumRegs]
+			slab = slab[isa.NumRegs:]
 			copy(cp, st)
 			cp[isa.RegZero] = vConst(0)
 			vi.entry[to] = cp
@@ -976,6 +998,9 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf map[int]uint32) *valueInfo {
 		cur := vi.entry[to]
 		changed := false
 		for r := 1; r < isa.NumRegs; r++ {
+			if cur[r].subsumes(&st[r]) {
+				continue // the join would return cur[r] unchanged
+			}
 			nv := vjoin(cur[r], st[r])
 			if nv.eq(cur[r]) {
 				continue
@@ -1005,6 +1030,8 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf map[int]uint32) *valueInfo {
 	budget := 256 * (n + 1)
 	steps := 0
 	scratch := make([]vval, isa.NumRegs)
+	tk := make([]vval, isa.NumRegs) // taken-branch / return-continuation state
+	ft := make([]vval, isa.NumRegs) // fall-through state
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
@@ -1035,14 +1062,12 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf map[int]uint32) *valueInfo {
 		case termBranch:
 			taken, proven := a.evalBranch(st, lastIn)
 			if !proven || taken {
-				tk := make([]vval, isa.NumRegs)
 				copy(tk, st)
 				if refineBranch(tk, lastIn, true) {
 					propagate(b.succs[0], tk)
 				}
 			}
 			if !proven || !taken {
-				ft := make([]vval, isa.NumRegs)
 				copy(ft, st)
 				if refineBranch(ft, lastIn, false) {
 					propagate(b.succs[1], ft)
@@ -1058,24 +1083,19 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf map[int]uint32) *valueInfo {
 			for i, s := range b.succs {
 				if b.kinds[i] == edgeCall {
 					propagate(s, st)
-					if md, ok := mayDefOf[s]; ok {
-						clobber |= md
-					} else {
-						clobber = AllRegs
-					}
+					clobber |= mayDefOf[s]
 				} else {
 					retSucc = s
 				}
 			}
 			if retSucc >= 0 {
-				rs := make([]vval, isa.NumRegs)
-				copy(rs, st)
+				copy(tk, st)
 				for reg := 1; reg < isa.NumRegs; reg++ {
 					if clobber&(1<<uint(reg)) != 0 {
-						rs[reg] = vTop()
+						tk[reg] = vTop()
 					}
 				}
-				propagate(retSucc, rs)
+				propagate(retSucc, tk)
 			}
 		case termSyscall:
 			vstep(st, lastIn, lastAddr, img)
@@ -1240,42 +1260,22 @@ func (a *Analysis) applyIndirect(id int, targets []int, provable bool) bool {
 			}
 		}
 	}
-	if b.conservative == conservative && intSliceEq(b.succs, succs) && kindSliceEq(b.kinds, kinds) {
+	if b.conservative == conservative && slices.Equal(b.succs, succs) && slices.Equal(b.kinds, kinds) {
 		return false
 	}
 	b.succs, b.kinds, b.conservative = succs, kinds, conservative
 	return true
 }
 
-func intSliceEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func kindSliceEq(a, b []edgeKind) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // resolveValues is the interprocedural driver: it alternates SCCP
 // fixpoints with indirect-edge patching until the graph is stable,
 // then classifies the program's wildness and records the final,
-// graph-consistent value states for predicate folding.
-func (a *Analysis) resolveValues() {
+// graph-consistent value states for predicate folding. It returns the
+// call graph of the final CFG when the loop converged (the last
+// round's build saw the graph no patch changed afterwards), or nil
+// when it ran out of rounds.
+func (z *analyzer) resolveValues() *ipInfo {
+	a := z.Analysis
 	a.img = a.newImageWords()
 	// Direct calls whose callee and continuation both resolved are
 	// trusted edges in the interprocedural graph.
@@ -1290,9 +1290,10 @@ func (a *Analysis) resolveValues() {
 	var vi *valueInfo
 	converged := false
 	var badTargets map[int][]uint32
+	var ip *ipInfo
 	for round := 0; round < maxResolveRounds; round++ {
-		mayDefOf := a.calleeMayDefs()
-		vi = a.sccp(a.img, mayDefOf)
+		ip = z.buildInterproc()
+		vi = a.sccp(a.img, ip.calleeMayDefs())
 		changed := false
 		badTargets = make(map[int][]uint32)
 		for _, id := range indirect {
@@ -1336,6 +1337,10 @@ func (a *Analysis) resolveValues() {
 	}
 	vi.stats.ValuesOK = vi.ok
 	a.vals = vi
+	if !converged {
+		return nil
+	}
+	return ip
 }
 
 func diagBadTargets(bad []uint32) string {
@@ -1417,23 +1422,23 @@ func (a *Analysis) IPStats() IPStats {
 // with a copy of the register file, outside any per-block state). A
 // wild program keeps its liveness and CFG results but forfeits
 // value-based folding.
-func (a *Analysis) classifyWild() bool {
-	entryID := a.entryBlockID()
+func (z *analyzer) classifyWild() bool {
+	entryID := z.entryBlockID()
 	if entryID < 0 {
 		return true
 	}
-	seen := make([]bool, len(a.blocks))
+	seen := make([]bool, len(z.blocks))
 	stack := []int{entryID}
 	seen[entryID] = true
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		b := a.blocks[id]
-		if b.conservative && !a.isReturnBlock(b) {
+		b := z.blocks[id]
+		if b.conservative && !z.ret[id] {
 			return true
 		}
-		if a.regions[b.ri].ins[b.end-1].Op == isa.OpSYSCALL {
-			s := a.blockR1(b)
+		if z.regions[b.ri].ins[b.end-1].Op == isa.OpSYSCALL {
+			s := z.r1[id]
 			if !s.known || s.val == kernel.SysSpawn {
 				return true
 			}

@@ -94,13 +94,17 @@ func (a *Analysis) verifyUnreachableFns() {
 // balanced. A canonical return reached with a provably nonzero delta
 // means callers resume with a shifted stack.
 func (a *Analysis) verifyCallBalance() {
+	// depth is indexed by block id; inBody marks the current function's
+	// body and is cleared after each function.
+	depth := make([]int32, len(a.blocks))
+	inBody := make([]bool, len(a.blocks))
 	for _, f := range a.ip.fns {
 		if a.ip.wildFn[f] {
 			continue
 		}
-		depth := make(map[int]int32, len(a.ip.body[f]))
 		for _, id := range a.ip.body[f] {
 			depth[id] = depthUnset
+			inBody[id] = true
 		}
 		depth[f] = 0
 		work := []int{f}
@@ -124,10 +128,10 @@ func (a *Analysis) verifyCallBalance() {
 				if b.kinds[i] == edgeCall {
 					continue
 				}
-				cur, inBody := depth[s]
-				if !inBody {
+				if !inBody[s] {
 					continue
 				}
+				cur := depth[s]
 				switch {
 				case cur == depthUnset:
 					depth[s] = out
@@ -139,9 +143,12 @@ func (a *Analysis) verifyCallBalance() {
 				}
 			}
 		}
+		for _, id := range a.ip.body[f] {
+			inBody[id] = false
+		}
 		for _, id := range a.ip.retBlks[f] {
-			d, ok := depth[id]
-			if !ok || d == depthUnset || d == depthConflict {
+			d := depth[id] // return blocks lie in the body
+			if d == depthUnset || d == depthConflict {
 				continue
 			}
 			b := a.blocks[id]
