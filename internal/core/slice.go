@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"superpin/internal/isa"
 	"superpin/internal/kernel"
 	"superpin/internal/obs"
 	"superpin/internal/pin"
@@ -143,44 +144,48 @@ func (sl *slice) playbackFilter(e *Engine) pin.SyscallFilter {
 // nothing. Compilation happens only after the slice wakes, by which time
 // its end signature is known.
 func (sl *slice) detectionInstrumenter(e *Engine) func(*pin.Trace) {
+	// The checks read sl.endSig when they run, so one pair of closures
+	// serves every trace the slice compiles.
+	fullCheck := func(c *pin.Ctx) {
+		e.stats.FullChecks++
+		match, stackChecked := sl.endSig.fullMatch(c.Regs, c.Mem)
+		if stackChecked {
+			e.stats.StackChecks++
+		}
+		if match {
+			sl.endDetected = true
+			e.emit(obs.EvSigFullCheck, sl.proc.PID, uint64(sl.num), 1, "")
+			e.emit(obs.EvSliceDetect, sl.proc.PID, uint64(sl.num), 0, "")
+			c.RequestStop()
+		} else {
+			e.stats.FalseQuickMatches++
+			e.emit(obs.EvSigFullCheck, sl.proc.PID, uint64(sl.num), 0, "")
+		}
+	}
+	quickCheck := func(c *pin.Ctx) bool {
+		e.stats.QuickChecks++
+		return sl.endSig.quickMatch(c.Regs)
+	}
 	return func(tr *pin.Trace) {
 		if sl.boundary != boundaryTimeout || sl.endSig == nil {
 			return
 		}
-		sig := sl.endSig
-		fullCheck := func(c *pin.Ctx) {
-			e.stats.FullChecks++
-			match, stackChecked := sig.fullMatch(c.Regs, c.Mem)
-			if stackChecked {
-				e.stats.StackChecks++
-			}
-			if match {
-				sl.endDetected = true
-				e.emit(obs.EvSigFullCheck, sl.proc.PID, uint64(sl.num), 1, "")
-				e.emit(obs.EvSliceDetect, sl.proc.PID, uint64(sl.num), 0, "")
-				c.RequestStop()
-			} else {
-				e.stats.FalseQuickMatches++
-				e.emit(obs.EvSigFullCheck, sl.proc.PID, uint64(sl.num), 0, "")
-			}
-		}
+		pc := sl.endSig.PC
 		for _, bbl := range tr.Bbls() {
-			for _, ins := range bbl.Ins() {
-				if ins.Addr() != sig.PC {
-					continue
-				}
-				if e.opts.AlwaysFullCheck {
-					// Ablation mode: pay a full analysis call with the
-					// complete comparison on every arrival.
-					ins.InsertCall(pin.Before, fullCheck)
-					continue
-				}
-				ins.InsertIfCall(pin.Before, func(c *pin.Ctx) bool {
-					e.stats.QuickChecks++
-					return sig.quickMatch(c.Regs)
-				})
-				ins.InsertThenCall(pin.Before, fullCheck)
+			// i wraps past NumIns when pc precedes the block.
+			i := (pc - bbl.Addr()) / isa.WordSize
+			if pc%isa.WordSize != 0 || i >= uint32(bbl.NumIns()) {
+				continue
 			}
+			ins := bbl.Ins()[i]
+			if e.opts.AlwaysFullCheck {
+				// Ablation mode: pay a full analysis call with the
+				// complete comparison on every arrival.
+				ins.InsertCall(pin.Before, fullCheck)
+				continue
+			}
+			ins.InsertIfCall(pin.Before, quickCheck)
+			ins.InsertThenCall(pin.Before, fullCheck)
 		}
 	}
 }

@@ -43,10 +43,12 @@ func (b *BBL) NumIns() int { return len(b.Ins) }
 // InsAddr returns the address of instruction i.
 func (b *BBL) InsAddr(i int) uint32 { return b.Addr + uint32(i)*isa.WordSize }
 
-// Trace is a single-entry multiple-exit sequence of basic blocks.
+// Trace is a single-entry multiple-exit sequence of basic blocks. The
+// blocks' instruction slices are capped windows of one shared array, so
+// appending to one block never writes into the next.
 type Trace struct {
 	Addr   uint32
-	Bbls   []*BBL
+	Bbls   []BBL
 	NumIns int
 }
 
@@ -67,51 +69,53 @@ func BuildTrace(m *mem.Memory, pc uint32) (*Trace, error) {
 // boundaries: the partial block before the boundary is its own block, and
 // the instructions from the boundary onward are counted only by the next
 // slice.
+//
+// Every trace is compiled, and SuperPin slices compile thousands per
+// round, so the decode runs into fixed local arrays and the result is
+// copied out in three exact-size allocations: the Trace, its blocks and
+// their instructions.
 func BuildTraceSplit(m *mem.Memory, pc, split uint32) (*Trace, error) {
-	tr := &Trace{Addr: pc}
-	cur := pc
-	for len(tr.Bbls) < MaxTraceBbls && tr.NumIns < MaxTraceIns {
-		bbl := &BBL{Addr: cur}
-		for tr.NumIns < MaxTraceIns {
-			if split != 0 && cur == split && tr.NumIns > 0 {
-				return endTrace(tr, bbl), nil
-			}
-			in, err := m.FetchInst(cur)
-			if err != nil {
-				if tr.NumIns == 0 {
-					return nil, fmt.Errorf("jit: trace at %#08x: %w", pc, err)
-				}
-				return endTrace(tr, bbl), nil
-			}
-			bbl.Ins = append(bbl.Ins, in)
-			tr.NumIns++
-			cur += isa.WordSize
-			if in.Op.EndsBlock() {
-				tr.Bbls = append(tr.Bbls, bbl)
-				if in.Op.IsUncondBranch() || in.Op == isa.OpSYSCALL {
-					return tr, nil // trace ends at unconditional transfer
-				}
-				// Conditional branch: extend the trace along the
-				// fall-through edge with a new block.
-				bbl = nil
-				break
-			}
+	var buf [MaxTraceIns]isa.Inst
+	var ends [MaxTraceBbls]int // ends[b]: one past block b's last instruction
+	n, nb := 0, 0
+	for nb < MaxTraceBbls && n < MaxTraceIns {
+		cur := pc + uint32(n)*isa.WordSize
+		if split != 0 && cur == split && n > 0 {
+			break
 		}
-		if bbl != nil { // size limit hit mid-block
-			if len(bbl.Ins) > 0 {
-				tr.Bbls = append(tr.Bbls, bbl)
+		in, err := m.FetchInst(cur)
+		if err != nil {
+			if n == 0 {
+				return nil, fmt.Errorf("jit: trace at %#08x: %w", pc, err)
 			}
-			return tr, nil
+			break
 		}
+		buf[n] = in
+		n++
+		if in.Op.EndsBlock() {
+			ends[nb] = n
+			nb++
+			if in.Op.IsUncondBranch() || in.Op == isa.OpSYSCALL {
+				break // trace ends at unconditional transfer
+			}
+			// Conditional branch: the trace extends along the
+			// fall-through edge with a new block.
+		}
+	}
+	if nb == 0 || ends[nb-1] < n { // stopped mid-block
+		ends[nb] = n
+		nb++
+	}
+	ins := make([]isa.Inst, n)
+	copy(ins, buf[:n])
+	tr := &Trace{Addr: pc, Bbls: make([]BBL, nb), NumIns: n}
+	start := 0
+	for b := range tr.Bbls {
+		end := ends[b]
+		tr.Bbls[b] = BBL{Addr: pc + uint32(start)*isa.WordSize, Ins: ins[start:end:end]}
+		start = end
 	}
 	return tr, nil
-}
-
-func endTrace(tr *Trace, bbl *BBL) *Trace {
-	if len(bbl.Ins) > 0 {
-		tr.Bbls = append(tr.Bbls, bbl)
-	}
-	return tr
 }
 
 // AnalysisFn is an analysis routine inserted by a tool. The context

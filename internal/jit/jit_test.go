@@ -65,6 +65,13 @@ main:
 	if tr.Bbls[2].Ins[1].Op != isa.OpSYSCALL {
 		t.Fatal("trace did not end at syscall")
 	}
+	// The blocks share one instruction array; each window is capped, so
+	// appending to one block never overwrites the next.
+	next := tr.Bbls[1].Ins[0]
+	_ = append(tr.Bbls[0].Ins, isa.Inst{Op: isa.OpSYSCALL})
+	if tr.Bbls[1].Ins[0] != next {
+		t.Fatal("appending to block 0 changed block 1")
+	}
 }
 
 func TestTraceSizeLimits(t *testing.T) {

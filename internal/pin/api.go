@@ -15,18 +15,21 @@
 // # Error handling
 //
 // The Insert* functions panic on misuse: a nil analysis function or
-// predicate, or an InsertThenCall with no preceding unpaired
-// InsertIfCall. These are programmer errors in the Pintool itself —
-// detectable the first time the tool's instrumentation callback runs,
-// never dependent on user input — so they fail loudly at the call site
-// rather than propagating errors through every instrumentation
-// callback, mirroring Pin's own usage contract. Configuration errors
+// predicate, an InsertThenCall with no preceding unpaired InsertIfCall
+// at the same instruction and point, or an Insert* through a handle
+// whose instrumentation callback has returned. These are programmer
+// errors in the Pintool itself — detectable the first time the tool's
+// instrumentation callback runs, never dependent on user input — so
+// they fail loudly at the call site rather than propagating errors
+// through every instrumentation callback, mirroring Pin's own usage
+// contract. Configuration errors
 // (user-supplied cache geometry, sampling budgets) are returned as
 // ordinary errors by the tool constructors in internal/tools.
 package pin
 
 import (
 	"fmt"
+	"slices"
 
 	"superpin/internal/isa"
 	"superpin/internal/jit"
@@ -53,18 +56,30 @@ const (
 	After
 )
 
-// Trace is the instrumentation-time view of a compiled trace.
+// Trace is the instrumentation-time view of a trace being compiled.
+//
+// Trace, Bbl and Ins handles are valid only during the instrumentation
+// callback they are passed to, which is Pin's contract for its TRACE,
+// BBL and INS objects. The engine places every call the callbacks
+// insert once the last callback returns (see Engine.place): an Insert*
+// through a handle after that panics, and the slice Bbl.Ins returns is
+// engine scratch that the next compile reuses.
 type Trace struct {
+	e    *Engine
 	ct   *jit.CompiledTrace
 	bbls []*Bbl
+	ins  []*Ins // per-instruction views, built on first use
+
+	bblSlab [jit.MaxTraceBbls]Bbl
+	bblPtrs [jit.MaxTraceBbls]*Bbl
 }
 
 // Bbl is the instrumentation-time view of a basic block within a trace.
 type Bbl struct {
 	trace *Trace
 	addr  uint32
-	start int // index of first instruction in trace
-	n     int
+	start int32 // index of first instruction in trace
+	n     int32
 }
 
 // Ins is the instrumentation-time view of one instruction.
@@ -73,16 +88,50 @@ type Ins struct {
 	idx   int
 }
 
-// newTraceView wraps a compiled trace and its source trace for
-// instrumentation callbacks.
-func newTraceView(tr *jit.Trace, ct *jit.CompiledTrace) *Trace {
-	t := &Trace{ct: ct}
-	idx := 0
-	for _, b := range tr.Bbls {
-		t.bbls = append(t.bbls, &Bbl{trace: t, addr: b.Addr, start: idx, n: b.NumIns()})
-		idx += b.NumIns()
+// newTraceView wraps a compiled trace and its source trace for the
+// instrumentation callbacks. The view and its blocks are one allocation.
+func (e *Engine) newTraceView(tr *jit.Trace, ct *jit.CompiledTrace) *Trace {
+	t := &Trace{e: e, ct: ct}
+	start := 0
+	for k := range tr.Bbls {
+		n := tr.Bbls[k].NumIns()
+		t.bblSlab[k] = Bbl{trace: t, addr: tr.Bbls[k].Addr, start: int32(start), n: int32(n)}
+		t.bblPtrs[k] = &t.bblSlab[k]
+		start += n
 	}
+	nb := len(tr.Bbls)
+	t.bbls = t.bblPtrs[:nb:nb]
 	return t
+}
+
+// insViews returns the per-instruction views, building them on first
+// use: one []Ins for the trace, indexed through the engine's reusable
+// pointer slab.
+func (t *Trace) insViews() []*Ins {
+	if t.ins == nil {
+		views := make([]Ins, len(t.ct.Ins))
+		ptrs := t.e.insScratch[:0]
+		for i := range views {
+			views[i] = Ins{trace: t, idx: i}
+			ptrs = append(ptrs, &views[i])
+		}
+		t.e.insScratch = ptrs
+		t.ins = ptrs
+	}
+	return t.ins
+}
+
+// insert queues c at instruction idx for placement.
+func (t *Trace) insert(idx int, when IPoint, c jit.Call) {
+	t.checkOpen()
+	t.e.pending = append(t.e.pending, pendingCall{key: slotKey(idx, when), call: c})
+}
+
+// checkOpen panics unless t is the trace its engine is instrumenting.
+func (t *Trace) checkOpen() {
+	if t.e.instrumenting != t {
+		panic(fmt.Sprintf("pin: Insert* into trace %#08x after its instrumentation callback returned", t.ct.Addr))
+	}
 }
 
 // Addr returns the trace's entry address.
@@ -98,24 +147,25 @@ func (t *Trace) Bbls() []*Bbl { return t.bbls }
 func (b *Bbl) Addr() uint32 { return b.addr }
 
 // NumIns returns the number of instructions in the block.
-func (b *Bbl) NumIns() int { return b.n }
+func (b *Bbl) NumIns() int { return int(b.n) }
 
 // InsHead returns the block's first instruction.
-func (b *Bbl) InsHead() *Ins { return &Ins{trace: b.trace, idx: b.start} }
+func (b *Bbl) InsHead() *Ins { return b.trace.insViews()[b.start] }
 
-// Ins returns the block's instructions in order.
+// Ins returns the block's instructions in order, as a capped window of
+// the trace's views: appending to it never touches another block's.
 func (b *Bbl) Ins() []*Ins {
-	out := make([]*Ins, b.n)
-	for i := 0; i < b.n; i++ {
-		out[i] = &Ins{trace: b.trace, idx: b.start + i}
-	}
-	return out
+	end := b.start + b.n
+	return b.trace.insViews()[b.start:end:end]
 }
 
 // InsertCall attaches a plain analysis call to the head of the block,
 // the idiom used by basic-block-granularity tools such as icount2.
 func (b *Bbl) InsertCall(when IPoint, fn AnalysisFn) {
-	b.InsHead().InsertCall(when, fn)
+	if fn == nil {
+		panic("pin: InsertCall with nil function")
+	}
+	b.trace.insert(int(b.start), when, jit.Call{Fn: fn})
 }
 
 func (i *Ins) slot() *jit.CompiledIns { return &i.trace.ct.Ins[i.idx] }
@@ -138,13 +188,6 @@ func (i *Ins) IsControl() bool { return i.slot().Inst.Op.IsControl() }
 // MemSize returns the size of the instruction's memory access (0 if none).
 func (i *Ins) MemSize() int { return i.slot().Inst.Op.MemSize() }
 
-func (i *Ins) calls(when IPoint) *[]jit.Call {
-	if when == Before {
-		return &i.slot().Before
-	}
-	return &i.slot().After
-}
-
 // InsertCall attaches a plain analysis call at the given point. Plain
 // calls model Pin's full call sequence (register save/restore around the
 // call) and carry the engine's Call cost.
@@ -152,8 +195,7 @@ func (i *Ins) InsertCall(when IPoint, fn AnalysisFn) {
 	if fn == nil {
 		panic("pin: InsertCall with nil function")
 	}
-	list := i.calls(when)
-	*list = append(*list, jit.Call{Fn: fn})
+	i.trace.insert(i.idx, when, jit.Call{Fn: fn})
 }
 
 // InsertIfCall attaches an inlined conditional check at the given point.
@@ -165,8 +207,7 @@ func (i *Ins) InsertIfCall(when IPoint, pred PredicateFn) {
 	if pred == nil {
 		panic("pin: InsertIfCall with nil predicate")
 	}
-	list := i.calls(when)
-	*list = append(*list, jit.Call{If: pred})
+	i.trace.insert(i.idx, when, jit.Call{If: pred})
 }
 
 // InsertIfCondCall is InsertIfCall plus a declaration of the
@@ -181,21 +222,22 @@ func (i *Ins) InsertIfCondCall(when IPoint, pred PredicateFn, cond jit.Cond) {
 	if pred == nil {
 		panic("pin: InsertIfCondCall with nil predicate")
 	}
-	list := i.calls(when)
-	*list = append(*list, jit.Call{If: pred, Cond: cond})
+	i.trace.insert(i.idx, when, jit.Call{If: pred, Cond: cond})
 }
 
-// InsertThenCall attaches the guarded routine for the immediately
-// preceding InsertIfCall at the same point. It panics if there is no
-// unpaired InsertIfCall, matching Pin's usage contract.
+// InsertThenCall attaches the guarded routine for the latest unpaired
+// InsertIfCall at the same instruction and point. It panics if there is
+// none, matching Pin's usage contract.
 func (i *Ins) InsertThenCall(when IPoint, fn AnalysisFn) {
 	if fn == nil {
 		panic("pin: InsertThenCall with nil function")
 	}
-	list := i.calls(when)
-	for j := len(*list) - 1; j >= 0; j-- {
-		c := &(*list)[j]
-		if c.If != nil && c.Then == nil && c.Fn == nil {
+	i.trace.checkOpen()
+	key := slotKey(i.idx, when)
+	pend := i.trace.e.pending
+	for j := len(pend) - 1; j >= 0; j-- {
+		c := &pend[j].call
+		if pend[j].key == key && c.If != nil && c.Then == nil && c.Fn == nil {
 			c.Then = fn
 			return
 		}
@@ -208,4 +250,60 @@ func (i *Ins) InsertThenCall(when IPoint, fn AnalysisFn) {
 func (i *Ins) InsertIfThenCall(when IPoint, pred PredicateFn, fn AnalysisFn) {
 	i.InsertIfCall(when, pred)
 	i.InsertThenCall(when, fn)
+}
+
+// pendingCall is an inserted call awaiting placement; key is its
+// instruction and point (slotKey).
+type pendingCall struct {
+	key  int
+	call jit.Call
+}
+
+// slotKey orders call lists by instruction, Before ahead of After.
+func slotKey(idx int, when IPoint) int {
+	if when == Before {
+		return 2 * idx
+	}
+	return 2*idx + 1
+}
+
+// place moves the calls inserted while instrumenting ct from the
+// pending buffer into one exact-size slab and gives each instruction's
+// Before and After lists a capped window of it. The placement is a
+// counting sort by slotKey that keeps insertion order within a key, so
+// every list holds the calls, in the order, that appending to it
+// directly would have produced. It closes the trace to further inserts.
+func (e *Engine) place(ct *jit.CompiledTrace) {
+	e.instrumenting = nil
+	pend := e.pending
+	if len(pend) == 0 {
+		return
+	}
+	nk := 2 * len(ct.Ins)
+	start := slices.Grow(e.placeStart[:0], nk+1)[:nk+1]
+	clear(start)
+	for i := range pend {
+		start[pend[i].key+1]++
+	}
+	for k := 1; k <= nk; k++ {
+		start[k] += start[k-1]
+	}
+	slab := make([]jit.Call, len(pend))
+	for i := range ct.Ins {
+		ci := &ct.Ins[i]
+		if a, b := start[2*i], start[2*i+1]; a < b {
+			ci.Before = slab[a:b:b]
+		}
+		if a, b := start[2*i+1], start[2*i+2]; a < b {
+			ci.After = slab[a:b:b]
+		}
+	}
+	for i := range pend {
+		k := pend[i].key
+		slab[start[k]] = pend[i].call
+		start[k]++
+	}
+	clear(pend) // drop the tool's closures
+	e.pending = pend[:0]
+	e.placeStart = start
 }

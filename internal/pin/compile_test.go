@@ -1,0 +1,277 @@
+package pin
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"superpin/internal/asm"
+	"superpin/internal/jit"
+	"superpin/internal/mem"
+)
+
+// loadCode assembles src into a fresh memory image and returns it with
+// the entry address.
+func loadCode(tb testing.TB, src string) (*mem.Memory, uint32) {
+	tb.Helper()
+	p, err := asm.Assemble(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := mem.New()
+	p.LoadInto(m)
+	return m, p.Entry
+}
+
+// straightLine is n instructions of one basic block: n-1 adds and the
+// syscall that ends the trace.
+func straightLine(n int) string {
+	return strings.Repeat("\taddi r10, r10, 1\n", n-1) + "\tsyscall\n"
+}
+
+// multiBlock is one trace of three blocks linked by fall-through edges.
+const multiBlock = `
+main:
+	addi r1, r1, 1
+	addi r2, r2, 1
+	beq r1, r2, main
+	addi r3, r3, 1
+	bne r1, r3, main
+	addi r4, r4, 1
+	addi r5, r5, 1
+	syscall
+`
+
+// addIcount1 registers an icount1-style instrumenter: one analysis call
+// before every instruction, the closure built once.
+func addIcount1(e *Engine) {
+	var n uint64
+	count := func(*Ctx) { n++ }
+	e.AddTraceInstrumenter(func(tr *Trace) {
+		for _, bbl := range tr.Bbls() {
+			for _, ins := range bbl.Ins() {
+				ins.InsertCall(Before, count)
+			}
+		}
+	})
+}
+
+// TestCompileAllocs pins the compile path's allocations: a constant
+// number per trace, whatever its length.
+func TestCompileAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{8, 64} {
+		m, pc := loadCode(t, straightLine(n))
+		e := NewEngine(DefaultCost())
+		addIcount1(e)
+		allocs := testing.AllocsPerRun(50, func() {
+			ct, _, err := e.compile(m, pc, true)
+			if err != nil || ct.NumIns() != n {
+				panic(fmt.Sprintf("compile: %d instructions, %v", ct.NumIns(), err))
+			}
+		})
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[0] > 8 {
+		t.Fatalf("allocations per compile: %v for 8 and 64 instructions, want equal and <= 8", counts)
+	}
+}
+
+// BenchmarkCompileTrace measures one build + instrument + place + seal
+// of a 64-instruction icount1 trace.
+func BenchmarkCompileTrace(b *testing.B) {
+	m, pc := loadCode(b, straightLine(jit.MaxTraceIns))
+	e := NewEngine(DefaultCost())
+	addIcount1(e)
+	if _, _, err := e.compile(m, pc, true); err != nil { // size the engine's scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.compile(m, pc, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// callLog names the analysis routines a test inserts, so call lists can
+// be compared by identity: each routine appends its id when run.
+type callLog struct{ ids []int }
+
+func (l *callLog) fn(id int) AnalysisFn { return func(*Ctx) { l.ids = append(l.ids, id) } }
+
+func (l *callLog) pred(id int) PredicateFn {
+	return func(*Ctx) bool { l.ids = append(l.ids, id); return false }
+}
+
+// describe renders a call list by running each routine once.
+func (l *callLog) describe(calls []jit.Call) []string {
+	var out []string
+	for _, c := range calls {
+		l.ids = l.ids[:0]
+		if c.Fn != nil {
+			c.Fn(nil)
+		}
+		if c.If != nil {
+			c.If(nil)
+		}
+		if c.Then != nil {
+			c.Then(nil)
+		}
+		out = append(out, fmt.Sprintf("fn=%t if=%t then=%t cond=%v ids=%v",
+			c.Fn != nil, c.If != nil, c.Then != nil, c.Cond, l.ids))
+	}
+	return out
+}
+
+// TestPlacementMatchesDirectAppend drives random Insert* sequences —
+// instructions out of order, Before and After mixed, If/Then pairs
+// interleaved with other calls — and checks every instruction's lists
+// against a reference that appends to each list directly.
+func TestPlacementMatchesDirectAppend(t *testing.T) {
+	m, pc := loadCode(t, multiBlock)
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		log := &callLog{}
+		var ref [][2][]jit.Call // [instruction][point]
+		e := NewEngine(DefaultCost())
+		e.AddTraceInstrumenter(func(tr *Trace) {
+			var all []*Ins
+			for _, bbl := range tr.Bbls() {
+				all = append(all, bbl.Ins()...)
+			}
+			ref = make([][2][]jit.Call, len(all))
+			for id := 0; id < 40; id++ {
+				idx := rng.Intn(len(all))
+				when := IPoint(rng.Intn(2))
+				ins, list := all[idx], &ref[idx][when]
+				switch rng.Intn(4) {
+				case 0:
+					ins.InsertCall(when, log.fn(id))
+					*list = append(*list, jit.Call{Fn: log.fn(id)})
+				case 1:
+					ins.InsertIfCall(when, log.pred(id))
+					*list = append(*list, jit.Call{If: log.pred(id)})
+				case 2:
+					cond := jit.Cond{Kind: jit.CondLTU, Reg: uint8(id % 8), Imm: uint32(id)}
+					ins.InsertIfCondCall(when, log.pred(id), cond)
+					*list = append(*list, jit.Call{If: log.pred(id), Cond: cond})
+				case 3:
+					j := len(*list) - 1
+					for ; j >= 0; j-- {
+						if c := (*list)[j]; c.If != nil && c.Then == nil && c.Fn == nil {
+							break
+						}
+					}
+					if j < 0 {
+						continue // no unpaired If here; the panic has its own test
+					}
+					ins.InsertThenCall(when, log.fn(id))
+					(*list)[j].Then = log.fn(id)
+				}
+			}
+		})
+		ct, _, err := e.compile(m, pc, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ct.Ins {
+			for when, got := range [2][]jit.Call{ct.Ins[i].Before, ct.Ins[i].After} {
+				want := ref[i][when]
+				if g, w := log.describe(got), log.describe(want); !slices.Equal(g, w) {
+					t.Fatalf("seed %d ins %d point %d:\n got %v\nwant %v", seed, i, when, g, w)
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("seed %d ins %d point %d: list cap %d > len %d", seed, i, when, cap(got), len(got))
+				}
+			}
+		}
+	}
+}
+
+// expectPanic runs f and fails the test unless it panics.
+func expectPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestThenPairsOnlyAtSameInsAndPoint(t *testing.T) {
+	m, pc := loadCode(t, multiBlock)
+	e := NewEngine(DefaultCost())
+	nop := func(*Ctx) {}
+	pred := func(*Ctx) bool { return true }
+	e.AddTraceInstrumenter(func(tr *Trace) {
+		head, next := tr.Bbls()[0].Ins()[0], tr.Bbls()[0].Ins()[1]
+		head.InsertIfCall(Before, pred)
+		expectPanic(t, "Then at another point", func() { head.InsertThenCall(After, nop) })
+		expectPanic(t, "Then at another instruction", func() { next.InsertThenCall(Before, nop) })
+		head.InsertThenCall(Before, nop)
+		expectPanic(t, "second Then for one If", func() { head.InsertThenCall(Before, nop) })
+	})
+	if _, _, err := e.compile(m, pc, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestInsertAfterCallbackPanics(t *testing.T) {
+	m, pc := loadCode(t, multiBlock)
+	e := NewEngine(DefaultCost())
+	var ins *Ins
+	var bbl *Bbl
+	e.AddTraceInstrumenter(func(tr *Trace) {
+		if ins == nil {
+			bbl = tr.Bbls()[1]
+			ins = bbl.InsHead()
+			ins.InsertIfCall(Before, func(*Ctx) bool { return true })
+		}
+	})
+	check := func(when string) {
+		nop := func(*Ctx) {}
+		expectPanic(t, "Ins.InsertCall "+when, func() { ins.InsertCall(Before, nop) })
+		expectPanic(t, "Ins.InsertIfCall "+when, func() { ins.InsertIfCall(After, func(*Ctx) bool { return false }) })
+		expectPanic(t, "Ins.InsertThenCall "+when, func() { ins.InsertThenCall(Before, nop) })
+		expectPanic(t, "Bbl.InsertCall "+when, func() { bbl.InsertCall(Before, nop) })
+	}
+	if _, _, err := e.compile(m, pc, true); err != nil {
+		t.Fatal(err)
+	}
+	check("after the callback")
+	// A stale handle stays closed while a later trace is being
+	// instrumented.
+	e.AddTraceInstrumenter(func(*Trace) { check("during a later callback") })
+	if _, _, err := e.compile(m, pc, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBblInsAppendKeepsNeighbours(t *testing.T) {
+	m, pc := loadCode(t, multiBlock)
+	e := NewEngine(DefaultCost())
+	e.AddTraceInstrumenter(func(tr *Trace) {
+		bbls := tr.Bbls()
+		if len(bbls) != 3 {
+			t.Fatalf("blocks = %d, want 3", len(bbls))
+		}
+		for k := 0; k < len(bbls)-1; k++ {
+			next := bbls[k+1].InsHead()
+			grown := append(bbls[k].Ins(), bbls[k].InsHead())
+			if got := bbls[k+1].Ins()[0]; got != next || got.Addr() != bbls[k+1].Addr() {
+				t.Fatalf("appending to block %d's Ins changed block %d's head (len %d)", k, k+1, len(grown))
+			}
+		}
+		if grown := append(tr.Bbls(), bbls[0]); tr.Bbls()[len(bbls)-1] != bbls[len(bbls)-1] || len(grown) != 4 {
+			t.Fatal("appending to Bbls changed the trace's blocks")
+		}
+	})
+	if _, _, err := e.compile(m, pc, true); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"superpin/internal/isa"
 	"superpin/internal/jit"
 	"superpin/internal/kernel"
+	"superpin/internal/mem"
 	"superpin/internal/obs"
 	"superpin/internal/sa"
 )
@@ -242,6 +243,16 @@ type Engine struct {
 	idx           int
 	stats         Stats
 	trace         *obs.Tracer
+
+	// Compile-time instrumentation scratch, reused across compiles:
+	// instrumenting is the trace view whose callbacks are running (nil
+	// outside them), pending the calls they inserted awaiting placement,
+	// placeStart place's counting array and insScratch the []*Ins
+	// backing Bbl.Ins.
+	instrumenting *Trace
+	pending       []pendingCall
+	placeStart    []int
+	insScratch    []*Ins
 
 	// Live telemetry (AttachMetrics): pre-resolved handles plus
 	// engine-local accumulators flushed once per Run call, so the hot
@@ -556,43 +567,12 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					if e.mCompile != nil {
 						compileStart = time.Now()
 					}
-					var tr *jit.Trace
-					sharedHit := false
-					if e.Shared != nil {
-						st, ok := e.Shared.Lookup(p.Regs.PC)
-						if !ok {
-							// A translation this engine built but has not
-							// published yet serves the same way: pay the
-							// weaving cost, not a rebuild.
-							st, ok = e.pendingShared[p.Regs.PC]
-						}
-						e.Shared.RecordLookup(ok)
-						if ok && !st.ContainsBeyondHead(e.SplitPC) {
-							tr = st
-							sharedHit = true
-						}
-					}
-					if tr == nil {
-						var err error
-						tr, err = jit.BuildTraceSplit(p.Mem, p.Regs.PC, e.SplitPC)
-						if err != nil {
-							p.Err = err
-							return used, kernel.StopError
-						}
-						if e.Shared != nil {
-							e.queueShared(tr)
-						}
-					}
-					ct = jit.Compile(tr)
-					view := newTraceView(tr, ct)
-					for _, fn := range e.instrumenters {
-						fn(view)
-					}
-					if e.SA != nil {
-						e.annotateLiveness(e.SA, ct)
-					}
-					if fast {
-						e.seal(ct)
+					var sharedHit bool
+					var err error
+					ct, sharedHit, err = e.compile(p.Mem, p.Regs.PC, fast)
+					if err != nil {
+						p.Err = err
+						return used, kernel.StopError
 					}
 					e.cache.Insert(ct)
 					if e.hotTier && e.Warm != nil {
@@ -893,6 +873,50 @@ func (e *Engine) leaveTrace(nextPC uint32, fast bool) {
 		}
 	}
 	e.cur = nil
+}
+
+// compile builds the trace entered at pc (or adopts a shared
+// translation), lowers it, runs the instrumentation callbacks, places
+// their calls and seals the result. sharedHit reports an adopted
+// translation, which is charged the weaving cost instead of a compile.
+func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledTrace, sharedHit bool, err error) {
+	var tr *jit.Trace
+	if e.Shared != nil {
+		st, ok := e.Shared.Lookup(pc)
+		if !ok {
+			// A translation this engine built but has not published yet
+			// serves the same way: pay the weaving cost, not a rebuild.
+			st, ok = e.pendingShared[pc]
+		}
+		e.Shared.RecordLookup(ok)
+		if ok && !st.ContainsBeyondHead(e.SplitPC) {
+			tr = st
+			sharedHit = true
+		}
+	}
+	if tr == nil {
+		if tr, err = jit.BuildTraceSplit(m, pc, e.SplitPC); err != nil {
+			return nil, false, err
+		}
+		if e.Shared != nil {
+			e.queueShared(tr)
+		}
+	}
+	ct = jit.Compile(tr)
+	view := e.newTraceView(tr, ct)
+	e.instrumenting = view
+	e.pending = e.pending[:0] // a callback that panicked may have left some
+	for _, fn := range e.instrumenters {
+		fn(view)
+	}
+	e.place(ct)
+	if e.SA != nil {
+		e.annotateLiveness(e.SA, ct)
+	}
+	if fast {
+		e.seal(ct)
+	}
+	return ct, sharedHit, nil
 }
 
 // minSuperblockIns is the shortest call-free run worth batching: the

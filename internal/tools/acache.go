@@ -77,11 +77,13 @@ func NewACache(cacheBytes, lineBytes, ways int, out io.Writer) (*ACache, error) 
 // Factory returns the per-process tool factory.
 func (a *ACache) Factory() core.ToolFactory {
 	return func(ctl *core.ToolCtl) core.Tool {
-		return &acacheInstance{
+		t := &acacheInstance{
 			family:   a,
 			superpin: ctl.SuperPin(),
 			sets:     make([]acacheSet, a.sets),
 		}
+		t.onMem = func(c *pin.Ctx) { t.access(c.MemEA()) }
+		return t
 	}
 }
 
@@ -107,6 +109,7 @@ type acacheInstance struct {
 	sets     []acacheSet
 	hits     uint64
 	misses   uint64
+	onMem    pin.AnalysisFn // the memory-access call, built once per instance
 }
 
 // Instrument implements core.Tool.
@@ -116,7 +119,7 @@ func (t *acacheInstance) Instrument(tr *pin.Trace) {
 			if ins.MemSize() == 0 {
 				continue
 			}
-			ins.InsertCall(pin.Before, func(c *pin.Ctx) { t.access(c.MemEA()) })
+			ins.InsertCall(pin.Before, t.onMem)
 		}
 	}
 }

@@ -67,13 +67,15 @@ func NewDCache(cacheBytes, lineBytes int, out io.Writer) (*DCache, error) {
 // Factory returns the per-process tool factory.
 func (d *DCache) Factory() core.ToolFactory {
 	return func(ctl *core.ToolCtl) core.Tool {
-		return &dcacheInstance{
+		t := &dcacheInstance{
 			family:   d,
 			superpin: ctl.SuperPin(),
 			master:   ctl.SliceNum() == -1,
 			tags:     make([]uint32, d.sets),
 			firstTag: make([]uint32, d.sets),
 		}
+		t.onMem = func(c *pin.Ctx) { t.access(c.MemEA()) }
+		return t
 	}
 }
 
@@ -96,6 +98,8 @@ type dcacheInstance struct {
 	firstTag []uint32 // assumed-hit first access per set; 0 = none
 	hits     uint64
 	misses   uint64
+
+	onMem pin.AnalysisFn // the memory-access call, built once per instance
 }
 
 // Instrument implements core.Tool: every memory instruction gets a
@@ -106,7 +110,7 @@ func (t *dcacheInstance) Instrument(tr *pin.Trace) {
 			if ins.MemSize() == 0 {
 				continue
 			}
-			ins.InsertCall(pin.Before, func(c *pin.Ctx) { t.access(c.MemEA()) })
+			ins.InsertCall(pin.Before, t.onMem)
 		}
 	}
 }

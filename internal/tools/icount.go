@@ -40,6 +40,7 @@ func NewIcount2(out io.Writer) *Icount { return &Icount{perIns: false, out: out}
 func (ic *Icount) Factory() core.ToolFactory {
 	return func(ctl *core.ToolCtl) core.Tool {
 		inst := &icountInstance{family: ic, local: make([]uint64, 1)}
+		inst.count1 = func(*pin.Ctx) { inst.local[0]++ }
 		inst.shared = ctl.CreateSharedArea(inst.local, core.MergeSum)
 		if ctl.SliceNum() == -1 {
 			ic.shared = inst.shared
@@ -60,6 +61,7 @@ type icountInstance struct {
 	family *Icount
 	local  []uint64
 	shared []uint64
+	count1 pin.AnalysisFn // icount1's per-instruction call, built once
 }
 
 // Instrument implements core.Tool.
@@ -67,7 +69,7 @@ func (t *icountInstance) Instrument(tr *pin.Trace) {
 	if t.family.perIns {
 		for _, bbl := range tr.Bbls() {
 			for _, ins := range bbl.Ins() {
-				ins.InsertCall(pin.Before, func(*pin.Ctx) { t.local[0]++ })
+				ins.InsertCall(pin.Before, t.count1)
 			}
 		}
 		return

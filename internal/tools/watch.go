@@ -53,6 +53,9 @@ func NewWatchOpaque(out io.Writer, reg uint8, fence uint32) *Watch {
 func (w *Watch) Factory() core.ToolFactory {
 	return func(ctl *core.ToolCtl) core.Tool {
 		inst := &watchInstance{family: w, local: make([]uint64, 1)}
+		reg, fence := w.reg, w.fence
+		inst.pred = func(ctx *pin.Ctx) bool { return ctx.Regs.R[reg] < fence }
+		inst.hit = func(*pin.Ctx) { inst.local[0]++ }
 		inst.shared = ctl.CreateSharedArea(inst.local, core.MergeSum)
 		if ctl.SliceNum() == -1 {
 			w.shared = inst.shared
@@ -74,24 +77,27 @@ type watchInstance struct {
 	family *Watch
 	local  []uint64
 	shared []uint64
+
+	// The If/Then pair inserted at every block head, built once.
+	pred pin.PredicateFn
+	hit  pin.AnalysisFn
 }
 
 // Instrument implements core.Tool.
 func (t *watchInstance) Instrument(tr *pin.Trace) {
 	reg, fence := t.family.reg, t.family.fence
-	pred := func(ctx *pin.Ctx) bool { return ctx.Regs.R[reg] < fence }
 	for _, bbl := range tr.Bbls() {
 		head := bbl.InsHead()
 		if t.family.declare {
 			// The predicate is pure and returns exactly the declared
 			// comparison — the InsertIfCondCall contract that makes the
 			// engine's compile-time folding sound.
-			head.InsertIfCondCall(pin.Before, pred,
+			head.InsertIfCondCall(pin.Before, t.pred,
 				jit.Cond{Kind: jit.CondLTU, Reg: reg, Imm: fence})
 		} else {
-			head.InsertIfCall(pin.Before, pred)
+			head.InsertIfCall(pin.Before, t.pred)
 		}
-		head.InsertThenCall(pin.Before, func(*pin.Ctx) { t.local[0]++ })
+		head.InsertThenCall(pin.Before, t.hit)
 	}
 }
 
