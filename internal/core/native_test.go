@@ -41,7 +41,7 @@ func (r stepRunner) Run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) 
 			r.Ring.Push(pc)
 			used += r.RingCost
 		}
-		used += p.ChargeCow(cost)
+		used += p.ChargeCow(cost.PageCopy)
 		p.InsCount++
 		if pr != nil {
 			pr.OnExec(in, pc+isa.WordSize, p.Regs.PC)

@@ -190,14 +190,38 @@ func (op Opcode) Format() Format {
 	return opTable[op].format
 }
 
+// Memory-access flags of opFlags.
+const (
+	flagLoad uint8 = 1 << iota
+	flagStore
+	flagMem = flagLoad | flagStore
+)
+
+// opFlags holds every opcode's memory-access flags, indexed by the full
+// uint8 range so the per-instruction predicates below are one load with
+// no bounds check; invalid opcodes have no flags. It is derived from
+// opTable at init, which stays the single source of truth.
+var opFlags [256]uint8
+
+func init() {
+	for op, info := range opTable {
+		if info.load {
+			opFlags[op] |= flagLoad
+		}
+		if info.store {
+			opFlags[op] |= flagStore
+		}
+	}
+}
+
 // IsLoad reports whether op reads data memory.
-func (op Opcode) IsLoad() bool { return op.Valid() && opTable[op].load }
+func (op Opcode) IsLoad() bool { return opFlags[op]&flagLoad != 0 }
 
 // IsStore reports whether op writes data memory.
-func (op Opcode) IsStore() bool { return op.Valid() && opTable[op].store }
+func (op Opcode) IsStore() bool { return opFlags[op]&flagStore != 0 }
 
 // IsMem reports whether op accesses data memory.
-func (op Opcode) IsMem() bool { return op.IsLoad() || op.IsStore() }
+func (op Opcode) IsMem() bool { return opFlags[op]&flagMem != 0 }
 
 // IsCondBranch reports whether op is a conditional branch.
 func (op Opcode) IsCondBranch() bool { return op.Valid() && opTable[op].condBr }

@@ -127,6 +127,22 @@ func TestOpcodePredicates(t *testing.T) {
 	if !OpBEQ.EndsBlock() || !OpSYSCALL.EndsBlock() || OpADD.EndsBlock() {
 		t.Error("EndsBlock wrong")
 	}
+	// The flag lookups must agree with opTable for every byte value,
+	// including the invalid opcodes past numOpcodes.
+	for v := 0; v < 256; v++ {
+		op := Opcode(v)
+		var load, store bool
+		if op.Valid() {
+			load, store = opTable[op].load, opTable[op].store
+		}
+		if op.IsLoad() != load || op.IsStore() != store {
+			t.Errorf("%v: IsLoad/IsStore = %v/%v, opTable says %v/%v",
+				op, op.IsLoad(), op.IsStore(), load, store)
+		}
+		if op.IsMem() != (op.IsLoad() || op.IsStore()) {
+			t.Errorf("%v: IsMem = %v, IsLoad || IsStore = %v", op, op.IsMem(), op.IsLoad() || op.IsStore())
+		}
+	}
 }
 
 func TestSrcDstRegs(t *testing.T) {

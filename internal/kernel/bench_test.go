@@ -116,7 +116,7 @@ func BenchmarkScheduler8Procs(b *testing.B) {
 	var total uint64
 	for total < uint64(b.N) {
 		k.fireTimers()
-		k.runQuantum(quantum)
+		k.runQuantum()
 		k.Now += quantum
 		total = 0
 		for _, p := range k.Procs() {

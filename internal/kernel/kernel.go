@@ -116,6 +116,12 @@ type Kernel struct {
 	// the walk allocates nothing per quantum.
 	running, spare []*Proc
 
+	// budgets[n-1] is the contention budget row used when n processes
+	// run in a quantum (n = 1..Contexts()); built once by New from the
+	// immutable config, so a quantum pays an index instead of a cost-model
+	// copy and a float division.
+	budgets []quantumBudget
+
 	// cpuSlots holds the coalesced per-context occupancy state for the
 	// tracer: one EvSchedule span is emitted per contiguous interval a
 	// process occupies a context, not one per quantum.
@@ -167,6 +173,7 @@ func New(cfg Config) *Kernel {
 		seed = 1
 	}
 	k := &Kernel{cfg: cfg, nextPID: 1, randState: seed}
+	k.budgets = contentionBudgets(&k.cfg, k.Contexts())
 	if m := cfg.Metrics; m != nil {
 		k.liveRetired = m.LiveCounter("kernel.live.retired_ins")
 		k.quantumHist = m.Hist("kernel.quantum_wall_ns")
@@ -176,6 +183,10 @@ func New(cfg Config) *Kernel {
 
 // Config returns the kernel's configuration.
 func (k *Kernel) Config() Config { return k.cfg }
+
+// PageCopy returns the cost of one copy-on-write page copy, the argument
+// runners pass to Proc.ChargeCow.
+func (k *Kernel) PageCopy() Cycles { return k.cfg.Cost.PageCopy }
 
 // Contexts returns the number of schedulable CPU contexts.
 func (k *Kernel) Contexts() int {
@@ -214,7 +225,7 @@ func (k *Kernel) Spawn(name string, m *mem.Memory, regs cpu.Regs, r Runner) *Pro
 // is false the child starts sleeping (SuperPin slices sleep until the
 // following slice records its signature).
 func (k *Kernel) Fork(parent *Proc, name string, r Runner, runnable bool) *Proc {
-	cost := k.cfg.Cost
+	cost := &k.cfg.Cost
 	fc := cost.ForkBase + Cycles(parent.Mem.Pages())*cost.ForkPerPage
 	parent.ForkCost += fc
 	parent.debt += fc
@@ -439,7 +450,7 @@ func (k *Kernel) Run() error {
 			}
 			continue
 		}
-		k.runQuantum(quantum)
+		k.runQuantum()
 		if k.QuantumHook != nil {
 			k.QuantumHook()
 		}
@@ -485,14 +496,14 @@ func (k *Kernel) fireTimers() {
 // histogram, and the retired-instruction delta feeds the live counter
 // /status derives guest-MIPS from. Telemetry off (cfg.Metrics nil)
 // costs two nil checks.
-func (k *Kernel) runQuantum(quantum Cycles) {
+func (k *Kernel) runQuantum() {
 	k.qseq++
 	if k.quantumHist != nil && k.qseq&quantumSampleMask == 0 {
 		t0 := time.Now()
-		k.runQuantumInner(quantum)
+		k.runQuantumInner()
 		k.quantumHist.Observe(uint64(time.Since(t0)))
 	} else {
-		k.runQuantumInner(quantum)
+		k.runQuantumInner()
 	}
 	if k.liveRetired != nil {
 		var total uint64
@@ -504,47 +515,65 @@ func (k *Kernel) runQuantum(quantum Cycles) {
 	}
 }
 
-// runQuantumInner schedules up to Contexts() processes for one quantum.
-func (k *Kernel) runQuantumInner(quantum Cycles) {
-	ctxs := k.Contexts()
-	n := len(k.runq)
-	if n > ctxs {
-		n = ctxs
+// quantumBudget is one row of the contention budget table: the budgets
+// of the processes scheduled in a quantum where n of them run.
+type quantumBudget struct {
+	plain      Cycles // budget of a process with a core to itself
+	shared     Cycles // budget of a process sharing its core (HT)
+	sharedFrom int    // index in the running list from which processes share
+}
+
+// contentionBudgets returns the budget table for 1..ctxs running
+// processes. With R processes on P physical cores, every busy core
+// suffers SMP memory contention; beyond P, pairs share cores via
+// hyperthreading at HTFactor speed. The *last* 2(R-P) processes in
+// queue order share, and the queue rotates each quantum, so sharing is
+// spread fairly.
+func contentionBudgets(cfg *Config, ctxs int) []quantumBudget {
+	cost := &cfg.Cost
+	p := cfg.CPUs
+	quantum := cost.Quantum
+	budgets := make([]quantumBudget, ctxs)
+	for n := 1; n <= ctxs; n++ {
+		busyCores := n
+		if busyCores > p {
+			busyCores = p
+		}
+		smp := 1.0 / (1.0 + cost.SMPAlpha*float64(busyCores-1))
+		sharedFrom := n
+		if n > p {
+			sharedFrom = 2*p - n
+		}
+		ht := smp * cost.HTFactor
+		budgets[n-1] = quantumBudget{
+			plain:      max(Cycles(float64(quantum)*smp), 1),
+			shared:     max(Cycles(float64(quantum)*ht), 1),
+			sharedFrom: sharedFrom,
+		}
 	}
+	return budgets
+}
+
+// runQuantumInner schedules up to Contexts() processes for one quantum.
+func (k *Kernel) runQuantumInner() {
+	n := min(len(k.runq), len(k.budgets))
 	running := append(k.running[:0], k.runq[:n]...)
 	k.running = running
 	if k.cfg.Trace != nil {
 		k.traceSchedule(running)
 	}
 
-	// Contention factors: with R processes on P physical cores, every
-	// busy core suffers SMP memory contention; beyond P, pairs share
-	// cores via hyperthreading at HTFactor speed. The *last* 2(R-P)
-	// processes in queue order share, and the queue rotates each quantum,
-	// so sharing is spread fairly.
-	cost := k.cfg.Cost
-	p := k.cfg.CPUs
-	busyCores := n
-	if busyCores > p {
-		busyCores = p
-	}
-	smp := 1.0 / (1.0 + cost.SMPAlpha*float64(busyCores-1))
-	sharedFrom := n // index from which processes share a core
-	if n > p {
-		sharedFrom = 2*p - n
-	}
-
-	for i, proc := range running {
-		factor := smp
-		if i >= sharedFrom {
-			factor *= cost.HTFactor
+	if n > 0 {
+		row := &k.budgets[n-1]
+		for i, proc := range running {
+			budget := row.plain
+			if i >= row.sharedFrom {
+				budget = row.shared
+			}
+			k.runProc(proc, budget)
 		}
-		budget := Cycles(float64(quantum) * factor)
-		if budget == 0 {
-			budget = 1
-		}
-		k.runProc(proc, budget)
 	}
+	quantum := k.cfg.Cost.Quantum
 
 	// Charge wait time to runnable processes that did not get a context,
 	// then rotate the queue (processes that ran move to the back) so

@@ -165,17 +165,18 @@ func (p *Proc) Group() PID {
 func (p *Proc) CowPending() bool { return p.Mem.CopyEvents != p.cowMark }
 
 // ChargeCow charges any copy-on-write page copies performed since the
-// last call, returning the cycles charged. Every Runner implementation
-// (native and instrumented) calls it after each instruction or batch that
-// may have copied a page; the batch loops stop at the copying instruction,
-// so the charge lands there.
-func (p *Proc) ChargeCow(cost CostModel) Cycles {
+// last call at pageCopy cycles each (CostModel.PageCopy, see
+// Kernel.PageCopy), returning the cycles charged. Every Runner
+// implementation (native and instrumented) calls it after each
+// instruction or batch that may have copied a page; the batch loops stop
+// at the copying instruction, so the charge lands there.
+func (p *Proc) ChargeCow(pageCopy Cycles) Cycles {
 	delta := p.Mem.CopyEvents - p.cowMark
 	if delta == 0 {
 		return 0
 	}
 	p.cowMark = p.Mem.CopyEvents
-	cy := Cycles(delta) * cost.PageCopy
+	cy := Cycles(delta) * pageCopy
 	p.CowCost += cy
 	return cy
 }
@@ -203,7 +204,7 @@ type NativeRunner struct {
 // Run implements Runner.
 func (r NativeRunner) Run(k *Kernel, p *Proc, budget Cycles) (Cycles, StopReason) {
 	var used Cycles
-	cost := k.cfg.Cost
+	cost := &k.cfg.Cost
 	maxIns := math.MaxInt
 	if r.Ring != nil {
 		maxIns = 1
@@ -225,7 +226,7 @@ func (r NativeRunner) Run(k *Kernel, p *Proc, budget Cycles) (Cycles, StopReason
 			r.Ring.Push(pc)
 			used += r.RingCost
 		}
-		used += p.ChargeCow(cost)
+		used += p.ChargeCow(cost.PageCopy)
 		if ev == cpu.EvSyscall {
 			return used, StopSyscall
 		}

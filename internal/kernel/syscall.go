@@ -90,7 +90,7 @@ func SyscallArgs(p *Proc) (sysno uint32, args [4]uint32) {
 // recorded outcomes rather than re-execute: a re-executed read or time
 // call would observe different values than the master did.
 func (k *Kernel) serviceSyscall(p *Proc, sysno uint32, args [4]uint32) SyscallOutcome {
-	cost := k.cfg.Cost
+	cost := &k.cfg.Cost
 	out := SyscallOutcome{Cost: cost.SyscallBase}
 	switch sysno {
 	case SysExit:

@@ -18,9 +18,11 @@
 // Two host-side fast paths keep interpretation cheap without changing any
 // guest-visible result:
 //
-//   - a one-entry software TLB per image (separate read and write
-//     entries) that skips the page-map lookup when consecutive accesses
-//     land on the same page — the overwhelmingly common case;
+//   - small direct-mapped software TLBs per image (64 read and 64 write
+//     entries, indexed by page number mod 64) that skip the page-map
+//     lookup whenever an access lands on a recently used page — so loads
+//     and stores that alternate between the stack, data and heap pages
+//     all hit;
 //   - a per-page predecode cache (FetchInst) that stores the decoded
 //     instruction for every word of a code page, so the interpreter's
 //     fetch path stops paying a map lookup, byte assembly and decode per
@@ -51,6 +53,16 @@ const (
 // invalidPN is the software-TLB tag for "no page cached" (page numbers
 // derived from 32-bit addresses never exceed 2^20-1).
 const invalidPN = ^uint32(0)
+
+// tlbSize is the number of entries in each direct-mapped software TLB;
+// page pn lives in slot pn % tlbSize.
+const tlbSize = 64
+
+// tlbEntry caches the page of one page number.
+type tlbEntry struct {
+	pn uint32
+	pg *page
+}
 
 // page is a refcounted 4 KiB page. refs counts the number of Memory images
 // that reference the page; a page with refs > 1 must be copied before it
@@ -138,12 +150,14 @@ func (f *Fault) Error() string {
 type Memory struct {
 	pages map[uint32]*page
 
-	// One-entry software TLBs: the page number and page of the last read
-	// and the last write. Flushed on Fork, Release and whenever caching
-	// is toggled; the write entry always holds a privately-owned page, so
-	// hitting it can never skip a needed copy-on-write duplication.
-	rpn, wpn uint32
-	rpg, wpg *page
+	// Direct-mapped software TLBs for reads and writes. A read entry
+	// always holds the current m.pages[pn] (the zero page when absent);
+	// writeMiss refreshes the read entry of every page it materializes or
+	// copies. A write entry only ever holds a page with refs == 1, so
+	// hitting it can never skip a needed copy-on-write duplication. Both
+	// are flushed on Fork (parent and child), Release and whenever
+	// caching is toggled; MarkCode flushes the write entries.
+	rtlb, wtlb [tlbSize]tlbEntry
 
 	// Fetch TLB: the predecoded view of the last fetched-from page. Kept
 	// separate from the read entry so data loads interleaved with fetches
@@ -183,11 +197,23 @@ func New() *Memory {
 	return m
 }
 
-// flushTLB invalidates both software-TLB entries.
+// emptyTLB is a TLB with every entry invalid; flushes copy it in whole.
+var emptyTLB = func() (t [tlbSize]tlbEntry) {
+	for i := range t {
+		t[i].pn = invalidPN
+	}
+	return t
+}()
+
+// flushTLB invalidates every software-TLB entry (read, write, fetch).
 func (m *Memory) flushTLB() {
-	m.rpn, m.wpn, m.fpn = invalidPN, invalidPN, invalidPN
-	m.rpg, m.wpg, m.fcp = nil, nil, nil
+	m.rtlb, m.wtlb = emptyTLB, emptyTLB
+	m.fpn, m.fcp = invalidPN, nil
 }
+
+// flushWriteTLB invalidates the write-TLB entries, so the next store to
+// every page goes back through writeMiss.
+func (m *Memory) flushWriteTLB() { m.wtlb = emptyTLB }
 
 // SetCaching enables or disables the host-side fast paths (the software
 // TLB and the per-page predecode cache). Caching is on by default and
@@ -210,10 +236,10 @@ func (m *Memory) MarkCode(addr, size uint32) {
 		return
 	}
 	m.codeRanges = append(m.codeRanges, codeRange{lo: addr, hi: addr + size - 1})
-	// Drop the cached write page: the miss path is where overlap is
+	// Drop the cached write pages: the miss path is where overlap is
 	// checked, and a page cached before this range existed would
 	// otherwise bypass it.
-	m.wpn, m.wpg = invalidPN, nil
+	m.flushWriteTLB()
 }
 
 // CodeWritten reports whether any store has touched a page overlapping
@@ -291,15 +317,21 @@ func (m *Memory) SharedPages() int {
 // as zeros via the shared zero page, without materializing.
 func (m *Memory) readPage(addr uint32) *page {
 	pn := addr >> PageShift
-	if pn == m.rpn {
-		return m.rpg
+	if e := &m.rtlb[pn%tlbSize]; e.pn == pn {
+		return e.pg
 	}
+	return m.readMiss(pn)
+}
+
+// readMiss is readPage's read-TLB-miss path: a page-map lookup that
+// refills the slot of pn (unless caching is off).
+func (m *Memory) readMiss(pn uint32) *page {
 	pg := m.pages[pn]
 	if pg == nil {
 		pg = &zeroPage
 	}
 	if !m.noCache {
-		m.rpn, m.rpg = pn, pg
+		m.rtlb[pn%tlbSize] = tlbEntry{pn: pn, pg: pg}
 	}
 	return pg
 }
@@ -314,11 +346,23 @@ func (m *Memory) writePage(addr uint32) *page {
 		// the store makes it stale (self-modifying code).
 		m.fpn, m.fcp = invalidPN, nil
 	}
-	if pn == m.wpn {
-		pg := m.wpg
-		pg.code.Store(nil)
+	if e := &m.wtlb[pn%tlbSize]; e.pn == pn {
+		// A write entry's page is private (refs == 1), so only this image
+		// can have built its code view: the atomic store is needed only
+		// when one exists.
+		pg := e.pg
+		if pg.code.Load() != nil {
+			pg.code.Store(nil)
+		}
 		return pg
 	}
+	return m.writeMiss(pn)
+}
+
+// writeMiss is writePage's write-TLB-miss path: it checks the page
+// against the marked code ranges, materializes or copies it as needed
+// and refills both TLB slots of pn (unless caching is off).
+func (m *Memory) writeMiss(pn uint32) *page {
 	m.noteWrite(pn)
 	pg := m.pages[pn]
 	switch {
@@ -341,8 +385,8 @@ func (m *Memory) writePage(addr uint32) *page {
 		// Populate both entries: a store is usually followed by loads
 		// from the same page, and the read entry must not keep serving
 		// the zero page (or a pre-COW original) for this page number.
-		m.wpn, m.wpg = pn, pg
-		m.rpn, m.rpg = pn, pg
+		m.wtlb[pn%tlbSize] = tlbEntry{pn: pn, pg: pg}
+		m.rtlb[pn%tlbSize] = tlbEntry{pn: pn, pg: pg}
 	}
 	return pg
 }

@@ -512,8 +512,8 @@ func (e *Engine) Run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 
 // run is the dispatch loop behind Run; see Run for the contract.
 func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (kernel.Cycles, kernel.StopReason) {
-	cost := e.Cost
-	kcost := k.Config().Cost
+	cost := &e.Cost
+	pageCopy := k.PageCopy()
 	fast := !cost.NoFastPath
 	e.hotTier = fast && !cost.NoHotTier
 	if e.hotTier {
@@ -671,7 +671,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					n, ev, err = cpu.ExecBlock(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents)
 				}
 				if n > 0 {
-					used += kernel.Cycles(sb.Cum[off+n-1]-pre) + p.ChargeCow(kcost)
+					used += kernel.Cycles(sb.Cum[off+n-1]-pre) + p.ChargeCow(pageCopy)
 					cowClear = true
 					p.InsCount += uint64(n)
 					e.stats.ExecIns += uint64(n)
@@ -736,7 +736,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		// the instrumented instruction — the semantics SuperPin's
 		// boundary detection needs.
 		for i := range ci.Before {
-			used += e.runCall(ctx, &ci.Before[i], ci.LiveBefore, e.hoistedAt(e.idx))
+			used += e.runCall(ctx, &ci.Before[i], ci.LiveBefore)
 			if ctx.StopRequested() {
 				e.cur = nil
 				return used, kernel.StopExit
@@ -753,7 +753,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		if ci.Inst.Op.IsMem() {
 			used += cost.MemSurcharge
 		}
-		used += p.ChargeCow(kcost)
+		used += p.ChargeCow(pageCopy)
 		cowClear = true
 		p.InsCount++
 		e.stats.ExecIns++
@@ -769,7 +769,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		// cached no-pending-COW flag is dropped.
 		for i := range ci.After {
 			cowClear = false
-			used += e.runCall(ctx, &ci.After[i], ci.LiveAfter, e.hoistedAt(e.idx))
+			used += e.runCall(ctx, &ci.After[i], ci.LiveAfter)
 			if ctx.StopRequested() {
 				e.cur = nil
 				return used, kernel.StopExit
@@ -982,7 +982,7 @@ type runSpan struct {
 // runs that still match the load-time image borrow its shared predecode
 // instead of building a private copy.
 func (e *Engine) seal(ct *jit.CompiledTrace) {
-	cost := e.Cost
+	cost := &e.Cost
 	n := len(ct.Ins)
 	spans := e.sealScratch[:0]
 	covered, private := 0, 0
@@ -1145,13 +1145,13 @@ const allLive = ^uint32(0)
 // PredSaveRegs host counter moves. A stale mask (self-modifying code
 // after load) is harmless for the same reason.
 //
-// hoisted marks a spill the hot tier proved redundant at promotion
-// (promote.go): the snapshot/restore pair is skipped entirely — sound for
-// the same pure-observer reason the restore is a no-op — and only the
-// HoistedSaves host counter moves. The predicate, its virtual-cycle
-// charge and the then-call are untouched.
-func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32, hoisted bool) kernel.Cycles {
-	cost := e.Cost
+// A spill the hot tier proved redundant at promotion (promote.go,
+// hoistedAt) is skipped entirely — sound for the same pure-observer
+// reason the restore is a no-op — and only the HoistedSaves host counter
+// moves. The predicate, its virtual-cycle charge and the then-call are
+// untouched.
+func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32) kernel.Cycles {
+	cost := &e.Cost
 	if c.Fn != nil {
 		e.stats.AnalysisCalls++
 		c.Fn(ctx)
@@ -1169,7 +1169,7 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32, hoisted bool) k
 		// the analysis read it.
 		e.stats.FoldedPreds++
 		fire = c.Fold == jit.FoldTrue
-	} else if hoisted {
+	} else if e.hoistedAt(e.idx) {
 		e.stats.HoistedSaves++
 		fire = c.If(ctx)
 	} else {

@@ -27,7 +27,7 @@ echo "== obsguard (obs zero-cost nil-guard invariant) =="
 go run ./tools/analyzers/cmd/obsguard internal/pin internal/cpu internal/kernel internal/core internal/artifact internal/jit internal/telemetry
 
 echo "== detguard (engine determinism: map ranges, time.Now, math/rand) =="
-go run ./tools/analyzers/cmd/detguard internal/cpu internal/mem internal/pin internal/jit internal/core internal/sa
+go run ./tools/analyzers/cmd/detguard internal/cpu internal/mem internal/pin internal/jit internal/core internal/sa internal/kernel
 
 echo "== go build =="
 go build ./...
