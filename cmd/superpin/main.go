@@ -92,8 +92,8 @@ func run(args []string) error {
 		lineBytes  = fs.Int("linebytes", 32, "dcache/acache line size in bytes")
 		ways       = fs.Int("ways", 4, "acache associativity")
 		noFastPath = fs.Bool("nofastpath", false, "disable the engine's dispatch fast paths (trace linking, superblock batching); virtual results are identical")
-		noSA       = fs.Bool("nosa", false, "disable the load-time static analysis (verifier, liveness-guided save/restore elision, shared predecode); virtual results are identical")
-		noHotTier  = fs.Bool("nohottier", false, "disable the second-tier trace compiler (profile-guided layout, register caching, spill hoisting); virtual results are identical")
+		noSA       = fs.Bool("nosa", false, "disable the load-time static analysis (verifier, predicate folding, shared predecode); virtual results are identical")
+		noHotTier  = fs.Bool("nohottier", false, "disable the second-tier trace compiler (profile-guided layout, register caching); virtual results are identical")
 		profJSON   = fs.String("profile", "", "write the guest profile (PC + shadow call stack samples) as JSON to this file; enables the profiler")
 		profFold   = fs.String("fold", "", "write the guest profile as folded stacks (flamegraph.pl input) to this file; enables the profiler")
 		profInt    = fs.Uint64("profint", 0, "profiler sampling interval in retired guest instructions (0 = 10007 when -profile/-fold given, else off)")

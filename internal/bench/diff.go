@@ -45,8 +45,8 @@ func (l diffLeg) String() string {
 
 // diffLegs is the per-benchmark coverage. Serial Pin runs both counting
 // tools and both watchpoint variants: the declared watch lets the value
-// analysis fold its predicate, the opaque one cannot fold, so its spill
-// count isolates liveness narrowing. SuperPin merges a profile across
+// analysis fold its predicate, the opaque one cannot fold, so its
+// predicate is evaluated at every site. SuperPin merges a profile across
 // slices under icount1 and shares translations under icount2.
 var diffLegs = []diffLeg{
 	{tool: "icount1"},
@@ -99,26 +99,24 @@ type diffArm struct {
 type armCheck struct {
 	leg      diffLeg
 	ref, got *diffRun
-	prior    map[string]*diffRun // earlier arms' runs of this leg
 }
 
 // warmHost are the counters a warm start moves: the seed promotes traces
-// at compile time, which shifts hot-tier work and the first-tier link and
-// spill traffic it displaces.
-var warmHost = []string{"Engine.PredSaveRegs", "Engine.HotPromotions", "Engine.HotIns",
-	"Engine.HoistedSaves", "Engine.HotLinkHits", "Engine.IPHoists", "Engine.WarmPromotions",
-	"Engine.FirstPromoDispatch", "Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"}
+// at compile time, which shifts hot-tier work and the first-tier link
+// traffic it displaces.
+var warmHost = []string{"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits",
+	"Engine.WarmPromotions", "Engine.FirstPromoDispatch",
+	"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"}
 
-// diffArms is the arm table, in run order (nosa's check reads saintra's
-// run). EXPERIMENTS.md documents it row for row.
+// diffArms is the arm table, in run order. EXPERIMENTS.md documents it
+// row for row.
 var diffArms = []diffArm{
 	{
 		name:  "nofastpath",
 		axis:  "dispatch fast paths off (trace linking, superblocks; the hot tier rides on them)",
 		apply: func(s *diffSetup) { s.cost.NoFastPath = true },
-		host: []string{"Engine.SuperblockIns", "Engine.PredSaveRegs", "Engine.SASharedRuns",
-			"Engine.SAPrivateRuns", "Engine.HotPromotions", "Engine.HotIns", "Engine.HoistedSaves",
-			"Engine.HotLinkHits", "Engine.IPHoists", "Engine.FirstPromoDispatch",
+		host: []string{"Engine.SuperblockIns", "Engine.SASharedRuns", "Engine.SAPrivateRuns",
+			"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits", "Engine.FirstPromoDispatch",
 			"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"},
 		check:   checkNoFastPath,
 		engaged: "reference icount2 links traces and runs superblocks; arm reports no fast-path, sealing or hot activity",
@@ -127,30 +125,27 @@ var diffArms = []diffArm{
 		name:  "nohottier",
 		axis:  "second-tier trace compiler off",
 		apply: func(s *diffSetup) { s.cost.NoHotTier = true },
-		host: []string{"Engine.PredSaveRegs", "Engine.HotPromotions", "Engine.HotIns",
-			"Engine.HoistedSaves", "Engine.HotLinkHits", "Engine.IPHoists", "Engine.FirstPromoDispatch",
-			"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"},
+		host: []string{"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits",
+			"Engine.FirstPromoDispatch", "Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"},
 		check:   checkNoHotTier,
 		engaged: "reference promotes wherever it dispatched >= 4096 times; arm reports no hot activity",
 	},
 	{
-		name:  "saintra",
-		axis:  "static analysis restricted to its intraprocedural tier",
-		apply: func(s *diffSetup) { s.cost.SAIntra = true },
-		host: []string{"Engine.PredSaveRegs", "Engine.HoistedSaves",
-			"Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"},
+		name:    "saintra",
+		axis:    "static analysis restricted to its intraprocedural tier",
+		apply:   func(s *diffSetup) { s.cost.SAIntra = true },
+		host:    []string{"Engine.FoldedSites", "Engine.FoldedPreds"},
 		check:   checkSAIntra,
-		engaged: "predicate saves full <= intra; arm reports no fold activity",
+		engaged: "arm reports no fold activity",
 	},
 	{
 		name:  "nosa",
 		axis:  "load-time static analysis off",
 		apply: func(s *diffSetup) { s.cost.NoSA = true },
-		host: []string{"Engine.PredSaveRegs", "Engine.SASharedRuns", "Engine.SAPrivateRuns",
-			"Engine.HotIns", "Engine.HoistedSaves", "Engine.FoldedSites", "Engine.FoldedPreds",
-			"Engine.IPHoists"},
+		host: []string{"Engine.SASharedRuns", "Engine.SAPrivateRuns", "Engine.HotIns",
+			"Engine.FoldedSites", "Engine.FoldedPreds"},
 		check:   checkNoSA,
-		engaged: "reference icount2 seals superblocks over the shared predecode; predicate saves intra <= nosa; arm reports no sealing or fold activity",
+		engaged: "reference icount2 seals superblocks over the shared predecode; arm reports no sealing or fold activity",
 	},
 	{
 		name:    "warm",
@@ -199,8 +194,7 @@ func checkNoFastPath(c *armCheck) error {
 		return nil
 	}
 	if err := inert(c.got.pin, "Engine.SuperblockIns", "Engine.SASharedRuns", "Engine.SAPrivateRuns",
-		"Engine.HotPromotions", "Engine.HotIns", "Engine.HoistedSaves", "Engine.HotLinkHits",
-		"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"); err != nil {
+		"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits", "Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"); err != nil {
 		return err
 	}
 	if ref := c.ref.pin; c.leg.tool == "icount2" && (ref.Cache.LinkHits == 0 || ref.Engine.SuperblockIns == 0) {
@@ -214,8 +208,8 @@ func checkNoHotTier(c *armCheck) error {
 	if c.leg.superpin {
 		return nil
 	}
-	if err := inert(c.got.pin, "Engine.HotPromotions", "Engine.HotIns", "Engine.HoistedSaves",
-		"Engine.HotLinkHits", "Engine.WarmPromotions"); err != nil {
+	if err := inert(c.got.pin, "Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits",
+		"Engine.WarmPromotions"); err != nil {
 		return err
 	}
 	// Promotion is driven by per-trace dispatch counts, so demand it only
@@ -230,10 +224,7 @@ func checkSAIntra(c *armCheck) error {
 	if c.leg.superpin {
 		return nil
 	}
-	if err := inert(c.got.pin, "Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"); err != nil {
-		return err
-	}
-	return saveOrder("full", c.ref, "saintra", c.got)
+	return inert(c.got.pin, "Engine.FoldedSites", "Engine.FoldedPreds")
 }
 
 func checkNoSA(c *armCheck) error {
@@ -241,25 +232,13 @@ func checkNoSA(c *armCheck) error {
 		return nil
 	}
 	if err := inert(c.got.pin, "Engine.SASharedRuns", "Engine.SAPrivateRuns",
-		"Engine.FoldedSites", "Engine.FoldedPreds", "Engine.IPHoists"); err != nil {
+		"Engine.FoldedSites", "Engine.FoldedPreds"); err != nil {
 		return err
 	}
 	// icount1 instruments every instruction, leaving no call-free run to
 	// seal; block-granularity tools must seal over the shared predecode.
 	if c.leg.tool == "icount2" && c.ref.pin.Engine.SASharedRuns == 0 {
 		return fmt.Errorf("reference sealed no superblock over the shared predecode")
-	}
-	if intra := c.prior["saintra"]; intra != nil {
-		return saveOrder("saintra", intra, "nosa", c.got)
-	}
-	return saveOrder("full", c.ref, "nosa", c.got)
-}
-
-// saveOrder errors if the more precise analysis tier saved more registers
-// around predicates than the less precise one.
-func saveOrder(preciseName string, precise *diffRun, coarseName string, coarse *diffRun) error {
-	if p, q := precise.pin.Engine.PredSaveRegs, coarse.pin.Engine.PredSaveRegs; p > q {
-		return fmt.Errorf("predicate save set widened: %s saved %d registers, %s %d", preciseName, p, coarseName, q)
 	}
 	return nil
 }
@@ -459,9 +438,6 @@ type DiffReport struct {
 	LinkHits      uint64
 	SuperblockIns uint64
 	Promotions    uint64
-	// SavedRegs are the opaque watchpoint's predicate spills under the
-	// full, intraprocedural and no-analysis tiers.
-	SavedRegs [3]uint64
 	// FoldedPreds are the declared watchpoint's predicate evaluations the
 	// value analysis decided at compile time.
 	FoldedPreds uint64
@@ -482,24 +458,20 @@ type DiffReport struct {
 
 // RunDiff runs every configured benchmark's legs under the reference and
 // every arm of the table, and verifies that no arm changed a virtual
-// result. It then asserts the analysis tiers earned their keep somewhere
-// in the suite — a spill mask strictly narrower than the intraprocedural
-// tier's, and a predicate folded at compile time — and that some merged
-// profile spans several slices and a nonempty call stack.
+// result. It then asserts the value analysis folded a declared predicate
+// somewhere in the suite, and that some merged profile spans several
+// slices and a nonempty call stack.
 func RunDiff(cfg Config) ([]*DiffReport, error) {
 	reports, err := runDiff(cfg, diffArms)
 	if err != nil {
 		return nil, err
 	}
-	var narrowed, folded, merged bool
+	var folded, merged bool
 	for _, r := range reports {
-		narrowed = narrowed || r.SavedRegs[0] < r.SavedRegs[1]
 		folded = folded || r.FoldedPreds > 0
 		merged = merged || (r.Slices >= 2 && r.MaxStack > 0)
 	}
 	switch {
-	case !narrowed:
-		return nil, fmt.Errorf("diff: interprocedural liveness never narrowed a spill mask below the intraprocedural tier")
 	case !folded:
 		return nil, fmt.Errorf("diff: value analysis never folded a declared predicate")
 	case !merged:
@@ -628,7 +600,7 @@ func (h *diffBench) runLegArms(leg diffLeg, arms []diffArm) error {
 			err = compareRuns(ref, got, arm.host)
 		}
 		if err == nil && arm.check != nil {
-			err = arm.check(&armCheck{leg: leg, ref: ref, got: got, prior: runs})
+			err = arm.check(&armCheck{leg: leg, ref: ref, got: got})
 		}
 		if err != nil {
 			return fail(arm.name, err)
@@ -673,13 +645,6 @@ func (r *DiffReport) note(leg diffLeg, ref *diffRun, runs map[string]*diffRun) {
 		r.LinkHits, r.SuperblockIns = ref.pin.Cache.LinkHits, e.SuperblockIns
 	case "watch":
 		r.FoldedPreds = e.FoldedPreds
-	case "watch-opaque":
-		r.SavedRegs[0] = e.PredSaveRegs
-		for i, arm := range []string{"saintra", "nosa"} {
-			if run := runs[arm]; run != nil {
-				r.SavedRegs[i+1] = run.pin.Engine.PredSaveRegs
-			}
-		}
 	}
 }
 
@@ -786,12 +751,11 @@ func diffTool(name string) (core.ToolFactory, func() uint64) {
 func DiffTable(rs []*DiffReport) *report.Table {
 	t := report.New("Differential harness: every arm vs the reference, identical virtual results",
 		"benchmark", "ins", "pin cycles", "sp cycles", "arm runs", "link hits", "sb ins", "promos",
-		"saved regs (full/intra/nosa)", "folded preds", "store hits", "disk hits", "samples", "max stack",
+		"folded preds", "store hits", "disk hits", "samples", "max stack",
 		"slices", "events", "verdict")
 	for _, r := range rs {
 		t.Row(r.Name, r.Ins, uint64(r.PinCycles), uint64(r.SPCycles), r.Runs, r.LinkHits, r.SuperblockIns,
-			r.Promotions, fmt.Sprintf("%d/%d/%d", r.SavedRegs[0], r.SavedRegs[1], r.SavedRegs[2]),
-			r.FoldedPreds, r.StoreHits, r.DiskHits, r.Samples, r.MaxStack, r.Slices, r.Events, "ok")
+			r.Promotions, r.FoldedPreds, r.StoreHits, r.DiskHits, r.Samples, r.MaxStack, r.Slices, r.Events, "ok")
 	}
 	return t
 }

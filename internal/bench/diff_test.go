@@ -78,18 +78,11 @@ func TestRunFastPathDiff(t *testing.T) {
 }
 
 // TestRunSADiff: the intraprocedural and no-analysis tiers match the
-// reference, predicate saves widen from full to intra to nosa, the
-// interprocedural tier is strictly narrower, and the value analysis folds
-// declared predicates.
+// reference, and the value analysis folds declared predicates.
 func TestRunSADiff(t *testing.T) {
 	cfg := obsTestConfig()
 	cfg.Benchmarks = []string{"gzip"}
 	for _, r := range runArms(t, cfg, "saintra", "nosa") {
-		full, intra, nosa := r.SavedRegs[0], r.SavedRegs[1], r.SavedRegs[2]
-		if full == 0 || full >= intra || intra > nosa {
-			t.Errorf("%s: saved regs full/intra/nosa = %d/%d/%d, want 0 < full < intra <= nosa",
-				r.Name, full, intra, nosa)
-		}
 		if r.FoldedPreds == 0 {
 			t.Errorf("%s: no declared predicate folded", r.Name)
 		}

@@ -8,9 +8,11 @@ import (
 
 // SaveMasked copies the registers selected by mask (bit i → ri) from r
 // into dst and returns how many it copied. A full mask takes the
-// whole-array fast path. The pin engine uses it with RestoreMasked to
-// model Pin's register spill/fill around inlined analysis predicates,
-// narrowed to the statically-live set when liveness is known.
+// whole-array fast path. The pin engine no longer calls it or
+// RestoreMasked (predicates are pure observers, so it copies nothing
+// around them); both stay only because the repository benchmark times
+// them as cpu.savemasked_ns_*, and go with that benchmark's next
+// revision.
 func SaveMasked(r *Regs, mask uint32, dst *[isa.NumRegs]uint32) int {
 	if mask == ^uint32(0) {
 		*dst = r.R
@@ -26,7 +28,7 @@ func SaveMasked(r *Regs, mask uint32, dst *[isa.NumRegs]uint32) int {
 }
 
 // RestoreMasked copies the registers selected by mask from src back into
-// r, inverting SaveMasked.
+// r, inverting SaveMasked. Like SaveMasked, it has no engine caller.
 func RestoreMasked(r *Regs, mask uint32, src *[isa.NumRegs]uint32) {
 	if mask == ^uint32(0) {
 		r.R = *src

@@ -4,9 +4,8 @@ package jit
 // crosses the engine's hotness threshold, the pin engine promotes it:
 // using the measured exit profile (prof.ExitHist) and the load-time
 // static analysis it derives a HotTrace — per-superblock register
-// writeback masks for host-local register caching, suppression flags for
-// dominator-redundant and loop-invariant predicate spills, and a
-// preferred hot-successor link. Everything in a HotTrace is host-side
+// writeback masks for host-local register caching and a preferred
+// hot-successor link. Everything in a HotTrace is host-side
 // execution strategy: virtual-cycle results are byte-identical with the
 // hot tier on or off (`spbench -exp diff`'s nohottier arm proves it).
 //
@@ -29,12 +28,6 @@ type HotTrace struct {
 	// DESIGN.md soundness argument for why liveness gates eligibility
 	// but never narrows WB below the written-set).
 	WB []uint32
-	// Hoist[i] marks compiled instruction i's inlined predicate spill as
-	// suppressed: an identical spill already happened on every path to it
-	// (dominator-redundant), or it is the loop-invariant spill of a
-	// self-looping hot trace, paid once at promotion instead of every
-	// iteration.
-	Hoist []bool
 	// NextPC is the measured hottest trace exit target (0 when the trace
 	// exits nowhere dominant), the successor the promoted layout treats
 	// as the fall-through. Cold exits stay on the first-tier link cache.
@@ -64,16 +57,4 @@ func (h *HotTrace) Next(epoch uint64) (next *CompiledTrace, stale bool) {
 		return nil, true
 	}
 	return h.next, false
-}
-
-// CachedRuns returns how many superblocks were promoted to register
-// caching (non-zero writeback masks).
-func (h *HotTrace) CachedRuns() int {
-	n := 0
-	for _, m := range h.WB {
-		if m != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -124,7 +124,8 @@ func BuildTraceSplit(m *mem.Memory, pc, split uint32) (*Trace, error) {
 type AnalysisFn func(ctx *Ctx)
 
 // PredicateFn is an inlined conditional analysis routine (InsertIfCall):
-// cheap, and guarding a full AnalysisFn (InsertThenCall).
+// cheap, and guarding a full AnalysisFn (InsertThenCall). It observes the
+// guest and must not write its registers or memory.
 type PredicateFn func(ctx *Ctx) bool
 
 // CondKind enumerates the comparison shapes a tool can declare for an
@@ -174,20 +175,11 @@ type Call struct {
 
 // CompiledIns is one guest instruction in a compiled trace together with
 // its woven-in instrumentation.
-//
-// LiveBefore and LiveAfter are statically-live register masks (bit i set
-// means ri may be read before being overwritten on some path from here),
-// stamped by the pin engine from the load-time static analysis when one
-// is attached. Zero means "unknown" — the analysis always sets bit 0
-// (r0) on masks it computed — and consumers must then assume every
-// register is live. They are only stamped on instructions carrying calls.
 type CompiledIns struct {
-	Addr       uint32
-	Inst       isa.Inst
-	Before     []Call // run before the instruction executes
-	After      []Call // run after it executes
-	LiveBefore uint32 // live registers entering the instruction
-	LiveAfter  uint32 // live registers after the instruction
+	Addr   uint32
+	Inst   isa.Inst
+	Before []Call // run before the instruction executes
+	After  []Call // run after it executes
 }
 
 // Superblock is a maximal run of consecutive compiled instructions that

@@ -198,14 +198,28 @@ func (i *Ins) InsertCall(when IPoint, fn AnalysisFn) {
 	i.trace.insert(i.idx, when, jit.Call{Fn: fn})
 }
 
+// wrapPredicate, when non-nil, wraps every predicate InsertIfCall and
+// InsertIfCondCall attach, at instrumentation time. Only tests set it
+// (export_test.go), to check that predicates leave guest state alone.
+var wrapPredicate func(PredicateFn) PredicateFn
+
 // InsertIfCall attaches an inlined conditional check at the given point.
 // The check is cheap (it models Pin inlining the predicate at the
 // instrumentation site); if it returns true, the matching InsertThenCall
 // routine runs at full call cost. SuperPin's two-register quick signature
 // check uses exactly this pair (paper Section 4.4).
+//
+// A predicate must not write guest registers or memory: it only decides
+// whether the then-routine runs. The engine does not shield guest state
+// from it — the save/restore Pin performs around an inlined predicate is
+// charged as part of IfCall, not copied on the host — so a predicate
+// that writes would change the guest's execution.
 func (i *Ins) InsertIfCall(when IPoint, pred PredicateFn) {
 	if pred == nil {
 		panic("pin: InsertIfCall with nil predicate")
+	}
+	if wrapPredicate != nil {
+		pred = wrapPredicate(pred)
 	}
 	i.trace.insert(i.idx, when, jit.Call{If: pred})
 }
@@ -217,10 +231,15 @@ func (i *Ins) InsertIfCall(when IPoint, pred PredicateFn) {
 // folded — the predicate is not evaluated at run time (its verdict is
 // known), though its virtual-cycle charge is unchanged, keeping virtual
 // results byte-identical. A declaration the predicate does not honor is
-// a programmer error in the tool, like a nil predicate.
+// a programmer error in the tool, like a nil predicate. Like every
+// InsertIfCall predicate, pred must not write guest registers or memory;
+// the engine does not shield guest state from it.
 func (i *Ins) InsertIfCondCall(when IPoint, pred PredicateFn, cond jit.Cond) {
 	if pred == nil {
 		panic("pin: InsertIfCondCall with nil predicate")
+	}
+	if wrapPredicate != nil {
+		pred = wrapPredicate(pred)
 	}
 	i.trace.insert(i.idx, when, jit.Call{If: pred, Cond: cond})
 }

@@ -205,8 +205,8 @@ func BenchmarkEngineIfcallProbe(b *testing.B) {
 
 // BenchmarkEngineIfcallProbeSA is the same boundary probe with the
 // load-time static analysis attached (as cmd/superpin does by default):
-// the predicate save/restore set shrinks from the full 32-register file
-// to the liveness mask at each probe site.
+// superblock runs seal over the analysis's shared predecode and register
+// caching engages on promoted traces.
 func BenchmarkEngineIfcallProbeSA(b *testing.B) {
 	prog, err := asm.Assemble(benchLoop)
 	if err != nil {

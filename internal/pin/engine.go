@@ -63,11 +63,11 @@ type CostModel struct {
 	NoFastPath bool
 
 	// NoSA disables the load-time static-analysis pass (internal/sa):
-	// no verifier, no liveness-guided predicate save/restore elision,
-	// no shared predecode for superblock sealing. Like NoFastPath it is
-	// host-side only — virtual results are byte-identical either way
-	// (`spbench -exp diff`'s nosa arm proves it) — and rides in the cost
-	// model for the same plumbing reason.
+	// no verifier, no predicate folding, no shared predecode for
+	// superblock sealing. Like NoFastPath it is host-side only — virtual
+	// results are byte-identical either way (`spbench -exp diff`'s nosa
+	// arm proves it) — and rides in the cost model for the same plumbing
+	// reason.
 	NoSA bool
 
 	// SAIntra restricts the static analysis to its intraprocedural tier
@@ -79,13 +79,13 @@ type CostModel struct {
 	SAIntra bool
 
 	// NoHotTier disables the second-tier trace compiler: no promotion of
-	// hot traces, so no profile-guided hot-successor links, no
-	// register-cached superblock execution and no predicate-spill
-	// hoisting. The hot tier rides on the superblock machinery, so it is
-	// also off whenever NoFastPath is set. Host-side only — virtual
-	// results are byte-identical either way (`spbench -exp diff`'s
-	// nohottier arm proves it) — and rides in the cost model for the same plumbing
-	// reason as the other two escape hatches.
+	// hot traces, so no profile-guided hot-successor links and no
+	// register-cached superblock execution. The hot tier rides on the
+	// superblock machinery, so it is also off whenever NoFastPath is set.
+	// Host-side only — virtual results are byte-identical either way
+	// (`spbench -exp diff`'s nohottier arm proves it) — and rides in the
+	// cost model for the same plumbing reason as the other two escape
+	// hatches.
 	NoHotTier bool
 
 	// HotThreshold is the per-trace dispatch count that triggers
@@ -115,29 +115,22 @@ func DefaultCost() CostModel {
 // path (zero when the fast path is disabled or every instruction is
 // instrumented).
 //
-// PredSaveRegs, SASharedRuns and SAPrivateRuns are host-side counters
-// like SuperblockIns: PredSaveRegs counts registers saved and restored
-// around inlined if/then predicates (the static-analysis liveness masks
-// shrink it), and SASharedRuns/SAPrivateRuns count superblock runs
-// sealed over the analysis's shared load-time predecode versus runs that
-// fell back to a private copy (stale against current guest memory). Both
-// stay zero when no analysis is attached. None of them affect
-// virtual-cycle results.
-// HotPromotions, HotIns, HoistedSaves and HotLinkHits are the hot tier's
-// host-side counters: traces promoted to the second tier, instructions
-// executed through register-cached superblocks (a subset of
-// SuperblockIns), inlined-predicate spills suppressed by the
-// dominator/loop hoisting, and dispatches resolved through a promoted
-// trace's hot-successor link. All zero with the hot tier disabled; none
-// affect virtual-cycle results.
+// SASharedRuns and SAPrivateRuns are host-side counters like
+// SuperblockIns: superblock runs sealed over the analysis's shared
+// load-time predecode versus runs that fell back to a private copy
+// (stale against current guest memory). Both stay zero when no analysis
+// is attached. Neither affects virtual-cycle results.
+// HotPromotions, HotIns and HotLinkHits are the hot tier's host-side
+// counters: traces promoted to the second tier, instructions executed
+// through register-cached superblocks (a subset of SuperblockIns), and
+// dispatches resolved through a promoted trace's hot-successor link. All
+// zero with the hot tier disabled; none affect virtual-cycle results.
 //
-// FoldedSites, FoldedPreds and IPHoists belong to the interprocedural
-// tier: call sites whose declared If-predicate the value analysis
-// decided at compile time (FoldedSites, stamped once per compilation),
-// run-time predicate evaluations skipped because of a folded verdict
-// (FoldedPreds), and predicate spills suppressed by the hot tier's
-// all-folded-site hoisting rule (IPHoists, a subset of HoistedSaves).
-// Host-side, like every other counter here.
+// FoldedSites and FoldedPreds belong to the interprocedural tier: call
+// sites whose declared If-predicate the value analysis decided at
+// compile time (FoldedSites, stamped once per compilation) and run-time
+// predicate evaluations skipped because of a folded verdict
+// (FoldedPreds). Host-side, like every other counter here.
 //
 // WarmPromotions counts the subset of HotPromotions triggered at compile
 // time by the artifact cache's warm-start seed rather than earned
@@ -152,16 +145,13 @@ type Stats struct {
 	ThenCalls     uint64
 	Dispatches    uint64
 	SuperblockIns uint64
-	PredSaveRegs  uint64
 	SASharedRuns  uint64
 	SAPrivateRuns uint64
 	HotPromotions uint64
 	HotIns        uint64
-	HoistedSaves  uint64
 	HotLinkHits   uint64
 	FoldedSites   uint64
 	FoldedPreds   uint64
-	IPHoists      uint64
 
 	WarmPromotions     uint64
 	FirstPromoDispatch uint64
@@ -217,12 +207,12 @@ type Engine struct {
 
 	// SA, when non-nil, is the load-time static analysis of the guest
 	// program (internal/sa). The engine consumes it in two host-side
-	// ways: per-instruction liveness masks elide dead registers from the
-	// save/restore modeled around inlined if/then predicates, and the
-	// analysis's shared predecode backs superblock sealing. It must be
-	// set before the first Run and is read-only thereafter, so one
-	// analysis may be shared by every engine of a run (including every
-	// SuperPin slice engine) and by concurrent runs.
+	// ways: the value analysis folds declared If-predicates it decides
+	// at compile time, and the analysis's shared predecode backs
+	// superblock sealing. It must be set before the first Run and is
+	// read-only thereafter, so one analysis may be shared by every engine
+	// of a run (including every SuperPin slice engine) and by concurrent
+	// runs.
 	SA *sa.Analysis
 
 	// Warm, when non-nil, is the hot-trace warm-start seed from the
@@ -431,17 +421,14 @@ func (e *Engine) PublishMetrics(m *obs.Metrics, prefix string) {
 	m.Add(prefix+".then_calls", e.stats.ThenCalls)
 	m.Add(prefix+".dispatches", e.stats.Dispatches)
 	m.Add(prefix+".superblock.ins", e.stats.SuperblockIns)
-	m.Add(prefix+".sa.pred_save_regs", e.stats.PredSaveRegs)
 	m.Add(prefix+".sa.shared_runs", e.stats.SASharedRuns)
 	m.Add(prefix+".sa.private_runs", e.stats.SAPrivateRuns)
 	m.Add(prefix+".hot.promotions", e.stats.HotPromotions)
 	m.Add(prefix+".hot.ins", e.stats.HotIns)
-	m.Add(prefix+".hot.hoisted_saves", e.stats.HoistedSaves)
 	m.Add(prefix+".hot.link_hits", e.stats.HotLinkHits)
 	m.Add(prefix+".hot.warm_promotions", e.stats.WarmPromotions)
 	m.Add(prefix+".sa.ip.folded_sites", e.stats.FoldedSites)
 	m.Add(prefix+".sa.ip.folded", e.stats.FoldedPreds)
-	m.Add(prefix+".sa.ip.hoists", e.stats.IPHoists)
 	cs := e.cache.Stats()
 	m.Add(prefix+".cache.lookups", cs.Lookups)
 	m.Add(prefix+".cache.misses", cs.Misses)
@@ -498,8 +485,7 @@ func (e *Engine) FlushCache() {
 // equivalence): traces whose dispatch
 // count crosses the hotness threshold are promoted — their superblocks
 // execute on a host-local register file with a static-written-set
-// writeback (cpu.ExecBlockCached), dominator-redundant and loop-invariant
-// predicate spills are suppressed, and the profiled hottest exit becomes
+// writeback (cpu.ExecBlockCached), and the profiled hottest exit becomes
 // a preferred successor link. See promote.go for the policy and DESIGN.md
 // for the soundness argument.
 func (e *Engine) Run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (kernel.Cycles, kernel.StopReason) {
@@ -736,7 +722,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		// the instrumented instruction — the semantics SuperPin's
 		// boundary detection needs.
 		for i := range ci.Before {
-			used += e.runCall(ctx, &ci.Before[i], ci.LiveBefore)
+			used += e.runCall(ctx, &ci.Before[i])
 			if ctx.StopRequested() {
 				e.cur = nil
 				return used, kernel.StopExit
@@ -769,7 +755,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		// cached no-pending-COW flag is dropped.
 		for i := range ci.After {
 			cowClear = false
-			used += e.runCall(ctx, &ci.After[i], ci.LiveAfter)
+			used += e.runCall(ctx, &ci.After[i])
 			if ctx.StopRequested() {
 				e.cur = nil
 				return used, kernel.StopExit
@@ -911,7 +897,7 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 	}
 	e.place(ct)
 	if e.SA != nil {
-		e.annotateLiveness(e.SA, ct)
+		e.annotateFolds(e.SA, ct)
 	}
 	if fast {
 		e.seal(ct)
@@ -929,13 +915,6 @@ const minSuperblockIns = 2
 // instructions) and must not trap (SYSCALL returns to the kernel).
 func fastEligible(ci *jit.CompiledIns) bool {
 	return len(ci.Before) == 0 && len(ci.After) == 0 && ci.Inst.Op != isa.OpSYSCALL
-}
-
-// sealFastPaths precomputes a trace's superblock index without a static
-// analysis attached — the reference sealing path, kept for tests and as
-// the documentation of what seal computes.
-func sealFastPaths(ct *jit.CompiledTrace, cost CostModel) {
-	(&Engine{Cost: cost}).seal(ct)
 }
 
 // sharedRun returns the analysis's load-time predecode slice covering
@@ -1057,26 +1036,16 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 	ct.RunAt = runAt
 }
 
-// annotateLiveness stamps the analysis's per-instruction liveness masks
-// onto the call-carrying instructions of a freshly compiled trace, so
-// runCall's predicate save/restore can skip dead registers. Instructions
-// without calls are left unstamped (the masks are only consulted at call
-// sites).
-//
-// If-calls carrying a declared predicate shape (InsertIfCondCall) are
-// additionally offered to the value analysis: a comparison ProveCond
-// decides gets its Fold verdict stamped, and runCall skips evaluating
-// the predicate there — guarded at run time by Mem.CodeWritten, which
-// retracts every verdict if the program modifies its code after load.
-func (e *Engine) annotateLiveness(a *sa.Analysis, ct *jit.CompiledTrace) {
+// annotateFolds offers the declared predicate shapes (InsertIfCondCall)
+// of a freshly compiled trace's call sites to the value analysis: a
+// comparison ProveCond decides gets its Fold verdict stamped, and runCall
+// skips evaluating the predicate there — guarded at run time by
+// Mem.CodeWritten, which retracts every verdict if the program modifies
+// its code after load.
+func (e *Engine) annotateFolds(a *sa.Analysis, ct *jit.CompiledTrace) {
 	for i := range ct.Ins {
-		ci := &ct.Ins[i]
-		if len(ci.Before) > 0 {
-			ci.LiveBefore = a.LiveIn(ci.Addr)
+		if ci := &ct.Ins[i]; len(ci.Before)+len(ci.After) > 0 {
 			e.stampFolds(a, ci.Addr, ci.Before)
-		}
-		if len(ci.After) > 0 {
-			ci.LiveAfter = a.LiveOut(ci.Addr)
 			e.stampFolds(a, ci.Addr, ci.After)
 		}
 	}
@@ -1126,31 +1095,15 @@ func (e *Engine) ResetPosition() {
 	e.linkFrom = nil
 }
 
-// allLive is the save/restore mask covering the whole register file,
-// used when no liveness information is stamped on the call site (a zero
-// mask means "unknown" — the static analysis always sets bit 0).
-const allLive = ^uint32(0)
-
 // runCall executes one analysis call site and returns its cycle cost.
-// live is the statically-live register mask at the site (zero when
-// unknown).
 //
-// Around an inlined if/then predicate, Pin saves the registers the
-// predicate could observe clobbered and restores them afterwards; with
-// liveness information it only spills the statically-live subset. The
-// engine models that host-side work here: snapshot the live registers,
-// run the predicate, restore. Predicates never write guest registers
-// (they are pure observers), so the restore is semantically a no-op and
-// virtual results are identical with or without the analysis — only the
-// PredSaveRegs host counter moves. A stale mask (self-modifying code
-// after load) is harmless for the same reason.
-//
-// A spill the hot tier proved redundant at promotion (promote.go,
-// hoistedAt) is skipped entirely — sound for the same pure-observer
-// reason the restore is a no-op — and only the HoistedSaves host counter
-// moves. The predicate, its virtual-cycle charge and the then-call are
-// untouched.
-func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32) kernel.Cycles {
+// An If-call counts, takes the compile-time fold verdict when the value
+// analysis stamped one (stampFolds) or evaluates the predicate, and runs
+// the then-routine when it fired. Pin's register save/restore around an
+// inlined predicate is charged virtually inside IfCall; nothing is copied
+// on the host, because predicates are pure observers of guest state (the
+// InsertIfCall contract, which pin's predicate-purity test enforces).
+func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call) kernel.Cycles {
 	cost := &e.Cost
 	if c.Fn != nil {
 		e.stats.AnalysisCalls++
@@ -1162,28 +1115,15 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32) kernel.Cycles {
 	var fire bool
 	if c.Fold != jit.FoldUnknown && !ctx.Mem.CodeWritten() {
 		// The value analysis decided this predicate at compile time; the
-		// evaluation (and its spill) is skipped, the verdict substituted.
-		// The virtual IfCall charge stands — folding is host-side work
-		// elimination, virtual results stay byte-identical. CodeWritten
-		// retracts the verdict if the program has modified its code since
-		// the analysis read it.
+		// evaluation is skipped, the verdict substituted. The virtual
+		// IfCall charge stands — folding is host-side work elimination,
+		// virtual results stay byte-identical. CodeWritten retracts the
+		// verdict if the program has modified its code since the
+		// analysis read it.
 		e.stats.FoldedPreds++
 		fire = c.Fold == jit.FoldTrue
-	} else if e.hoistedAt(e.idx) {
-		e.stats.HoistedSaves++
-		fire = c.If(ctx)
 	} else {
-		mask := live
-		if mask == 0 {
-			mask = allLive
-		}
-		var buf [isa.NumRegs]uint32
-		pc := ctx.Regs.PC
-		n := cpu.SaveMasked(ctx.Regs, mask, &buf)
 		fire = c.If(ctx)
-		cpu.RestoreMasked(ctx.Regs, mask, &buf)
-		ctx.Regs.PC = pc
-		e.stats.PredSaveRegs += uint64(n)
 	}
 	if fire && c.Then != nil {
 		e.stats.ThenCalls++
@@ -1191,11 +1131,4 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call, live uint32) kernel.Cycles {
 		cy += cost.ThenCall
 	}
 	return cy
-}
-
-// hoistedAt reports whether the current trace's promoted layout
-// suppressed the predicate spill at compiled instruction idx.
-func (e *Engine) hoistedAt(idx int) bool {
-	h := e.cur.Hot
-	return h != nil && h.Hoist != nil && h.Hoist[idx]
 }

@@ -21,7 +21,7 @@ import (
 // has none of).
 func normStats(s Stats) Stats {
 	s.SuperblockIns = 0
-	s.HotPromotions, s.HotIns, s.HoistedSaves, s.HotLinkHits = 0, 0, 0, 0
+	s.HotPromotions, s.HotIns, s.HotLinkHits = 0, 0, 0
 	s.WarmPromotions, s.FirstPromoDispatch = 0, 0
 	return s
 }
@@ -307,6 +307,12 @@ func TestFastPathFlushCacheClearsLinks(t *testing.T) {
 	if states[0].p.InsCount != states[1].p.InsCount {
 		t.Errorf("InsCount diverged: fast %d, slow %d", states[0].p.InsCount, states[1].p.InsCount)
 	}
+}
+
+// sealFastPaths precomputes a trace's superblock index without a static
+// analysis attached — the reference sealing path.
+func sealFastPaths(ct *jit.CompiledTrace, cost CostModel) {
+	(&Engine{Cost: cost}).seal(ct)
 }
 
 func TestSealFastPathsStructure(t *testing.T) {

@@ -82,9 +82,7 @@ func TestHotTierFlushDifferential(t *testing.T) {
 
 	// Virtual outcome: identical in every observable dimension. Stats are
 	// compared modulo the host-only hot counters (normStats) and the
-	// link-cache traffic the hot links displace (normCacheStats); the
-	// predicate spill counter is untouched here — no If-calls, so
-	// hoisting never engages and PredSaveRegs must agree exactly.
+	// link-cache traffic the hot links displace (normCacheStats).
 	compareModes(t, hot, ref)
 
 	st, cs := hot.e.Stats(), hot.e.CacheStats()
@@ -94,8 +92,7 @@ func TestHotTierFlushDifferential(t *testing.T) {
 	if st.HotPromotions < 2 {
 		t.Fatalf("want repeated promotion across flushes, got %d", st.HotPromotions)
 	}
-	if refSt := ref.e.Stats(); refSt.HotPromotions != 0 || refSt.HotIns != 0 ||
-		refSt.HoistedSaves != 0 || refSt.HotLinkHits != 0 {
+	if refSt := ref.e.Stats(); refSt.HotPromotions != 0 || refSt.HotIns != 0 || refSt.HotLinkHits != 0 {
 		t.Fatalf("-nohottier run reported hot-tier activity: %+v", refSt)
 	}
 }

@@ -66,9 +66,6 @@ func (e *Engine) tickHot(ct *jit.CompiledTrace, self bool) {
 //     the shared-state executor. (Narrowing by liveness would be unsound:
 //     SuperPin's slice-boundary fullMatch reads every architectural
 //     register, dead or not.)
-//   - Spill hoisting: inlined-predicate save/restore pairs that are
-//     dominator-redundant or loop-invariant are suppressed (see
-//     hoistFlags).
 func (e *Engine) promote(ct *jit.CompiledTrace) {
 	var promoteStart time.Time
 	if e.mPromote != nil {
@@ -79,22 +76,19 @@ func (e *Engine) promote(ct *jit.CompiledTrace) {
 	if exitCount > 0 {
 		h.NextPC = hotExit
 	}
-	if e.SA != nil {
-		if len(ct.Sblocks) > 0 {
-			h.WB = make([]uint32, len(ct.Sblocks))
-			for i := range ct.Sblocks {
-				sb := &ct.Sblocks[i]
-				n := len(sb.Block)
-				if n < minCachedRunIns {
-					continue
-				}
-				if _, _, ok := e.SA.Summary(ct.Ins[sb.Start].Addr, n); !ok {
-					continue
-				}
-				h.WB[i] = writtenMask(ct.Ins[sb.Start : sb.Start+n])
+	if e.SA != nil && len(ct.Sblocks) > 0 {
+		h.WB = make([]uint32, len(ct.Sblocks))
+		for i := range ct.Sblocks {
+			sb := &ct.Sblocks[i]
+			n := len(sb.Block)
+			if n < minCachedRunIns {
+				continue
 			}
+			if _, _, ok := e.SA.Summary(ct.Ins[sb.Start].Addr, n); !ok {
+				continue
+			}
+			h.WB[i] = writtenMask(ct.Ins[sb.Start : sb.Start+n])
 		}
-		h.Hoist = e.hoistFlags(ct, hotExit, exitCount > 0)
 	}
 	ct.Hot = h
 	if e.stats.HotPromotions == 0 {
@@ -148,108 +142,4 @@ func writtenMask(ins []jit.CompiledIns) uint32 {
 		}
 	}
 	return m
-}
-
-// hoistFlags computes which inlined-predicate spill sites a promoted
-// trace may suppress, or nil when none qualify. hotExit is the trace's
-// measured hottest exit target (valid when hasExit). A site qualifies
-// when the spill it models provably repeats work:
-//
-//   - dominator-redundant: an earlier If site in the same trace dominates
-//     it, so the identical pure-observer spill already happened on every
-//     path reaching this site within this trace body;
-//   - loop-invariant (self-loop form): the trace is self-loop-dominant
-//     (at least half its dispatches re-entered its own head) and the
-//     trace head dominates the site, so the spill repeats every
-//     iteration of a proven-hot loop;
-//   - loop-invariant (back-edge form): the trace's dominant exit jumps
-//     to a block that dominates the site — a back edge to a loop header
-//     enclosing it. SuperPin's boundary probe lands here: the forced
-//     trace split at the probe PC cuts the loop body into traces that
-//     chain through the header rather than self-looping.
-//   - all-folded (interprocedural tier): every If-call at the site
-//     carries a compile-time Fold verdict from the value analysis, so
-//     no predicate is ever evaluated there — runCall substitutes the
-//     verdicts — and the spill guards nothing. Counted separately as
-//     IPHoists.
-//
-// Either way the iterations executed before promotion already paid the
-// spill; promotion stops repaying it. Suppression is sound regardless of
-// the rule that fired: predicates are pure observers (runCall's
-// contract), so the modeled save/restore is semantically a no-op and
-// skipping it moves host work only. The dominator analysis keeps the
-// policy honest — spills are only dropped where a real binary translator
-// could prove the spilled state dead or duplicated, which is what makes
-// the HoistedSaves counter meaningful as a model of Pin's inlining
-// optimizations.
-func (e *Engine) hoistFlags(ct *jit.CompiledTrace, hotExit uint32, hasExit bool) []bool {
-	var sites []int
-	for i := range ct.Ins {
-		if hasIfCall(&ct.Ins[i]) {
-			sites = append(sites, i)
-		}
-	}
-	if len(sites) == 0 {
-		return nil
-	}
-	selfLoop := ct.SelfLoops*2 >= ct.Execs
-	hoist := make([]bool, len(ct.Ins))
-	any := false
-	for si, i := range sites {
-		addr := ct.Ins[i].Addr
-		for _, j := range sites[:si] {
-			if e.SA.Dominates(ct.Ins[j].Addr, addr) {
-				hoist[i] = true
-				break
-			}
-		}
-		if !hoist[i] && selfLoop && e.SA.Dominates(ct.Addr, addr) {
-			hoist[i] = true
-		}
-		if !hoist[i] && hasExit && e.SA.Dominates(hotExit, addr) {
-			hoist[i] = true
-		}
-		if !hoist[i] && allFolded(&ct.Ins[i]) {
-			hoist[i] = true
-			e.stats.IPHoists++
-		}
-		any = any || hoist[i]
-	}
-	if !any {
-		return nil
-	}
-	return hoist
-}
-
-// hasIfCall reports whether a compiled instruction carries at least one
-// inlined if/then predicate (the call kind that models a spill).
-func hasIfCall(ci *jit.CompiledIns) bool {
-	for i := range ci.Before {
-		if ci.Before[i].Fn == nil {
-			return true
-		}
-	}
-	for i := range ci.After {
-		if ci.After[i].Fn == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// allFolded reports whether every If-call at a compiled instruction was
-// folded by the value analysis (no predicate will ever be evaluated
-// there while the verdicts hold).
-func allFolded(ci *jit.CompiledIns) bool {
-	for i := range ci.Before {
-		if c := &ci.Before[i]; c.Fn == nil && c.Fold == jit.FoldUnknown {
-			return false
-		}
-	}
-	for i := range ci.After {
-		if c := &ci.After[i]; c.Fn == nil && c.Fold == jit.FoldUnknown {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package pin
 
 import (
-	"math/bits"
 	"testing"
 
 	"superpin/internal/asm"
@@ -10,11 +9,9 @@ import (
 	"superpin/internal/sa"
 )
 
-// saTestSrc is a counted loop with a provable exit: the static analysis
-// can see that only the loop-carried registers (r10, r11) and the exit
-// syscall's argument registers survive each instrumentation point, so
-// the predicate save/restore set shrinks from the full register file to
-// a handful.
+// saTestSrc is a counted loop with a provable exit. Its bound r11 is
+// loaded once and never written again, so the value analysis can decide
+// a comparison on it at every block head after the first.
 const saTestSrc = `
 	.entry main
 main:
@@ -48,11 +45,11 @@ func icount2Instrument(probes *uint64) func(*Engine) {
 	}
 }
 
-// TestSALivenessElision runs identical If-call instrumentation with and
-// without the analysis attached. Virtual outcomes must be identical —
-// liveness only changes which registers the host saves around a
-// predicate — while the saved-register count must shrink strictly.
-func TestSALivenessElision(t *testing.T) {
+// TestSAVirtualIdentity runs identical If-call instrumentation with and
+// without the analysis attached. Virtual outcomes and probe counts must
+// be identical — the analysis only changes host-side work — and the
+// analysis-backed predecode sharing must engage.
+func TestSAVirtualIdentity(t *testing.T) {
 	prog, err := asm.Assemble(saTestSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -96,19 +93,6 @@ func TestSALivenessElision(t *testing.T) {
 	if ss.IfCalls != rs.IfCalls || ss.IfCalls == 0 {
 		t.Errorf("IfCalls: sa %d, ref %d", ss.IfCalls, rs.IfCalls)
 	}
-	// Without analysis every predicate saves the whole file.
-	if want := rs.IfCalls * uint64(len(ref.p.Regs.R)); rs.PredSaveRegs != want {
-		t.Errorf("ref PredSaveRegs = %d, want full file %d", rs.PredSaveRegs, want)
-	}
-	// With analysis the per-predicate save set must shrink strictly.
-	if ss.PredSaveRegs == 0 || ss.PredSaveRegs >= rs.PredSaveRegs {
-		t.Errorf("PredSaveRegs not narrowed: sa %d vs ref %d", ss.PredSaveRegs, rs.PredSaveRegs)
-	}
-	// Per-probe average should be far below the 32-register file for
-	// this loop — the masks really are narrow, not just off-by-one.
-	if avg := float64(ss.PredSaveRegs) / float64(ss.IfCalls); avg > 16 {
-		t.Errorf("average save set %.1f regs, expected a narrow mask", avg)
-	}
 	// The analysis-backed predecode sharing must have engaged, and the
 	// reference engine must not report any SA activity.
 	if ss.SASharedRuns == 0 {
@@ -119,10 +103,12 @@ func TestSALivenessElision(t *testing.T) {
 	}
 }
 
-// TestSAAnnotateLiveness checks the mask stamping directly: only
-// call-carrying instructions get masks, and stamped masks match the
-// analysis queries and carry the r0 marker bit.
-func TestSAAnnotateLiveness(t *testing.T) {
+// TestSAAnnotateFolds checks fold stamping directly: a declared
+// predicate on the loop bound is decided by the value analysis at the
+// block heads it can prove, every stamped verdict matches ProveCond, and
+// the folded run fires the then-routine exactly as often as a run that
+// evaluates every predicate.
+func TestSAAnnotateFolds(t *testing.T) {
 	prog, err := asm.Assemble(saTestSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -131,35 +117,65 @@ func TestSAAnnotateLiveness(t *testing.T) {
 	if err := an.Err(); err != nil {
 		t.Fatal(err)
 	}
-	var probes uint64
+	cond := jit.Cond{Kind: jit.CondEQ, Reg: 11, Imm: 2000}
+	instrument := func(evals, hits *uint64) func(*Engine) {
+		return func(e *Engine) {
+			e.AddTraceInstrumenter(func(tr *Trace) {
+				for _, bbl := range tr.Bbls() {
+					bbl.InsHead().InsertIfCondCall(Before, func(c *Ctx) bool {
+						*evals++
+						return c.Regs.R[11] == 2000
+					}, cond)
+					bbl.InsHead().InsertThenCall(Before, func(*Ctx) { *hits++ })
+				}
+			})
+		}
+	}
+	var evalsSA, hitsSA, evalsRef, hitsRef uint64
 	s := setupMode(t, saTestSrc, kernel.DefaultConfig(), DefaultCost(), func(e *Engine) {
 		e.SA = an
-		icount2Instrument(&probes)(e)
+		instrument(&evalsSA, &hitsSA)(e)
 	})
 	if err := s.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	ref := setupMode(t, saTestSrc, kernel.DefaultConfig(), DefaultCost(), instrument(&evalsRef, &hitsRef))
+	if err := ref.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	folded := 0
 	s.e.cache.Traces(func(ct *jit.CompiledTrace) {
 		for i := range ct.Ins {
 			ci := &ct.Ins[i]
-			if len(ci.Before) > 0 {
-				if ci.LiveBefore != an.LiveIn(ci.Addr) {
-					t.Errorf("LiveBefore(%#x) = %#x, want %#x", ci.Addr, ci.LiveBefore, an.LiveIn(ci.Addr))
+			for _, c := range ci.Before {
+				res, proven := an.ProveCond(ci.Addr, sa.Cond{Kind: sa.CondKind(cond.Kind), Reg: cond.Reg, Imm: cond.Imm})
+				want := jit.FoldUnknown
+				if proven {
+					want = jit.FoldFalse
+					if res {
+						want = jit.FoldTrue
+					}
+					folded++
 				}
-				if ci.LiveBefore&1 == 0 {
-					t.Errorf("LiveBefore(%#x) missing the r0 marker bit", ci.Addr)
+				if c.Fold != want {
+					t.Errorf("%#x: fold %v, want %v (ProveCond %v, proven %v)", ci.Addr, c.Fold, want, res, proven)
 				}
-				if bits.OnesCount32(ci.LiveBefore) >= 32 {
-					t.Errorf("LiveBefore(%#x) not narrowed: %#x", ci.Addr, ci.LiveBefore)
-				}
-				checked++
-			} else if ci.LiveBefore != 0 {
-				t.Errorf("uninstrumented %#x got LiveBefore %#x", ci.Addr, ci.LiveBefore)
 			}
 		}
 	})
-	if checked == 0 {
-		t.Fatal("no instrumented instructions found in the code cache")
+	st := s.e.Stats()
+	if folded == 0 || st.FoldedSites == 0 || st.FoldedPreds == 0 {
+		t.Fatalf("nothing folded: %d stamped sites in the cache, stats %+v", folded, st)
+	}
+	if evalsSA+st.FoldedPreds != st.IfCalls || evalsRef != ref.e.Stats().IfCalls {
+		t.Errorf("evaluations: sa %d + folded %d, want %d IfCalls; ref %d of %d",
+			evalsSA, st.FoldedPreds, st.IfCalls, evalsRef, ref.e.Stats().IfCalls)
+	}
+	if hitsSA != hitsRef || hitsSA == 0 {
+		t.Errorf("then-calls diverged: sa %d, ref %d", hitsSA, hitsRef)
+	}
+	if s.p.CPUTime != ref.p.CPUTime {
+		t.Errorf("virtual time diverged: sa %d, ref %d", s.p.CPUTime, ref.p.CPUTime)
 	}
 }

@@ -42,9 +42,8 @@ func NewWatch(out io.Writer, reg uint8, fence uint32) *Watch {
 
 // NewWatchOpaque is NewWatch without the shape declaration: the
 // predicate is inserted as a plain InsertIfCall the engine cannot fold,
-// so every check evaluates (and spills) at run time. It exists to
-// measure the liveness tier in isolation — same checks, same counts,
-// only the save/restore masks move.
+// so every check evaluates at run time — same checks, same counts as
+// NewWatch, with the value analysis out of the picture.
 func NewWatchOpaque(out io.Writer, reg uint8, fence uint32) *Watch {
 	return &Watch{reg: reg, fence: fence, out: out}
 }

@@ -35,10 +35,10 @@ go build ./...
 echo "== go test =="
 go test -timeout 5m ./...
 
-echo "== go test -race (engine packages + harness) =="
+echo "== go test -race (engine packages + harness + tools) =="
 go test -race -timeout 5m ./internal/cpu/... ./internal/kernel/... ./internal/core/... ./internal/jit/... \
     ./internal/mem/... ./internal/bench/... ./internal/obs/... ./internal/artifact/... \
-    ./internal/telemetry/... ./internal/sa/... ./internal/pin/... ./internal/tools/...
+    ./internal/telemetry/... ./internal/sa/... ./internal/pin/... ./internal/tools/... ./tools/...
 
 echo "== benchmarks compile and run once =="
 go test -timeout 5m -run='^$' -bench=. -benchtime=1x ./...

@@ -8,6 +8,10 @@
 // retired-instruction count, and /trace parsed as a Chrome trace with at
 // least one event. The wrapped command must also exit cleanly.
 //
+// The command runs in its own process group, and telsmoke kills the whole
+// group before it returns, so a server the command started (go run's
+// compiled child, say) never outlives a failed smoke.
+//
 //	go run ./tools/cmd/telsmoke -- \
 //	    go run ./cmd/spbench -exp fig3 -scale 1 -benchmarks gzip,gcc,mgrid -serve 127.0.0.1:0
 package main
@@ -22,8 +26,21 @@ import (
 	"os/exec"
 	"regexp"
 	"strings"
+	"syscall"
 	"time"
 )
+
+// announceTimeout bounds the wait for the serving line, and pollTimeout
+// the mid-run polling that follows it. Variables so tests can shorten
+// them.
+var (
+	announceTimeout = 30 * time.Second
+	pollTimeout     = 60 * time.Second
+)
+
+// client bounds each endpoint request, so one unanswered poll cannot
+// outlast pollTimeout by more than this.
+var client = &http.Client{Timeout: 5 * time.Second}
 
 // serveRe matches the telemetry plane's startup announcement.
 var serveRe = regexp.MustCompile(`telemetry: serving on http://(\S+)`)
@@ -50,6 +67,7 @@ func run(args []string) error {
 
 	cmd := exec.Command(args[0], args[1:]...)
 	cmd.Stdout = io.Discard
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return err
@@ -57,6 +75,11 @@ func run(args []string) error {
 	if err := cmd.Start(); err != nil {
 		return err
 	}
+	// The group id is the leader's pid. Killing the group on the way out
+	// reaches everything the command started; on a clean exit the group
+	// is already empty and the kill is a no-op.
+	pgid := cmd.Process.Pid
+	defer syscall.Kill(-pgid, syscall.SIGKILL)
 
 	// Scan stderr for the serving line, echoing everything else through
 	// so failures of the wrapped command stay diagnosable.
@@ -84,9 +107,8 @@ func run(args []string) error {
 	case addr = <-addrCh:
 	case err := <-done:
 		return fmt.Errorf("command exited (%v) before announcing a telemetry address", err)
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return fmt.Errorf("no 'telemetry: serving on' line within 30s")
+	case <-time.After(announceTimeout):
+		return fmt.Errorf("no 'telemetry: serving on' line within %v", announceTimeout)
 	}
 	base := "http://" + addr
 
@@ -94,6 +116,7 @@ func run(args []string) error {
 	// the wrapped command is still running when it completes — that is
 	// what makes this a *live* telemetry test.
 	var lastErr error
+	deadline := time.Now().Add(pollTimeout)
 	verified := false
 	for !verified {
 		select {
@@ -103,6 +126,9 @@ func run(args []string) error {
 			}
 			return fmt.Errorf("no successful mid-run poll before exit (%v): %w", err, lastErr)
 		default:
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("no successful poll of %s within %v: %w", base, pollTimeout, lastErr)
 		}
 		if err := pollOnce(base); err != nil {
 			lastErr = err
@@ -191,7 +217,7 @@ func pollOnce(base string) error {
 }
 
 func get(url string) ([]byte, error) {
-	resp, err := http.Get(url)
+	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
 	}
