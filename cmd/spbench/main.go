@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -39,14 +40,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "spbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one invocation: tables and the elapsed line go to stdout,
+// diagnostics and the telemetry announcement to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("spbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		exp        = fs.String("exp", "all", "experiment: all|fig3|fig4|fig5|fig6|fig7|sigstats|ablations|diff")
 		scale      = fs.Float64("scale", 0.25, "workload scale (1.0 = full size)")
@@ -90,7 +94,7 @@ func run(args []string) error {
 	if *memProf != "" {
 		defer func() {
 			if err := writeMemProfile(*memProf); err != nil {
-				fmt.Fprintln(os.Stderr, "spbench: memprofile:", err)
+				fmt.Fprintln(stderr, "spbench: memprofile:", err)
 			}
 		}()
 	}
@@ -126,6 +130,7 @@ func run(args []string) error {
 		ServeAddr: *serveAddr,
 		LastGasp:  *lastGasp,
 		FlightCap: *flightCap,
+		Log:       stderr,
 	})
 	if err != nil {
 		return err
@@ -136,7 +141,7 @@ func run(args []string) error {
 	cfg.LiveTrace = plane.Tracer
 
 	emit := func(name string, t *report.Table) error {
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 		if *csvDir == "" {
 			return nil
 		}
@@ -252,13 +257,13 @@ func run(args []string) error {
 		if err := emit("diff", bench.DiffTable(reports)); err != nil {
 			return err
 		}
-		fmt.Println(bench.DiffArms())
+		fmt.Fprintln(stdout, bench.DiffArms())
 		ran = true
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	fmt.Printf("(scale %.2f, timeslice %.0f ms, elapsed %s)\n", cfg.Scale, cfg.TimesliceMSec, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "(scale %.2f, timeslice %.0f ms, elapsed %s)\n", cfg.Scale, cfg.TimesliceMSec, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,10 +15,20 @@ import (
 	"superpin/internal/bench"
 )
 
+// TestMain clears the environment defaults of -serve, -lastgasp and
+// -cachedir, so a shell that exports them cannot make these tests serve
+// on a fixed port, arm signal handlers or write a shared cache.
+func TestMain(m *testing.M) {
+	for _, v := range []string{"SUPERPIN_SERVE", "SUPERPIN_LASTGASP", "SUPERPIN_CACHE"} {
+		os.Unsetenv(v)
+	}
+	os.Exit(m.Run())
+}
+
 func TestRunSingleExperimentWithCSV(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-exp", "sigstats", "-scale", "0.02", "-benchmarks", "gzip", "-csv", dir}
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "sigstats.csv"))
@@ -30,7 +41,7 @@ func TestRunSingleExperimentWithCSV(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "fig99"}); err == nil {
+	if err := run([]string{"-exp", "fig99"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -53,7 +64,7 @@ func diffRow(t *testing.T) map[string]string {
 		}
 		defer os.RemoveAll(dir)
 		args := []string{"-exp", "diff", "-scale", "0.02", "-benchmarks", "gzip", "-j", "1", "-csv", dir}
-		if diffOnce.err = run(args); diffOnce.err != nil {
+		if diffOnce.err = run(args, io.Discard, io.Discard); diffOnce.err != nil {
 			return
 		}
 		f, err := os.Open(filepath.Join(dir, "diff.csv"))
@@ -117,7 +128,7 @@ func TestRunCacheDiffExperiment(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-nosuchflag"}); err == nil {
+	if err := run([]string{"-nosuchflag"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }
@@ -129,22 +140,22 @@ func TestRunRejectsBadHarnessInput(t *testing.T) {
 	fig3 := func(extra ...string) []string {
 		return append([]string{"-exp", "fig3", "-scale", "0.01"}, extra...)
 	}
-	if err := run(fig3("-benchmarks", "gzip", "-j", "-3")); err == nil || !strings.Contains(err.Error(), "-j") {
+	if err := run(fig3("-benchmarks", "gzip", "-j", "-3"), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-j") {
 		t.Errorf("-j -3: err = %v", err)
 	}
-	if err := run(fig3("-benchmarks", "gzip,gzip")); err == nil || !strings.Contains(err.Error(), "twice") {
+	if err := run(fig3("-benchmarks", "gzip,gzip"), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("-benchmarks gzip,gzip: err = %v", err)
 	}
 	for _, v := range []string{"abc", "0", "-2"} {
 		t.Setenv(bench.WorkersEnv, v)
-		if err := run(fig3("-benchmarks", "gzip")); err == nil || !strings.Contains(err.Error(), bench.WorkersEnv) {
+		if err := run(fig3("-benchmarks", "gzip"), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), bench.WorkersEnv) {
 			t.Errorf("%s=%s: err = %v", bench.WorkersEnv, v, err)
 		}
 	}
 }
 
 func TestRunHelpIsNotAnError(t *testing.T) {
-	if err := run([]string{"-h"}); err != nil {
+	if err := run([]string{"-h"}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("run(-h): %v", err)
 	}
 }
@@ -152,7 +163,7 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 func TestRunTraceDir(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-exp", "fig3", "-scale", "0.02", "-benchmarks", "gzip", "-trace-dir", dir}
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "gzip.icount1.trace.json"))
@@ -169,7 +180,7 @@ func TestRunTraceDir(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if err := run([]string{"-exp", "fig3", "-scale", "0.01", "-benchmarks", "nope"}); err == nil {
+	if err := run([]string{"-exp", "fig3", "-scale", "0.01", "-benchmarks", "nope"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -186,7 +197,7 @@ func TestRunWarmstartAndCacheDir(t *testing.T) {
 		out := filepath.Join(dir, pass)
 		args := []string{"-exp", "fig3", "-scale", "0.02", "-benchmarks", "gzip,mgrid",
 			"-j", "2", "-cachedir", cache, "-csv", out}
-		if err := run(args); err != nil {
+		if err := run(args, io.Discard, io.Discard); err != nil {
 			t.Fatalf("%s pass: %v", pass, err)
 		}
 		data, err := os.ReadFile(filepath.Join(out, "fig3.csv"))
@@ -218,7 +229,7 @@ func TestRunCacheDirUnusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cd := range []string{file, filepath.Join(file, "sub")} {
-		if err := run([]string{"-exp", "fig3", "-scale", "0.01", "-benchmarks", "gzip", "-cachedir", cd}); err == nil {
+		if err := run([]string{"-exp", "fig3", "-scale", "0.01", "-benchmarks", "gzip", "-cachedir", cd}, io.Discard, io.Discard); err == nil {
 			t.Errorf("-cachedir %s accepted", cd)
 		}
 	}

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// TestMain clears the environment defaults of -serve, -lastgasp and
+// -cachedir, so a shell that exports them cannot make these tests serve
+// on a fixed port, arm signal handlers or write a shared cache.
+func TestMain(m *testing.M) {
+	for _, v := range []string{"SUPERPIN_SERVE", "SUPERPIN_LASTGASP", "SUPERPIN_CACHE"} {
+		os.Unsetenv(v)
+	}
+	os.Exit(m.Run())
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	cases := [][]string{
 		{},                                  // no app

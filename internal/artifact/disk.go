@@ -29,7 +29,7 @@ import (
 // well-formed file, which is the same trust level as the binary itself.
 const (
 	diskMagic     = "SPAC"
-	formatVersion = 1
+	formatVersion = 2
 	headerSize    = 4 + 2 + 1 + 32 + 4
 )
 

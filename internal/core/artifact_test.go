@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"superpin/internal/artifact"
@@ -218,5 +222,72 @@ func TestArtifactWarmSeedSharedAcrossRuns(t *testing.T) {
 	if second.Engine.FirstPromoDispatch >= first.Engine.FirstPromoDispatch {
 		t.Fatalf("warm first promotion at dispatch %d, cold at %d — no warm start",
 			second.Engine.FirstPromoDispatch, first.Engine.FirstPromoDispatch)
+	}
+}
+
+// v1SeedFile returns a disk-cache seed entry in the version-1 format:
+// the "SPAC" header stamped version 1, and 32-byte warm records that
+// still carried a self-loop counter between Execs and HotExit.
+func v1SeedFile(key artifact.Key, pc uint32) []byte {
+	payload := binary.LittleEndian.AppendUint32(nil, 1) // one record
+	payload = binary.LittleEndian.AppendUint32(payload, pc)
+	payload = binary.LittleEndian.AppendUint64(payload, 1000) // Execs
+	payload = binary.LittleEndian.AppendUint64(payload, 999)  // SelfLoops
+	payload = binary.LittleEndian.AppendUint32(payload, pc)   // HotExit
+	payload = binary.LittleEndian.AppendUint64(payload, 999)  // HotCount
+	buf := []byte("SPAC")
+	buf = binary.LittleEndian.AppendUint16(buf, 1) // format version
+	buf = append(buf, 3)                           // seed kind
+	buf = append(buf, key[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	sum := sha256.Sum256(payload)
+	return append(buf, sum[:]...)
+}
+
+// TestArtifactV1SeedIsAMiss: a cache directory holding a warm seed in
+// the previous on-disk format is never decoded. The old file name is not
+// looked up, and an old header under the current name fails validation.
+// Either way the run counts a seed miss, warm-promotes nothing and
+// matches a cold run exactly.
+func TestArtifactV1SeedIsAMiss(t *testing.T) {
+	cfg := testKernelCfg()
+	cost := pin.DefaultCost()
+	cost.HotThreshold = 16
+	prog := func() *asm.Program { return buildWorkload(t, 3000, 31, kernel.SysRand) }
+
+	factory, _ := newIcount()
+	cold, err := RunPin(cfg, prog(), factory, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog()
+	key := artifact.KeyOf(p)
+	file := v1SeedFile(key, p.Entry)
+
+	for _, name := range []string{"v1", "v2"} {
+		t.Run("named "+name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, key.String()+".seed."+name)
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store, err := artifact.NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _ := newIcount()
+			res, err := RunPinCached(cfg, prog(), f, cost, 0, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPinResult(t, name, res, cold)
+			if res.Engine.WarmPromotions != 0 {
+				t.Fatalf("run warm-promoted from a v1 seed: %+v", res.Engine)
+			}
+			if st := store.Stats(); st.SeedHits != 0 || st.SeedMisses == 0 {
+				t.Fatalf("v1 seed not counted as a miss: %+v", st)
+			}
+		})
 	}
 }

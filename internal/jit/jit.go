@@ -229,16 +229,14 @@ type CompiledTrace struct {
 	Sblocks []Superblock
 	RunAt   []int32
 
-	// Execs and SelfLoops count dispatches into this trace (SelfLoops the
-	// subset that re-entered through the self-loop shortcut), and Exits
-	// profiles where the trace's exits transferred to. The pin engine
-	// maintains them until Execs crosses its hotness threshold, then
-	// promotes the trace and stops counting. All three are host-side
-	// tier-up state: they steer execution strategy, never virtual cycles,
-	// and like the trace itself they are private to the owning engine.
-	Execs     uint64
-	SelfLoops uint64
-	Exits     prof.ExitHist
+	// Execs counts dispatches into this trace, and Exits profiles where
+	// the trace's exits transferred to. The pin engine maintains them
+	// until Execs crosses its hotness threshold, then promotes the trace
+	// and stops counting. Both are host-side tier-up state: they steer
+	// execution strategy, never virtual cycles, and like the trace itself
+	// they are private to the owning engine.
+	Execs uint64
+	Exits prof.ExitHist
 
 	// Hot is the second-tier compilation artifact; nil until promotion.
 	Hot *HotTrace

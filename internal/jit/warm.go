@@ -23,10 +23,9 @@ type WarmSeed struct {
 
 // WarmEntry is the harvested hotness of one trace.
 type WarmEntry struct {
-	Execs     uint64
-	SelfLoops uint64
-	HotExit   uint32 // hottest recorded exit target (meaningful when HotCount > 0)
-	HotCount  uint64
+	Execs    uint64
+	HotExit  uint32 // hottest recorded exit target (meaningful when HotCount > 0)
+	HotCount uint64
 }
 
 // NewWarmSeed returns an empty seed.
@@ -57,7 +56,6 @@ func (w *WarmSeed) Lookup(pc uint32) (WarmEntry, bool) {
 func (w *WarmSeed) record(pc uint32, o WarmEntry) {
 	e := w.Entries[pc]
 	e.Execs += o.Execs
-	e.SelfLoops += o.SelfLoops
 	if o.HotCount > e.HotCount ||
 		(o.HotCount == e.HotCount && o.HotCount > 0 && o.HotExit < e.HotExit) {
 		e.HotExit, e.HotCount = o.HotExit, o.HotCount
@@ -76,10 +74,9 @@ func (w *WarmSeed) Harvest(c *CodeCache) {
 			return
 		}
 		w.record(ct.Addr, WarmEntry{
-			Execs:     ct.Execs,
-			SelfLoops: ct.SelfLoops,
-			HotExit:   pc,
-			HotCount:  cnt,
+			Execs:    ct.Execs,
+			HotExit:  pc,
+			HotCount: cnt,
 		})
 	})
 }
@@ -94,8 +91,9 @@ func (w *WarmSeed) Merge(other *WarmSeed) {
 	}
 }
 
-// warmRec is the fixed-width on-disk record: pc + the four counters.
-const warmRec = 4 + 8 + 8 + 4 + 8
+// warmRec is the fixed-width on-disk record: pc, Execs, HotExit and
+// HotCount.
+const warmRec = 4 + 8 + 4 + 8
 
 // EncodeWarmSeed serializes the seed sorted by trace PC, so identical
 // seeds always produce identical bytes.
@@ -114,9 +112,8 @@ func EncodeWarmSeed(w *WarmSeed) []byte {
 		e := w.Entries[pc]
 		binary.LittleEndian.PutUint32(rec[0:], pc)
 		binary.LittleEndian.PutUint64(rec[4:], e.Execs)
-		binary.LittleEndian.PutUint64(rec[12:], e.SelfLoops)
-		binary.LittleEndian.PutUint32(rec[20:], e.HotExit)
-		binary.LittleEndian.PutUint64(rec[24:], e.HotCount)
+		binary.LittleEndian.PutUint32(rec[12:], e.HotExit)
+		binary.LittleEndian.PutUint64(rec[16:], e.HotCount)
 		out = append(out, rec[:]...)
 	}
 	return out
@@ -139,10 +136,9 @@ func DecodeWarmSeed(data []byte) (*WarmSeed, error) {
 			return nil, fmt.Errorf("warm seed: duplicate trace %#x", pc)
 		}
 		w.Entries[pc] = WarmEntry{
-			Execs:     binary.LittleEndian.Uint64(data[4:]),
-			SelfLoops: binary.LittleEndian.Uint64(data[12:]),
-			HotExit:   binary.LittleEndian.Uint32(data[20:]),
-			HotCount:  binary.LittleEndian.Uint64(data[24:]),
+			Execs:    binary.LittleEndian.Uint64(data[4:]),
+			HotExit:  binary.LittleEndian.Uint32(data[12:]),
+			HotCount: binary.LittleEndian.Uint64(data[16:]),
 		}
 		data = data[warmRec:]
 	}

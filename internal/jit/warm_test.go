@@ -7,10 +7,10 @@ import (
 
 func TestWarmSeedMergeCommutative(t *testing.T) {
 	a := NewWarmSeed()
-	a.record(0x100, WarmEntry{Execs: 10, SelfLoops: 2, HotExit: 0x200, HotCount: 7})
+	a.record(0x100, WarmEntry{Execs: 10, HotExit: 0x200, HotCount: 7})
 	a.record(0x300, WarmEntry{Execs: 1})
 	b := NewWarmSeed()
-	b.record(0x100, WarmEntry{Execs: 5, SelfLoops: 1, HotExit: 0x180, HotCount: 7})
+	b.record(0x100, WarmEntry{Execs: 5, HotExit: 0x180, HotCount: 7})
 	b.record(0x400, WarmEntry{Execs: 40, HotExit: 0x100, HotCount: 39})
 
 	ab := NewWarmSeed()
@@ -23,7 +23,7 @@ func TestWarmSeedMergeCommutative(t *testing.T) {
 		t.Fatalf("merge is not commutative:\n a+b=%v\n b+a=%v", ab.Entries, ba.Entries)
 	}
 	got := ab.Entries[0x100]
-	want := WarmEntry{Execs: 15, SelfLoops: 3, HotExit: 0x180, HotCount: 7}
+	want := WarmEntry{Execs: 15, HotExit: 0x180, HotCount: 7}
 	if got != want {
 		t.Fatalf("merged 0x100 = %+v, want %+v (counters sum, exit ties break low)", got, want)
 	}
@@ -49,9 +49,13 @@ func TestWarmSeedNilSafe(t *testing.T) {
 
 func TestWarmSeedEncodeDecode(t *testing.T) {
 	w := NewWarmSeed()
-	w.record(0x2000, WarmEntry{Execs: 123, SelfLoops: 45, HotExit: 0x2040, HotCount: 99})
+	w.record(0x2000, WarmEntry{Execs: 123, HotExit: 0x2040, HotCount: 99})
 	w.record(0x1000, WarmEntry{Execs: 1})
 	blob := EncodeWarmSeed(w)
+	// A count header and two 24-byte records: pc, Execs, HotExit, HotCount.
+	if len(blob) != 4+2*24 {
+		t.Fatalf("encoded seed = %d bytes, want %d", len(blob), 4+2*24)
+	}
 	// Deterministic bytes regardless of map order: re-encode matches.
 	if got := EncodeWarmSeed(w); !reflect.DeepEqual(got, blob) {
 		t.Fatal("encoding is not deterministic")

@@ -585,7 +585,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 				}
 				e.cur, e.idx = ct, 0
 			}
-			e.tickHot(e.cur, false)
+			e.tickHot(e.cur)
 			hasRuns = fast && e.cur.RunAt != nil
 		}
 
@@ -811,7 +811,7 @@ func (e *Engine) selfLoop(used *kernel.Cycles) {
 	}
 	e.stats.Dispatches++
 	e.cache.RecordLookup(true)
-	e.tickHot(e.cur, true)
+	e.tickHot(e.cur)
 	e.idx = 0
 }
 

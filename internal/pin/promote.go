@@ -40,14 +40,11 @@ const minCachedRunIns = 4
 // counts are a pure function of the guest's virtual execution, so
 // promotion points — and everything derived from them — are identical in
 // every execution mode.
-func (e *Engine) tickHot(ct *jit.CompiledTrace, self bool) {
+func (e *Engine) tickHot(ct *jit.CompiledTrace) {
 	if !e.hotTier || ct.Hot != nil {
 		return
 	}
 	ct.Execs++
-	if self {
-		ct.SelfLoops++
-	}
 	if ct.Execs >= e.hotThr {
 		e.promote(ct)
 	}
@@ -114,7 +111,6 @@ func (e *Engine) applyWarm(ct *jit.CompiledTrace) {
 		return
 	}
 	ct.Execs = w.Execs
-	ct.SelfLoops = w.SelfLoops
 	ct.Exits.Seed(w.HotExit, w.HotCount)
 	if ct.Execs >= e.hotThr {
 		e.promote(ct)

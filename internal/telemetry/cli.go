@@ -87,10 +87,12 @@ func StartPlane(o PlaneOptions) (*Plane, error) {
 	return p, nil
 }
 
-// Close stops the HTTP server (nil-safe; inert planes have none).
+// Close disarms the last-gasp signal handler and stops the HTTP server
+// (nil-safe; inert planes have neither).
 func (p *Plane) Close() error {
 	if p == nil {
 		return nil
 	}
+	p.Recorder.disarmLastGasp()
 	return p.Server.Close()
 }

@@ -28,7 +28,8 @@ import (
 // a "last-gasp" Perfetto dump on SIGTERM or panic. A nil *Recorder is a
 // valid no-op, mirroring the obs types.
 type Recorder struct {
-	tr *obs.Tracer
+	tr     *obs.Tracer
+	disarm func() // stops the armed last-gasp handler; nil when unarmed
 
 	mu     sync.Mutex
 	dumped bool // last-gasp written; don't double-dump on signal+defer
@@ -103,15 +104,25 @@ func (r *Recorder) DumpTo(path string) error {
 // ArmLastGasp installs a SIGTERM/SIGINT handler that dumps the ring to
 // path and exits with the conventional fatal-signal status. Call once,
 // from the CLI, after the recorder is wired into the run; pair it with
-// a deferred DumpOnPanic for the panic half.
+// a deferred DumpOnPanic for the panic half. Plane.Close disarms it.
 func (r *Recorder) ArmLastGasp(path string) {
 	if r == nil || path == "" {
 		return
 	}
 	ch := make(chan os.Signal, 1)
+	stop := make(chan struct{})
 	signal.Notify(ch, syscall.SIGTERM, os.Interrupt)
+	r.disarm = sync.OnceFunc(func() {
+		signal.Stop(ch)
+		close(stop)
+	})
 	go func() {
-		sig := <-ch
+		var sig os.Signal
+		select {
+		case sig = <-ch:
+		case <-stop:
+			return
+		}
 		if err := r.DumpTo(path); err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry: last-gasp dump failed: %v\n", err)
 		} else {
@@ -123,6 +134,14 @@ func (r *Recorder) ArmLastGasp(path string) {
 		}
 		os.Exit(1)
 	}()
+}
+
+// disarmLastGasp stops the handler ArmLastGasp installed and ends its
+// goroutine. Nil-safe and idempotent.
+func (r *Recorder) disarmLastGasp() {
+	if r != nil && r.disarm != nil {
+		r.disarm()
+	}
 }
 
 // DumpOnPanic is the panic half of the last gasp: call it deferred

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"superpin/internal/obs"
 )
@@ -207,4 +209,31 @@ func TestStatusMIPSNow(t *testing.T) {
 		t.Errorf("second scrape guest_mips_now = %v, want > 0", st.GuestMIPSNow)
 	}
 	fmt.Fprintln(io.Discard, st.GuestMIPSNow)
+}
+
+// TestPlaneCloseDisarmsLastGasp: Close stops the last-gasp signal
+// handler and ends its goroutine, so a closed plane can neither dump to
+// a stale path nor exit the process on SIGTERM, and planes started in
+// one process do not pile up handlers.
+func TestPlaneCloseDisarmsLastGasp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lastgasp.json")
+	start := func() {
+		p, err := StartPlane(PlaneOptions{LastGasp: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		p.Close() // idempotent
+	}
+	// The first plane also starts os/signal's process-lifetime watcher;
+	// the baseline is taken after it.
+	start()
+	baseline := runtime.NumGoroutine()
+	start()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Close, want the baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -1,11 +1,25 @@
 #!/bin/sh
-# Repository check gate: static checks, the full test suite, the
-# race-detector pass over the parallel experiment harness, the
-# differential harness over the full catalog and the live-telemetry
-# smoke. It writes nothing into the working tree. Host speed is not
-# gated here: `go run ./benchmark` measures it (see benchmark/README.md).
+# Repository check gate. It starts no server and backgrounds nothing, and
+# it writes nothing into the working tree. Steps, in order:
 #
-#   scripts/check.sh          # everything below
+#   gofmt        every Go file is formatted
+#   go vet       the standard vet passes over every package
+#   go build     every package and command compiles
+#   go test      the full suite, which includes the repository's own vet
+#                passes (tools/analyzers/obsguard and detguard, each
+#                checking its engine packages in TestEnginePackagesClean)
+#                and the in-process live-telemetry smoke
+#                (cmd/spbench TestServeLiveTelemetry)
+#   go test -race  the engine packages, the harness and the tools, plus
+#                the live-telemetry smoke
+#   benchmarks   every Go benchmark compiles and runs once
+#   diff         the differential harness: every host-side arm against
+#                the reference configuration over the full catalog
+#
+# Host speed is not gated here: `go run ./benchmark` measures it (see
+# benchmark/README.md).
+#
+#   scripts/check.sh          # everything above
 #
 # Intended to be the single command CI runs.
 set -eu
@@ -23,31 +37,22 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== obsguard (obs zero-cost nil-guard invariant) =="
-go run ./tools/analyzers/cmd/obsguard internal/pin internal/cpu internal/kernel internal/core internal/artifact internal/jit internal/telemetry
-
-echo "== detguard (engine determinism: map ranges, time.Now, math/rand) =="
-go run ./tools/analyzers/cmd/detguard internal/cpu internal/mem internal/pin internal/jit internal/core internal/sa internal/kernel
-
 echo "== go build =="
 go build ./...
 
 echo "== go test =="
 go test -timeout 5m ./...
 
-echo "== go test -race (engine packages + harness + tools) =="
+echo "== go test -race (engine packages + harness + tools + telemetry smoke) =="
 go test -race -timeout 5m ./internal/cpu/... ./internal/kernel/... ./internal/core/... ./internal/jit/... \
     ./internal/mem/... ./internal/bench/... ./internal/obs/... ./internal/artifact/... \
     ./internal/telemetry/... ./internal/sa/... ./internal/pin/... ./internal/tools/... ./tools/...
+go test -race -timeout 5m -run '^TestServeLiveTelemetry$' ./cmd/spbench
 
 echo "== benchmarks compile and run once =="
 go test -timeout 5m -run='^$' -bench=. -benchtime=1x ./...
 
 echo "== differential harness (every host-side arm vs the reference, full catalog) =="
 go run ./cmd/spbench -exp diff -scale 0.02
-
-echo "== live telemetry smoke (mid-run /healthz /metrics /status /trace) =="
-go run ./tools/cmd/telsmoke -- \
-    go run ./cmd/spbench -exp fig3 -scale 1 -benchmarks gzip,gcc,mgrid -serve 127.0.0.1:0
 
 echo "ok"

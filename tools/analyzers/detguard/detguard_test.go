@@ -59,11 +59,11 @@ func wantLines(t *testing.T, path string) map[int]bool {
 // TestEnginePackagesClean pins the determinism contract over the
 // packages whose outputs must be byte-identical across runs: any
 // unannotated map range, unguarded time.Now or math/rand import added
-// there turns this red (and scripts/check.sh runs the same gate via
-// the CLI).
+// there turns this red. This test is the gate: the pass has no CLI.
 func TestEnginePackagesClean(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
-	for _, pkg := range []string{"internal/cpu", "internal/mem", "internal/pin", "internal/jit", "internal/core", "internal/sa"} {
+	for _, pkg := range []string{"internal/cpu", "internal/mem", "internal/pin", "internal/jit",
+		"internal/core", "internal/sa", "internal/kernel"} {
 		pkg := pkg
 		t.Run(pkg, func(t *testing.T) {
 			findings, err := CheckDir(filepath.Join(root, pkg))

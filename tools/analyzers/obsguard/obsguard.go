@@ -37,7 +37,6 @@ import (
 	"go/token"
 	"go/types"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -330,18 +329,4 @@ func terminates(stmt ast.Stmt) bool {
 		}
 	}
 	return false
-}
-
-// CheckDirs runs CheckDir over several package directories (non-
-// recursive), concatenating findings.
-func CheckDirs(dirs []string) ([]Finding, error) {
-	var all []Finding
-	for _, d := range dirs {
-		fs, err := CheckDir(filepath.Clean(d))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", d, err)
-		}
-		all = append(all, fs...)
-	}
-	return all, nil
 }
