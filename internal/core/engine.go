@@ -253,13 +253,19 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 	}
 	regs := cpu.Regs{PC: program.Entry}
 	regs.R[isa.RegSP] = DefaultStackTop
-	runner := kernel.NativeRunner{MemSurcharge: opts.NativeMemSurcharge}
+	var runner kernel.Runner
 	if opts.Detector == DetectorIPHistory {
+		// Branch-tracing needs every instruction pointer: the master
+		// steps through cpu.Step, and its threads share the runner.
 		e.masterRing = kernel.NewIPRing(opts.IPHistoryLen)
-		runner.Ring = e.masterRing
-		runner.RingCost = 1
+		runner = kernel.NativeRunner{MemSurcharge: opts.NativeMemSurcharge, Ring: e.masterRing, RingCost: 1}
+	} else {
+		interp := k.Config().Cost.InterpCost
+		runner = nativeRunner(interp, opts.NativeMemSurcharge)
+		// Master threads each get their own engine.
+		k.ThreadRunner = func(*kernel.Proc) kernel.Runner { return nativeRunner(interp, opts.NativeMemSurcharge) }
 	}
-	e.master = k.Spawn("master", m, regs, nativeRunner(runner))
+	e.master = k.Spawn("master", m, regs, runner)
 	e.master.Hook = e
 	if opts.ProfInterval > 0 {
 		// The master's probe only maintains the shadow stack (observer

@@ -25,11 +25,15 @@ type NativeResult struct {
 	Profile *prof.Profile
 }
 
-// nativeRunner is the Runner of every uninstrumented execution: native
-// baseline runs and the SuperPin master. It is a variable only so the
-// package's tests can substitute a single-step reference runner and check
-// that the batched one is indistinguishable from it.
-var nativeRunner = func(r kernel.NativeRunner) kernel.Runner { return r }
+// nativeRunner returns the Runner of one uninstrumented process (a
+// native baseline run, the SuperPin master, or one of their threads): a
+// Pin engine with no tool under the native charge profile, interp being
+// the kernel's InterpCost. It is a variable only so the package's tests
+// can substitute kernel.NativeRunner, the cpu.Step reference, and check
+// that the engine is indistinguishable from it.
+var nativeRunner = func(interp, memSurcharge kernel.Cycles) kernel.Runner {
+	return pin.NewEngine(pin.NativeCost(interp, memSurcharge))
+}
 
 // RunNative executes program natively (no instrumentation, no monitoring)
 // on a fresh kernel — the "native" bar of the paper's figures.
@@ -45,9 +49,10 @@ func RunNativeProf(cfg kernel.Config, program *asm.Program, memSurcharge kernel.
 }
 
 // RunNativeCached is RunNativeProf sharing predecoded pages through an
-// artifact store (nil runs uncached). A native run has no engine, so the
-// store contributes predecode adoption only — still the dominant
-// per-run decode cost for short executions.
+// artifact store (nil runs uncached). A native run's engine carries no
+// tool and no static analysis, so the store contributes predecode
+// adoption only — still the dominant per-run decode cost for short
+// executions.
 func RunNativeCached(cfg kernel.Config, program *asm.Program, memSurcharge kernel.Cycles, profInterval uint64, store *artifact.Store) (*NativeResult, error) {
 	k := kernel.New(cfg)
 	m := mem.New()
@@ -57,7 +62,11 @@ func RunNativeCached(cfg kernel.Config, program *asm.Program, memSurcharge kerne
 	}
 	regs := cpu.Regs{PC: program.Entry}
 	regs.R[isa.RegSP] = DefaultStackTop
-	p := k.Spawn("native", m, regs, nativeRunner(kernel.NativeRunner{MemSurcharge: memSurcharge}))
+	interp := cfg.Cost.InterpCost
+	// Each thread gets its own engine: an engine holds one process's
+	// execution position.
+	k.ThreadRunner = func(*kernel.Proc) kernel.Runner { return nativeRunner(interp, memSurcharge) }
+	p := k.Spawn("native", m, regs, nativeRunner(interp, memSurcharge))
 	var probe *prof.Probe
 	if profInterval > 0 {
 		probe = prof.NewProbe(profInterval)

@@ -17,10 +17,11 @@ type BlockIns struct {
 
 // ExecBlock executes up to max instructions of block, a predecoded
 // straight-line run whose first instruction is at r.PC. It is the
-// batched inner loop of the Pin engine's superblock fast path: no
-// per-instruction cost accounting happens here, so the caller charges
-// the run's cycles, instruction counts and copy-on-write costs once from
-// the returned count.
+// batched inner loop of the Pin engine's superblock fast path: the
+// common opcodes are inlined into the loop (no per-instruction Exec
+// call), and no per-instruction cost accounting happens here, so the
+// caller charges the run's cycles, instruction counts and copy-on-write
+// costs once from the returned count.
 //
 // Execution stops, returning the number of instructions that completed,
 // when any of the following occurs:
@@ -31,8 +32,9 @@ type BlockIns struct {
 //     reference loop, which finishes an instruction before checking
 //     where it went;
 //   - the instruction raised an event (ev != EvNone) — counted;
-//   - m.CopyEvents advanced past cowStart (a copy-on-write fault) —
-//     counted, so the caller can charge the copy at the exact
+//   - m.CopyEvents advanced past cowStart (a copy-on-write fault, or a
+//     store into code an engine translated) — counted, so the caller
+//     can charge the copy, or drop the stale translation, at the exact
 //     instruction that triggered it;
 //   - the instruction faulted (err != nil) — NOT counted, and the PC is
 //     left at the faulting instruction, exactly like Exec.
@@ -40,16 +42,7 @@ func ExecBlock(r *Regs, m *mem.Memory, block []BlockIns, max int, cowStart uint6
 	if max < len(block) {
 		block = block[:max]
 	}
-	for i := range block {
-		ev, err = Exec(r, m, block[i].Inst)
-		if err != nil {
-			return i, EvNone, err
-		}
-		if ev != EvNone || r.PC != block[i].Next || m.CopyEvents != cowStart {
-			return i + 1, ev, nil
-		}
-	}
-	return len(block), EvNone, nil
+	return execLoop(r, m, block, cowStart)
 }
 
 // ExecBlockProf is ExecBlock with a profiler probe observing every

@@ -10,13 +10,13 @@ import (
 
 // ExecBlockCached is ExecBlock on a host-local register file: the guest
 // registers are copied into a stack-allocated Regs once per run, the run
-// executes against that local copy with the common opcodes inlined into
-// the loop (no per-instruction Exec call), and on the way out only the
-// registers in wb — the run's static written-set, computed at hot-tier
-// promotion — are written back, plus the PC. Registers the run cannot
-// write are never touched in r, and registers it can write hold their
-// reference values in the local file whether or not the run completed,
-// so a masked writeback leaves r exactly as ExecBlock would have.
+// executes against that local copy through ExecBlock's loop, and on the
+// way out only the registers in wb — the run's static written-set,
+// computed at hot-tier promotion — are written back, plus the PC.
+// Registers the run cannot write are never touched in r, and registers
+// it can write hold their reference values in the local file whether or
+// not the run completed, so a masked writeback leaves r exactly as
+// ExecBlock would have.
 //
 // The stop conditions, counting rules and fault semantics are identical
 // to ExecBlock (see there); the two executors are differentially tested
@@ -32,7 +32,7 @@ func ExecBlockCached(r *Regs, m *mem.Memory, block []BlockIns, max int, cowStart
 		block = block[:max]
 	}
 	l := *r
-	n, ev, err = execCachedLoop(&l, m, block, cowStart)
+	n, ev, err = execLoop(&l, m, block, cowStart)
 	writeBack(r, &l, wb)
 	return n, ev, err
 }
@@ -49,14 +49,14 @@ func ExecBlockCachedProf(r *Regs, m *mem.Memory, block []BlockIns, max int, cowS
 	return n, ev, err
 }
 
-// execCachedLoop runs block against the local register file l. The
+// execLoop runs block against the register file l: the architectural
+// file for ExecBlock, a host-local copy for ExecBlockCached. The
 // frequent opcodes (ALU, immediates, LW/SW, conditional branches, and
 // the JAL/JALR that terminate most superblock runs, byte memory ops) are
 // inlined — each case mirrors the corresponding Exec case exactly — and
-// everything else (SYSCALL, undecodable) falls back to Exec on the local
-// file, so the architectural outcome is the reference interpreter's by
-// construction.
-func execCachedLoop(l *Regs, m *mem.Memory, block []BlockIns, cowStart uint64) (int, Event, error) {
+// everything else (SYSCALL, undecodable) falls back to Exec on l, so the
+// architectural outcome is the reference interpreter's by construction.
+func execLoop(l *Regs, m *mem.Memory, block []BlockIns, cowStart uint64) (int, Event, error) {
 	for i := range block {
 		in := block[i].Inst
 		pc := l.PC

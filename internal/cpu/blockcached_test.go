@@ -20,40 +20,76 @@ func writtenSet(block []BlockIns) uint32 {
 	return m
 }
 
+// execRef is the per-instruction reference for ExecBlock's stop and
+// counting rules: one Exec call per instruction.
+func execRef(r *Regs, m *mem.Memory, block []BlockIns, max int, cowStart uint64) (int, Event, error) {
+	for i := range block[:min(max, len(block))] {
+		ev, err := Exec(r, m, block[i].Inst)
+		if err != nil {
+			return i, EvNone, err
+		}
+		if ev != EvNone || r.PC != block[i].Next || m.CopyEvents != cowStart {
+			return i + 1, ev, nil
+		}
+	}
+	return min(max, len(block)), EvNone, nil
+}
+
 // runBothExecutors executes block through ExecBlock and ExecBlockCached
-// (written-set mask) from identical states and asserts byte-identical
-// outcomes: count, event, error, the full register file and memory.
+// (written-set mask), which share one inlined loop, and through the
+// per-instruction Exec reference, from identical states, and asserts
+// byte-identical outcomes: count, event, error, the full register file
+// and memory.
 func runBothExecutors(t *testing.T, seed map[uint32]uint32, init Regs, block []BlockIns, max int) (int, Event, error) {
 	t.Helper()
-	mRef, mGot := mem.New(), mem.New()
-	for _, s := range []*mem.Memory{mRef, mGot} {
+	mRef := mem.New()
+	for a, v := range seed {
+		if f := mRef.StoreWord(a, v); f != nil {
+			t.Fatal(f)
+		}
+	}
+	ref := init
+	rn, rev, rerr := execRef(&ref, mRef, block, max, mRef.CopyEvents)
+	executors := []struct {
+		name string
+		exec func(*Regs, *mem.Memory) (int, Event, error)
+	}{
+		{"block", func(r *Regs, m *mem.Memory) (int, Event, error) {
+			return ExecBlock(r, m, block, max, m.CopyEvents)
+		}},
+		{"cached", func(r *Regs, m *mem.Memory) (int, Event, error) {
+			return ExecBlockCached(r, m, block, max, m.CopyEvents, writtenSet(block))
+		}},
+	}
+	for _, x := range executors {
+		name := x.name
+		mGot := mem.New()
 		for a, v := range seed {
-			if f := s.StoreWord(a, v); f != nil {
+			if f := mGot.StoreWord(a, v); f != nil {
 				t.Fatal(f)
 			}
 		}
-	}
-	ref, got := init, init
-	rn, rev, rerr := ExecBlock(&ref, mRef, block, max, mRef.CopyEvents)
-	gn, gev, gerr := ExecBlockCached(&got, mGot, block, max, mGot.CopyEvents, writtenSet(block))
-	if rn != gn || rev != gev || (rerr == nil) != (gerr == nil) {
-		t.Fatalf("executors diverged: ref (n=%d ev=%v err=%v) vs cached (n=%d ev=%v err=%v)",
-			rn, rev, rerr, gn, gev, gerr)
-	}
-	if rerr != nil {
-		re, ge := rerr.(*Error), gerr.(*Error)
-		if re.PC != ge.PC || re.Inst != ge.Inst {
-			t.Fatalf("fault state diverged: ref %+v vs cached %+v", re, ge)
+		got := init
+		gn, gev, gerr := x.exec(&got, mGot)
+		if rn != gn || rev != gev || (rerr == nil) != (gerr == nil) {
+			t.Fatalf("%s diverged: ref (n=%d ev=%v err=%v) vs %s (n=%d ev=%v err=%v)",
+				name, rn, rev, rerr, name, gn, gev, gerr)
 		}
-	}
-	if ref != got {
-		t.Fatalf("registers diverged after %d ins:\nref    %+v\ncached %+v", rn, ref, got)
-	}
-	for a := range seed {
-		rv, _ := mRef.LoadWord(a)
-		gv, _ := mGot.LoadWord(a)
-		if rv != gv {
-			t.Fatalf("memory diverged at %#x: ref %#x, cached %#x", a, rv, gv)
+		if rerr != nil {
+			re, ge := rerr.(*Error), gerr.(*Error)
+			if re.PC != ge.PC || re.Inst != ge.Inst {
+				t.Fatalf("%s fault state diverged: ref %+v vs %+v", name, re, ge)
+			}
+		}
+		if ref != got {
+			t.Fatalf("%s registers diverged after %d ins:\nref %+v\ngot %+v", name, rn, ref, got)
+		}
+		for a := range seed {
+			rv, _ := mRef.LoadWord(a)
+			gv, _ := mGot.LoadWord(a)
+			if rv != gv {
+				t.Fatalf("%s memory diverged at %#x: ref %#x, got %#x", name, a, rv, gv)
+			}
 		}
 	}
 	return rn, rev, rerr
@@ -99,9 +135,10 @@ func randBlock(rng *rand.Rand, base uint32, n int) []BlockIns {
 	return block
 }
 
-// TestExecBlockCachedDifferentialRandom drives the cached executor and
-// the reference executor over thousands of random runs and demands
-// byte-identical outcomes, including mid-run stops at taken branches.
+// TestExecBlockCachedDifferentialRandom drives both block executors and
+// the per-instruction reference over thousands of random runs and
+// demands byte-identical outcomes, including mid-run stops at taken
+// branches.
 func TestExecBlockCachedDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
 	const dataBase = 0x8000

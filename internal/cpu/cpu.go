@@ -233,9 +233,10 @@ func Exec(r *Regs, m *mem.Memory, in isa.Inst) (Event, error) {
 }
 
 // Step fetches and executes one instruction at r.PC. It is the
-// single-instruction reference the batched executors (RunBudget,
-// ExecBlock) are tested against, and the interpreter of SuperPin's
-// signature replay; native runs and the master go through RunBudget.
+// interpreter of kernel.NativeRunner, the single-instruction reference
+// the Pin engine and its batched executors (ExecBlock and kin) are
+// tested against, and of SuperPin's signature replay. Native runs and
+// the master execute on the Pin engine.
 func Step(r *Regs, m *mem.Memory) (Event, isa.Inst, error) {
 	in, err := m.FetchInst(r.PC)
 	if err != nil {

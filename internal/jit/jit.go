@@ -11,7 +11,6 @@
 package jit
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"superpin/internal/cpu"
@@ -54,9 +53,11 @@ type Trace struct {
 
 // BuildTrace decodes a trace starting at pc from guest memory. It never
 // fails on size grounds; it fails only if the first instruction cannot be
-// decoded (executing from a non-code address). An undecodable word later
-// in the trace simply ends the trace early — the bad word might never be
-// reached at run time, and if it is, execution faults there.
+// fetched or decoded (executing from a non-code address), with the
+// *cpu.Error cpu.Step reports for the same fetch, so a fault reads the
+// same under every executor. An undecodable word later in the trace
+// simply ends the trace early — the bad word might never be reached at
+// run time, and if it is, execution faults there.
 func BuildTrace(m *mem.Memory, pc uint32) (*Trace, error) {
 	return BuildTraceSplit(m, pc, 0)
 }
@@ -86,7 +87,7 @@ func BuildTraceSplit(m *mem.Memory, pc, split uint32) (*Trace, error) {
 		in, err := m.FetchInst(cur)
 		if err != nil {
 			if n == 0 {
-				return nil, fmt.Errorf("jit: trace at %#08x: %w", pc, err)
+				return nil, &cpu.Error{PC: pc, Err: err}
 			}
 			break
 		}
@@ -246,6 +247,14 @@ type CompiledTrace struct {
 
 // NumIns returns the number of guest instructions in the compiled trace.
 func (ct *CompiledTrace) NumIns() int { return len(ct.Ins) }
+
+// Overlaps reports whether any of the trace's instructions lies in the
+// byte range [lo, hi] (lo <= hi). A trace's instructions are
+// address-contiguous, modulo 2^32 like the PC: the range overlaps when
+// it starts inside the trace or the trace starts inside it.
+func (ct *CompiledTrace) Overlaps(lo, hi uint32) bool {
+	return lo-ct.Addr < uint32(len(ct.Ins))*isa.WordSize || ct.Addr-lo <= hi-lo
+}
 
 // SetLink records next as the successor trace for exits that transfer to
 // pc, tagged with the code-cache epoch that validates it. This is the
@@ -540,6 +549,29 @@ func (c *CodeCache) Insert(ct *CompiledTrace) {
 			Arg: uint64(ct.Addr), Arg2: uint64(n),
 		})
 	}
+}
+
+// Invalidate discards every compiled trace whose instructions overlap
+// the byte range [lo, hi] — the translations a store into code made
+// stale — and returns how many it discarded. Like Flush it advances the
+// epoch, so no trace link can reach a discarded trace; unlike Flush it
+// counts in no statistic and emits no event: it happens only when the
+// guest modifies its own code.
+func (c *CodeCache) Invalidate(lo, hi uint32) int {
+	n := 0
+	for addr, ct := range c.traces { //detguard:ok removals commute
+		if ct.Overlaps(lo, hi) {
+			delete(c.traces, addr)
+			if ni := ct.NumIns(); c.Capacity <= 0 || ni <= c.Capacity {
+				c.resident -= ni
+			}
+			n++
+		}
+	}
+	if n > 0 {
+		c.epoch++
+	}
+	return n
 }
 
 // Flush discards every compiled trace.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"superpin/internal/asm"
+	"superpin/internal/cpu"
 	"superpin/internal/isa"
 	"superpin/internal/mem"
 )
@@ -124,8 +125,14 @@ main:
 func TestTraceAtGarbageFails(t *testing.T) {
 	m := mem.New()
 	m.StoreWord(0x100, 0xffffffff)
-	if _, err := BuildTrace(m, 0x100); err == nil {
+	_, err := BuildTrace(m, 0x100)
+	if err == nil {
 		t.Fatal("BuildTrace on garbage succeeded")
+	}
+	// The fault reads exactly as cpu.Step reports the same fetch.
+	_, _, want := cpu.Step(&cpu.Regs{PC: 0x100}, m)
+	if ce, ok := err.(*cpu.Error); !ok || ce.PC != 0x100 || err.Error() != want.Error() {
+		t.Fatalf("BuildTrace error %v (%T), want cpu.Step's %v", err, err, want)
 	}
 }
 
@@ -184,6 +191,37 @@ func TestCodeCacheFlushAtCapacity(t *testing.T) {
 	st := c.Stats()
 	if st.Compiles != 2 || st.CompiledIns != 12 || st.Lookups != 2 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestCodeCacheInvalidateRange(t *testing.T) {
+	c := NewCodeCache(100)
+	for _, addr := range []uint32{0x100, 0x200, 0x300} {
+		c.Insert(&CompiledTrace{Addr: addr, Ins: make([]CompiledIns, 4)}) // [addr, addr+15]
+	}
+	epoch := c.Epoch()
+	if n := c.Invalidate(0x110, 0x1ff); n != 0 || c.Epoch() != epoch {
+		t.Fatalf("store between traces dropped %d, epoch %d → %d", n, epoch, c.Epoch())
+	}
+	// One byte into the last word of 0x200's trace, and a range reaching
+	// the first byte of 0x300's.
+	if n := c.Invalidate(0x20f, 0x20f); n != 1 || c.Lookup(0x200) != nil {
+		t.Fatalf("byte store dropped %d traces", n)
+	}
+	if n := c.Invalidate(0x2f0, 0x300); n != 1 || c.Lookup(0x300) != nil || c.Lookup(0x100) == nil {
+		t.Fatalf("range store dropped %d traces", n)
+	}
+	if c.Resident() != 4 || c.Epoch() != epoch+2 || c.Stats().Flushes != 0 {
+		t.Fatalf("resident %d, epoch %d, stats %+v", c.Resident(), c.Epoch(), c.Stats())
+	}
+	// A trace that wraps past the top of the address space, as the PC
+	// does, covers [0xfffffff8, 0x7].
+	c.Insert(&CompiledTrace{Addr: 0xfffffff8, Ins: make([]CompiledIns, 4)})
+	if n := c.Invalidate(0x8, 0x8); n != 0 {
+		t.Fatalf("store past a wrapped trace dropped %d", n)
+	}
+	if n := c.Invalidate(0x4, 0x4); n != 1 {
+		t.Fatalf("store into a wrapped trace's tail dropped %d", n)
 	}
 }
 

@@ -55,10 +55,11 @@ func benchProg(b *testing.B, src string) (*mem.Memory, cpu.Regs) {
 }
 
 // BenchmarkNativeInterp measures raw interpreter throughput through the
-// kernel's NativeRunner. "alu" runs one unbounded batch of register
-// arithmetic. "surcharge-cow" charges MemSurcharge 3 and runs quantum-
-// sized batches over pages shared with a forked sibling, re-forked every
-// 1000 batches, so the batch loop keeps stopping at copy-on-write copies.
+// kernel's NativeRunner, one cpu.Step per instruction. "alu" runs one
+// unbounded budget of register arithmetic. "surcharge-cow" charges
+// MemSurcharge 3 and runs quantum-sized budgets over pages shared with a
+// forked sibling, re-forked every 1000 budgets, so stores keep copying
+// pages.
 func BenchmarkNativeInterp(b *testing.B) {
 	b.Run("alu", func(b *testing.B) {
 		k := New(DefaultConfig())

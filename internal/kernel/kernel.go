@@ -81,8 +81,10 @@ type Kernel struct {
 
 	// ThreadRunner, when non-nil, builds the Runner for threads created
 	// with the spawn syscall; by default the child reuses the parent's
-	// Runner value (correct for the stateless NativeRunner, wrong for
-	// stateful engines, which must install a factory).
+	// Runner value. That is correct only for the stateless NativeRunner:
+	// an engine holds one process's execution position, so every engine-
+	// backed mode (serial Pin, native runs and the SuperPin master)
+	// installs a factory that gives each thread its own.
 	ThreadRunner func(parent *Proc) Runner
 
 	// ThreadHook, when non-nil, observes every spawn-created thread.

@@ -2,9 +2,9 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 
 	"superpin/internal/cpu"
+	"superpin/internal/isa"
 	"superpin/internal/mem"
 	"superpin/internal/prof"
 )
@@ -47,13 +47,14 @@ const (
 	StopError                     // guest execution failed; see Proc.Err
 )
 
-// Runner advances a process's guest execution. Different runners implement
-// the different execution modes of the system: batched interpretation
-// through cpu.RunBudget for native baseline runs and the uninstrumented
-// master (NativeRunner), the Pin JIT engine for serial instrumented
-// runs, and the SuperPin slice engine, which services
-// system calls internally via record-and-playback and therefore rarely
-// returns StopSyscall.
+// Runner advances a process's guest execution. The Pin JIT engine
+// (internal/pin) runs every execution mode: instrumented for serial Pin
+// runs and SuperPin slices (which service system calls via
+// record-and-playback and therefore rarely return StopSyscall), and with
+// no tool under a native charge profile (pin.NativeCost) for native
+// baseline runs and the uninstrumented master. NativeRunner, one
+// cpu.Step per instruction, is the reference they are tested against
+// and the master of the IP-history detector.
 type Runner interface {
 	// Run executes up to budget cycles of guest work for p, returning the
 	// cycles actually consumed and the reason it stopped. used may exceed
@@ -142,7 +143,8 @@ type Proc struct {
 	debt       Cycles // syscall/fault cost carried into the next quantum
 	sleepSince Cycles
 	exitFns    []func(*Proc)
-	cowMark    uint64 // last-seen Mem.CopyEvents, for charging deltas
+	cowMark    uint64 // last-seen Mem.CopyEvents, for CowPending
+	copyMark   uint64 // last-seen Mem.Copies, for charging deltas
 }
 
 // Exited reports whether p has terminated.
@@ -156,37 +158,39 @@ func (p *Proc) Group() PID {
 	return p.PID
 }
 
-// CowPending reports whether Mem holds copy-on-write events not yet
-// charged by ChargeCow (copies triggered outside the runner, e.g. by a
-// kernel syscall writing guest memory). The Pin engine's batched fast
-// path falls back to per-instruction execution while a charge is
-// pending, so the charge lands at the same instruction as it does in
-// the reference loop.
+// CowPending reports whether Mem holds events (mem.Memory.CopyEvents:
+// copy-on-write copies and stores into translated code) that ChargeCow
+// has not yet seen, such as ones a kernel syscall writing guest memory
+// caused. The Pin engine's batched fast path falls back to
+// per-instruction execution while one is pending, so a copy's charge
+// lands at the same instruction as it does in the reference loop.
 func (p *Proc) CowPending() bool { return p.Mem.CopyEvents != p.cowMark }
 
 // ChargeCow charges any copy-on-write page copies performed since the
 // last call at pageCopy cycles each (CostModel.PageCopy, see
-// Kernel.PageCopy), returning the cycles charged. Every Runner
-// implementation (native and instrumented) calls it after each
-// instruction or batch that may have copied a page; the batch loops stop
-// at the copying instruction, so the charge lands there.
+// Kernel.PageCopy), returning the cycles charged, and marks every
+// pending event seen. Every Runner implementation (native and
+// instrumented) calls it after each instruction or batch that may have
+// copied a page; the batch loops stop at the copying instruction, so the
+// charge lands there.
 func (p *Proc) ChargeCow(pageCopy Cycles) Cycles {
-	delta := p.Mem.CopyEvents - p.cowMark
-	if delta == 0 {
+	if p.Mem.CopyEvents == p.cowMark {
 		return 0
 	}
 	p.cowMark = p.Mem.CopyEvents
+	delta := p.Mem.Copies - p.copyMark
+	p.copyMark = p.Mem.Copies
 	cy := Cycles(delta) * pageCopy
 	p.CowCost += cy
 	return cy
 }
 
-// NativeRunner interprets guest code directly, with no instrumentation.
-// It is the execution mode of the master application in SuperPin mode and
-// of plain native baseline runs. Run is a thin wrapper around the batched
-// cpu.RunBudget loop: the loop retires instructions until the budget runs
-// out, a syscall traps, a copy-on-write copy happens or a fault stops it,
-// and the runner settles the instruction count and COW charge per batch.
+// NativeRunner interprets guest code one instruction at a time through
+// cpu.Step, with no instrumentation, settling every charge after every
+// instruction. It is the reference the engine-based native runner is
+// tested against, and the master's runner under SuperPin's rejected
+// IP-history detector, whose branch-trace ring needs every instruction
+// pointer. The zero value is a valid Runner.
 type NativeRunner struct {
 	// MemSurcharge is an extra cost per memory instruction, modeling a
 	// benchmark's cache behavior (memory-bound applications pay more per
@@ -195,8 +199,7 @@ type NativeRunner struct {
 
 	// Ring, when non-nil, records every executed instruction pointer
 	// (single-step/branch-trace monitoring), charging RingCost per
-	// instruction. SuperPin's rejected IP-history detector uses it; the
-	// runner then drives the batch loop one instruction at a time.
+	// instruction.
 	Ring     *IPRing
 	RingCost Cycles
 }
@@ -205,28 +208,26 @@ type NativeRunner struct {
 func (r NativeRunner) Run(k *Kernel, p *Proc, budget Cycles) (Cycles, StopReason) {
 	var used Cycles
 	cost := &k.cfg.Cost
-	maxIns := math.MaxInt
-	if r.Ring != nil {
-		maxIns = 1
-	}
 	for used < budget {
 		pc := p.Regs.PC
-		// Entering with cowStart = cowMark stops the loop after its first
-		// instruction when a copy is still uncharged, so the charge lands
-		// where a per-instruction loop would put it.
-		n, u, ev, err := cpu.RunBudget(&p.Regs, p.Mem, uint64(budget-used), uint64(cost.InterpCost),
-			uint64(r.MemSurcharge), maxIns, p.cowMark, p.Prof)
-		used += Cycles(u)
-		p.InsCount += uint64(n)
+		ev, in, err := cpu.Step(&p.Regs, p.Mem)
 		if err != nil {
 			p.Err = err
 			return used, StopError
+		}
+		used += cost.InterpCost
+		if in.Op.IsMem() {
+			used += r.MemSurcharge
 		}
 		if r.Ring != nil {
 			r.Ring.Push(pc)
 			used += r.RingCost
 		}
 		used += p.ChargeCow(cost.PageCopy)
+		p.InsCount++
+		if p.Prof != nil {
+			p.Prof.OnExec(in, pc+isa.WordSize, p.Regs.PC)
+		}
 		if ev == cpu.EvSyscall {
 			return used, StopSyscall
 		}

@@ -4,7 +4,7 @@
 // The central feature is copy-on-write Fork, mirroring the Linux fork(2)
 // semantics SuperPin depends on: forking a memory image shares all pages
 // between parent and child, and the first write to a shared page copies
-// it. The number of pages copied is tracked (CopyEvents) so the kernel's
+// it. The number of pages copied is tracked (Copies) so the kernel's
 // cost model can charge copy-on-write page faults to the process that
 // triggered them — the "Fork Overhead" component of the paper's Section
 // 6.3 breakdown.
@@ -32,6 +32,13 @@
 //
 // Both caches can be disabled with SetCaching so differential tests and
 // benchmarks can verify and measure their effect.
+//
+// An engine that translates guest code ahead of execution registers the
+// pages it translated from (WatchCode). Stores into a watched page never
+// hit the write TLB: each one takes the miss path, which logs the stored
+// byte range and advances CopyEvents, so the batched executors stop right
+// after the storing instruction and every engine sharing the image can
+// drop the translations it overwrote (CodeStoresSince).
 package mem
 
 import (
@@ -153,10 +160,12 @@ type Memory struct {
 	// Direct-mapped software TLBs for reads and writes. A read entry
 	// always holds the current m.pages[pn] (the zero page when absent);
 	// writeMiss refreshes the read entry of every page it materializes or
-	// copies. A write entry only ever holds a page with refs == 1, so
-	// hitting it can never skip a needed copy-on-write duplication. Both
-	// are flushed on Fork (parent and child), Release and whenever
-	// caching is toggled; MarkCode flushes the write entries.
+	// copies. A write entry only ever holds an unwatched page with
+	// refs == 1, so hitting it can never skip a needed copy-on-write
+	// duplication or a code-store log entry. Both are flushed on Fork
+	// (parent and child), Release and whenever caching is toggled;
+	// MarkCode flushes the write entries and WatchCode evicts the entry
+	// of each page it watches.
 	rtlb, wtlb [tlbSize]tlbEntry
 
 	// Fetch TLB: the predecoded view of the last fetched-from page. Kept
@@ -180,10 +189,27 @@ type Memory struct {
 	codeRanges  []codeRange
 	codeWritten bool
 
-	// CopyEvents counts copy-on-write page copies performed through this
+	// code holds the page numbers an engine translated code from
+	// (WatchCode), and codeLo..codeHi bounds them, so a write miss on a
+	// data page is rejected with two compares. A watched page never
+	// enters the write TLB. codeLog is a ring of the byte ranges of the
+	// last codeLogSize stores into watched pages; codeGen counts all of
+	// them. The log is never consumed: each reader keeps its own
+	// generation, so every engine sharing the image sees every store.
+	code           map[uint32]struct{}
+	codeLo, codeHi uint32
+	codeLog        []codeRange
+	codeGen        uint64
+
+	// CopyEvents counts the events after which a batched executor must
+	// stop so its runner can settle them: copy-on-write page copies
+	// (Copies) and stores into watched code pages (CodeGen). Executors
+	// compare it against its value at batch entry.
+	CopyEvents uint64
+	// Copies counts copy-on-write page copies performed through this
 	// image since creation. The kernel samples deltas of this counter to
 	// charge page-copy cost to the faulting process.
-	CopyEvents uint64
+	Copies uint64
 	// TouchedPages counts pages materialized (zero-fill allocations).
 	// Pure reads of absent pages observe zeros without materializing, so
 	// only writes count here.
@@ -264,6 +290,78 @@ func (m *Memory) noteWrite(pn uint32) {
 	}
 }
 
+// codeLogSize is the number of code stores the log keeps. A reader that
+// falls further behind (another thread's engine, off-CPU while this many
+// stores hit code) treats all its translations as overwritten.
+const codeLogSize = 64
+
+// WatchCode registers the pages covering [addr, addr+size) as translated
+// code: from now on every store into them is logged for CodeStoresSince
+// and advances CopyEvents. Engines call it for each trace they translate.
+// Watching is keyed on this image's page numbers, so it covers pages not
+// yet materialized, and a forked image starts with nothing watched.
+func (m *Memory) WatchCode(addr, size uint32) {
+	if size == 0 {
+		return
+	}
+	// The range may wrap past the top of the address space, as the PC
+	// does.
+	for pn, last := addr>>PageShift, (addr+size-1)>>PageShift; ; pn = (pn + 1) & (1<<(32-PageShift) - 1) {
+		if _, ok := m.code[pn]; !ok {
+			if m.code == nil {
+				m.code = make(map[uint32]struct{})
+				m.codeLo, m.codeHi = pn, pn
+			}
+			m.code[pn] = struct{}{}
+			m.codeLo, m.codeHi = min(m.codeLo, pn), max(m.codeHi, pn)
+			// A cached write entry would let stores bypass the log.
+			if e := &m.wtlb[pn%tlbSize]; e.pn == pn {
+				*e = tlbEntry{pn: invalidPN}
+			}
+		}
+		if pn == last {
+			return
+		}
+	}
+}
+
+// watched reports whether page pn holds translated code (WatchCode).
+func (m *Memory) watched(pn uint32) bool {
+	if m.code == nil || pn < m.codeLo || pn > m.codeHi {
+		return false
+	}
+	_, ok := m.code[pn]
+	return ok
+}
+
+// CodeGen returns the number of stores into watched code pages so far.
+func (m *Memory) CodeGen() uint64 { return m.codeGen }
+
+// CodeStoresSince calls fn with the byte range [lo, hi] of every store
+// into watched code since generation gen (an earlier CodeGen value),
+// oldest first. It reports false, calling fn for none, when the log no
+// longer holds them all; the caller must then assume any code changed.
+func (m *Memory) CodeStoresSince(gen uint64, fn func(lo, hi uint32)) bool {
+	if m.codeGen-gen > codeLogSize {
+		return false
+	}
+	for g := gen; g < m.codeGen; g++ {
+		r := m.codeLog[g%codeLogSize]
+		fn(r.lo, r.hi)
+	}
+	return true
+}
+
+// logCodeStore records a store of n bytes at addr into a watched page.
+func (m *Memory) logCodeStore(addr, n uint32) {
+	if m.codeLog == nil {
+		m.codeLog = make([]codeRange, codeLogSize)
+	}
+	m.codeLog[m.codeGen%codeLogSize] = codeRange{lo: addr, hi: addr + n - 1}
+	m.codeGen++
+	m.CopyEvents++
+}
+
 // Fork returns a copy-on-write clone of m. Both images share all current
 // pages; each side copies a page when it first writes to it. Forking is
 // safe while other images sharing m's pages run on other goroutines: it
@@ -295,6 +393,7 @@ func (m *Memory) Release() {
 		pg.refs.Add(-1)
 		delete(m.pages, pn)
 	}
+	m.code = nil
 	m.flushTLB()
 }
 
@@ -336,10 +435,11 @@ func (m *Memory) readMiss(pn uint32) *page {
 	return pg
 }
 
-// writePage returns the page containing addr for writing, materializing a
-// zero page or performing a copy-on-write duplication as needed. It also
-// invalidates the page's predecode cache: a store may overwrite code.
-func (m *Memory) writePage(addr uint32) *page {
+// writePage returns the page containing addr for writing n bytes there,
+// materializing a zero page or performing a copy-on-write duplication as
+// needed. It also invalidates the page's predecode cache: a store may
+// overwrite code.
+func (m *Memory) writePage(addr, n uint32) *page {
 	pn := addr >> PageShift
 	if pn == m.fpn {
 		// The fetch TLB caches this page's decoded view; drop it before
@@ -356,13 +456,15 @@ func (m *Memory) writePage(addr uint32) *page {
 		}
 		return pg
 	}
-	return m.writeMiss(pn)
+	return m.writeMiss(addr, n)
 }
 
 // writeMiss is writePage's write-TLB-miss path: it checks the page
-// against the marked code ranges, materializes or copies it as needed
-// and refills both TLB slots of pn (unless caching is off).
-func (m *Memory) writeMiss(pn uint32) *page {
+// against the marked code ranges, materializes or copies it as needed,
+// logs the store when the page is watched code and refills the TLB slots
+// of the page (unless caching is off; a watched page gets no write slot).
+func (m *Memory) writeMiss(addr, n uint32) *page {
+	pn := addr >> PageShift
 	m.noteWrite(pn)
 	pg := m.pages[pn]
 	switch {
@@ -377,15 +479,22 @@ func (m *Memory) writeMiss(pn uint32) *page {
 		cp.refs.Store(1)
 		pg.refs.Add(-1)
 		m.pages[pn] = cp
+		m.Copies++
 		m.CopyEvents++
 		pg = cp
 	}
 	pg.code.Store(nil)
+	watched := m.watched(pn)
+	if watched {
+		m.logCodeStore(addr, n)
+	}
 	if !m.noCache {
 		// Populate both entries: a store is usually followed by loads
 		// from the same page, and the read entry must not keep serving
 		// the zero page (or a pre-COW original) for this page number.
-		m.wtlb[pn%tlbSize] = tlbEntry{pn: pn, pg: pg}
+		if !watched {
+			m.wtlb[pn%tlbSize] = tlbEntry{pn: pn, pg: pg}
+		}
 		m.rtlb[pn%tlbSize] = tlbEntry{pn: pn, pg: pg}
 	}
 	return pg
@@ -407,7 +516,7 @@ func (m *Memory) StoreWord(addr, v uint32) *Fault {
 	if addr&3 != 0 {
 		return &Fault{Addr: addr, Write: true, Reason: "misaligned word write"}
 	}
-	pg := m.writePage(addr)
+	pg := m.writePage(addr, isa.WordSize)
 	off := addr & pageMask
 	pg.data[off] = byte(v)
 	pg.data[off+1] = byte(v >> 8)
@@ -424,7 +533,7 @@ func (m *Memory) LoadByte(addr uint32) (byte, *Fault) {
 
 // StoreByte writes the byte at addr.
 func (m *Memory) StoreByte(addr uint32, v byte) *Fault {
-	pg := m.writePage(addr)
+	pg := m.writePage(addr, 1)
 	pg.data[addr&pageMask] = v
 	return nil
 }
@@ -491,8 +600,8 @@ func (m *Memory) ReadBytes(addr uint32, dst []byte) {
 // WriteBytes copies src into guest memory starting at addr.
 func (m *Memory) WriteBytes(addr uint32, src []byte) {
 	for len(src) > 0 {
-		pg := m.writePage(addr)
 		off := addr & pageMask
+		pg := m.writePage(addr, uint32(min(len(src), PageSize-int(off))))
 		n := copy(pg.data[off:], src)
 		src = src[n:]
 		addr += uint32(n)

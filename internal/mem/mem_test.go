@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -227,5 +228,58 @@ func TestForkSharesUntouchedPagesByReference(t *testing.T) {
 	}
 	if child.CopyEvents != 0 {
 		t.Fatalf("reads caused %d copies", child.CopyEvents)
+	}
+}
+
+// TestWatchCodeLogsStores: stores into a watched page — word, byte and
+// WriteBytes, materialized or not, before and after a fork — are logged
+// with their byte ranges and advance CopyEvents but not Copies, never
+// through a cached write entry; stores elsewhere are not logged.
+func TestWatchCodeLogsStores(t *testing.T) {
+	m := New()
+	m.StoreWord(0x1000, 1)    // materialized and in the write TLB
+	m.WatchCode(0x1ff8, 0x10) // spans 0x1000's page and the unmapped 0x2000
+	var got [][2]uint32
+	log := func(lo, hi uint32) { got = append(got, [2]uint32{lo, hi}) }
+
+	m.StoreWord(0x1004, 2)
+	m.StoreWord(0x1008, 3) // a second store: no write entry cached it
+	m.StoreByte(0x2001, 4)
+	m.WriteBytes(0x1ffe, []byte{5, 6, 7, 8})
+	m.StoreWord(0x3000, 9) // not watched
+	if !m.CodeStoresSince(0, log) {
+		t.Fatal("log overflowed")
+	}
+	want := [][2]uint32{{0x1004, 0x1007}, {0x1008, 0x100b}, {0x2001, 0x2001}, {0x1ffe, 0x1fff}, {0x2000, 0x2001}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("logged %x, want %x", got, want)
+	}
+	if m.CodeGen() != 5 || m.CopyEvents != 5 || m.Copies != 0 {
+		t.Fatalf("CodeGen %d, CopyEvents %d, Copies %d", m.CodeGen(), m.CopyEvents, m.Copies)
+	}
+
+	// After a fork the parent's store copies the page and is logged; the
+	// child watches nothing.
+	child := m.Fork()
+	m.StoreWord(0x1000, 10)
+	child.StoreWord(0x1000, 11)
+	if m.CodeGen() != 6 || m.Copies != 1 || m.CopyEvents != 7 || child.CodeGen() != 0 {
+		t.Fatalf("after fork: CodeGen %d/%d, Copies %d, CopyEvents %d", m.CodeGen(), child.CodeGen(), m.Copies, m.CopyEvents)
+	}
+
+	// A watched range may wrap past the top of the address space.
+	m.WatchCode(0xfffffff8, 16)
+	gen := m.CodeGen()
+	m.StoreWord(0x4, 1)
+	if m.CodeGen() != gen+1 {
+		t.Fatal("store into the wrapped range's low page was not logged")
+	}
+
+	// A reader further behind than the log keeps must assume everything.
+	for i := 0; i < codeLogSize; i++ {
+		m.StoreWord(0x1000, uint32(i))
+	}
+	if m.CodeStoresSince(6, log) || !m.CodeStoresSince(7, func(uint32, uint32) {}) {
+		t.Fatal("log window wrong")
 	}
 }

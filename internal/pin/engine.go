@@ -110,6 +110,34 @@ func DefaultCost() CostModel {
 	}
 }
 
+// NativeCost returns the native charge profile: the cost model under
+// which an engine with no tool charges exactly what cpu.Step-by-step
+// interpretation charges (kernel.NativeRunner), so native baseline runs
+// and the SuperPin master run on the engine's linked traces and
+// superblocks with unchanged virtual results. interp is the kernel's
+// CostModel.InterpCost and memSurcharge the benchmark's native memory
+// surcharge. Every charge the engine makes, and its value here:
+//
+//	charge         value         why
+//	Exec           interp        one interpreted instruction
+//	MemSurcharge   memSurcharge  the native cache-behavior surcharge
+//	CompilePerIns  0             the interpreter translates nothing
+//	Dispatch       0             ... and enters no code cache
+//	SharedCheck    0             no shared translation cache attached
+//	WeavePerIns    0             ... so nothing is adopted and woven
+//	Call           0             no tool: no analysis calls
+//	IfCall         0             no tool: no predicates
+//	ThenCall       0             no tool: no then-routines
+//
+// Copy-on-write copies are charged by the kernel's PageCopy on both
+// paths. CacheCapacity is 0 (unlimited): a capacity flush would only
+// cost host time. The engine should carry no static analysis, tracer or
+// metrics registry, so its host-side statistics reach no result or
+// metric.
+func NativeCost(interp, memSurcharge kernel.Cycles) CostModel {
+	return CostModel{Exec: interp, MemSurcharge: memSurcharge}
+}
+
 // Stats are cumulative engine execution statistics. SuperblockIns counts
 // the subset of ExecIns executed through the batched superblock fast
 // path (zero when the fast path is disabled or every instruction is
@@ -283,6 +311,11 @@ type Engine struct {
 	// are recomputed at every Run entry.
 	hotTier bool
 	hotThr  uint64
+
+	// codeGen is the guest memory's CodeGen value the code cache was last
+	// synchronized with (syncCode): stores into translated code past it
+	// have not yet dropped the translations they overwrote.
+	codeGen uint64
 }
 
 // NewEngine creates an engine with the given cost model.
@@ -518,6 +551,11 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		e.cache.Now = uint64(k.Now)
 	}
 	var used kernel.Cycles
+	if p.Mem.CodeGen() != e.codeGen && e.syncCode(p.Mem) {
+		// Another thread or a syscall stored into the trace this engine
+		// stopped in: resume from a fresh translation.
+		e.cur = nil
+	}
 
 	// cowClear caches "no copy-on-write charge is pending" so the hot loop
 	// can skip the p.CowPending probe. It is trusted only when true: it is
@@ -657,7 +695,11 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					n, ev, err = cpu.ExecBlock(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents)
 				}
 				if n > 0 {
-					used += kernel.Cycles(sb.Cum[off+n-1]-pre) + p.ChargeCow(pageCopy)
+					used += kernel.Cycles(sb.Cum[off+n-1] - pre)
+					e.idx += n
+					if p.CowPending() {
+						used += e.settle(p, pageCopy)
+					}
 					cowClear = true
 					p.InsCount += uint64(n)
 					e.stats.ExecIns += uint64(n)
@@ -672,7 +714,6 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					if wb != 0 {
 						e.stats.HotIns += uint64(n)
 					}
-					e.idx += n
 				}
 				if err != nil {
 					p.Err = err
@@ -687,6 +728,9 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 						handled, c, stop := e.Syscall(k, p)
 						used += c
 						cowClear = false
+						if p.Mem.CodeGen() != e.codeGen {
+							e.syncCode(p.Mem)
+						}
 						if handled {
 							if stop != kernel.StopBudget {
 								return used, stop
@@ -735,11 +779,14 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 			e.cur = nil
 			return used, kernel.StopError
 		}
+		e.idx++
 		used += cost.Exec
 		if ci.Inst.Op.IsMem() {
 			used += cost.MemSurcharge
 		}
-		used += p.ChargeCow(pageCopy)
+		if p.CowPending() {
+			used += e.settle(p, pageCopy)
+		}
 		cowClear = true
 		p.InsCount++
 		e.stats.ExecIns++
@@ -768,6 +815,9 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 				handled, c, stop := e.Syscall(k, p)
 				used += c
 				cowClear = false
+				if p.Mem.CodeGen() != e.codeGen {
+					e.syncCode(p.Mem)
+				}
 				if handled {
 					if stop != kernel.StopBudget {
 						return used, stop
@@ -783,7 +833,6 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 
 		// Fall through within the trace if the PC matches the next
 		// compiled instruction; otherwise re-dispatch.
-		e.idx++
 		if e.idx >= len(e.cur.Ins) || e.cur.Ins[e.idx].Addr != p.Regs.PC {
 			if fast && p.Regs.PC == e.cur.Addr && used < budget && !e.limitReached(p) {
 				e.selfLoop(&used)
@@ -795,6 +844,42 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 			return used, kernel.StopBudget
 		}
 	}
+}
+
+// settle charges p's pending copy-on-write copies and, when stores have
+// hit translated code since the engine last synchronized, drops the
+// translations they overwrote. If the current trace was one of them, the
+// position moves past its end, so the dispatch loop's exit check leaves
+// the trace and re-dispatches at the next PC from a fresh translation.
+// The executors stop right after a store into watched code (it advances
+// Mem.CopyEvents), so nothing past the store ran from the stale trace.
+func (e *Engine) settle(p *kernel.Proc, pageCopy kernel.Cycles) kernel.Cycles {
+	cy := p.ChargeCow(pageCopy)
+	if p.Mem.CodeGen() != e.codeGen && e.syncCode(p.Mem) {
+		e.idx = len(e.cur.Ins)
+	}
+	return cy
+}
+
+// syncCode drops every translation overlapping a store into code that
+// m logged since the engine last synchronized, and reports whether the
+// current trace was among them. A trace the store missed stays, current
+// one included. Stores the log no longer holds are assumed to have hit
+// everything.
+func (e *Engine) syncCode(m *mem.Memory) (curHit bool) {
+	drop := func(lo, hi uint32) {
+		e.cache.Invalidate(lo, hi)
+		if e.cur != nil && e.cur.Overlaps(lo, hi) {
+			curHit = true
+		}
+	}
+	if !m.CodeStoresSince(e.codeGen, drop) {
+		drop(0, ^uint32(0))
+	}
+	e.codeGen = m.CodeGen()
+	// A staged link may name a dropped trace.
+	e.linkNext, e.linkFrom = nil, nil
+	return curHit
 }
 
 // selfLoop re-enters the current trace at its head: the exit branched
@@ -875,7 +960,7 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 			st, ok = e.pendingShared[pc]
 		}
 		e.Shared.RecordLookup(ok)
-		if ok && !st.ContainsBeyondHead(e.SplitPC) {
+		if ok && !st.ContainsBeyondHead(e.SplitPC) && decodesFrom(m, st) {
 			tr = st
 			sharedHit = true
 		}
@@ -888,6 +973,7 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 			e.queueShared(tr)
 		}
 	}
+	m.WatchCode(tr.Addr, uint32(tr.NumIns)*isa.WordSize)
 	ct = jit.Compile(tr)
 	view := e.newTraceView(tr, ct)
 	e.instrumenting = view
@@ -903,6 +989,20 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 		e.seal(ct)
 	}
 	return ct, sharedHit, nil
+}
+
+// decodesFrom reports whether tr is what m's bytes decode to now. A shared
+// translation was built from another engine's image; either image may
+// have modified that code since.
+func decodesFrom(m *mem.Memory, tr *jit.Trace) bool {
+	for _, b := range tr.Bbls {
+		for i, in := range b.Ins {
+			if got, err := m.FetchInst(b.InsAddr(i)); err != nil || got != in {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // minSuperblockIns is the shortest call-free run worth batching: the

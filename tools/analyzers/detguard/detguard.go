@@ -72,12 +72,31 @@ func (f Finding) String() string {
 	}
 }
 
-// CheckDir runs the analysis over the non-test Go files of one package
-// directory. Type-checking errors in the target package are tolerated
-// (the analysis runs on whatever resolved).
-func CheckDir(dir string) ([]Finding, error) {
+// Checker runs the analysis over package directories, sharing one file
+// set and one source importer between them, so the standard library and
+// every package the targets import are type-checked once per Checker
+// instead of once per directory. A Checker is not safe for concurrent
+// use.
+type Checker struct {
+	fset *token.FileSet
+	imp  types.Importer
+}
+
+// NewChecker returns a Checker with an empty import cache.
+func NewChecker() *Checker {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+	return &Checker{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+}
+
+// CheckDir runs the analysis over the non-test Go files of one package
+// directory with a fresh Checker. Type-checking errors in the target
+// package are tolerated (the analysis runs on whatever resolved).
+func CheckDir(dir string) ([]Finding, error) { return NewChecker().CheckDir(dir) }
+
+// CheckDir runs the analysis over the non-test Go files of one package
+// directory, reusing the packages c has already imported.
+func (c *Checker) CheckDir(dir string) ([]Finding, error) {
+	pkgs, err := parser.ParseDir(c.fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
@@ -94,7 +113,7 @@ func CheckDir(dir string) ([]Finding, error) {
 		for _, name := range names {
 			files = append(files, pkg.Files[name])
 		}
-		fs, err := checkFiles(fset, pkg.Name, files)
+		fs, err := c.checkFiles(pkg.Name, files)
 		if err != nil {
 			return nil, err
 		}
@@ -110,12 +129,13 @@ func CheckDir(dir string) ([]Finding, error) {
 	return findings, nil
 }
 
-func checkFiles(fset *token.FileSet, pkgName string, files []*ast.File) ([]Finding, error) {
+func (c *Checker) checkFiles(pkgName string, files []*ast.File) ([]Finding, error) {
+	fset := c.fset
 	info := &types.Info{
 		Types: make(map[ast.Expr]types.TypeAndValue),
 	}
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: c.imp,
 		// The target package may reference build-tagged or generated
 		// identifiers we did not load; keep going and analyze whatever
 		// typed expressions resolved.

@@ -62,11 +62,13 @@ func wantLines(t *testing.T, path string) map[int]bool {
 // there turns this red. This test is the gate: the pass has no CLI.
 func TestEnginePackagesClean(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
+	// One Checker for the whole list: the packages share their imports.
+	c := NewChecker()
 	for _, pkg := range []string{"internal/cpu", "internal/mem", "internal/pin", "internal/jit",
 		"internal/core", "internal/sa", "internal/kernel"} {
 		pkg := pkg
 		t.Run(pkg, func(t *testing.T) {
-			findings, err := CheckDir(filepath.Join(root, pkg))
+			findings, err := c.CheckDir(filepath.Join(root, pkg))
 			if err != nil {
 				t.Fatal(err)
 			}
