@@ -1,7 +1,7 @@
 // Command spbench regenerates the SuperPin paper's evaluation (Section
 // 6): Figures 3-7 and the Section 4.4 signature-detection statistics, as
 // aligned text tables and optionally CSV files. It also runs the
-// differential harness that holds every host-side tier to the reference
+// differential harness that holds every host-side mechanism to the reference
 // configuration. Host speed is measured by `go run ./benchmark`, not here.
 //
 //	spbench                      # every experiment at the default scale
@@ -9,8 +9,8 @@
 //	spbench -csv out/            # also write out/fig3.csv etc.
 //	spbench -j 8                 # fan runs out over 8 host workers
 //	spbench -trace-dir traces/   # write per-benchmark Chrome trace JSON
-//	spbench -exp diff            # verify no host-side tier changes a virtual result
-//	spbench -cachedir dir        # share predecode/SA/hot-seed artifacts across runs
+//	spbench -exp diff            # verify no host-side mechanism changes a virtual result
+//	spbench -cachedir dir        # share predecoded pages across runs
 //	spbench -cpuprofile cpu.pprof  # host CPU profile of the harness itself
 //	spbench -serve 127.0.0.1:8080  # live /metrics /status /trace HTTP plane
 //	spbench -lastgasp crash.json   # dump the flight recorder on panic/SIGTERM

@@ -109,12 +109,6 @@ func TestRunDiffExperiment(t *testing.T) {
 	positive(t, row, "ins", "pin cycles", "sp cycles", "arm runs")
 }
 
-// TestRunJITDiffExperiment: -exp diff holds the hot tier (the nohottier
-// arm) to the reference, which really promotes traces.
-func TestRunJITDiffExperiment(t *testing.T) {
-	positive(t, diffRow(t), "promos")
-}
-
 // TestRunObsSmokeExperiment: -exp diff traces every SuperPin run and
 // verifies its stream; the reported trace is nonempty and spans slices.
 func TestRunObsSmokeExperiment(t *testing.T) {
@@ -210,8 +204,8 @@ func TestRunWarmstartAndCacheDir(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ents) < 6 {
-				t.Fatalf("cache dir holds %d entries, want predecode+sa+seed for both benchmarks", len(ents))
+			if len(ents) != 2 {
+				t.Fatalf("cache dir holds %d entries, want a predecode set for each benchmark", len(ents))
 			}
 		}
 	}

@@ -92,15 +92,13 @@ func run(args []string) error {
 		lineBytes  = fs.Int("linebytes", 32, "dcache/acache line size in bytes")
 		ways       = fs.Int("ways", 4, "acache associativity")
 		noFastPath = fs.Bool("nofastpath", false, "disable the engine's dispatch fast paths (trace linking, superblock batching); virtual results are identical")
-		noSA       = fs.Bool("nosa", false, "disable the load-time static analysis (verifier, predicate folding, shared predecode); virtual results are identical")
-		noHotTier  = fs.Bool("nohottier", false, "disable the second-tier trace compiler (profile-guided layout, register caching); virtual results are identical")
 		profJSON   = fs.String("profile", "", "write the guest profile (PC + shadow call stack samples) as JSON to this file; enables the profiler")
 		profFold   = fs.String("fold", "", "write the guest profile as folded stacks (flamegraph.pl input) to this file; enables the profiler")
 		profInt    = fs.Uint64("profint", 0, "profiler sampling interval in retired guest instructions (0 = 10007 when -profile/-fold given, else off)")
 		profTop    = fs.Int("top", 10, "rows in the profiler hotspot table")
 		cpuProf    = fs.String("cpuprofile", "", "write a host CPU profile (runtime/pprof) of the simulator to this file")
 		memProf    = fs.String("memprofile", "", "write a host heap profile of the simulator to this file")
-		cacheDir   = fs.String("cachedir", os.Getenv("SUPERPIN_CACHE"), "persistent artifact cache directory (predecode, static analysis, hot-trace seeds; created if missing; default $SUPERPIN_CACHE; virtual results are identical warm or cold)")
+		cacheDir   = fs.String("cachedir", os.Getenv("SUPERPIN_CACHE"), "persistent artifact cache directory (predecoded pages; created if missing; default $SUPERPIN_CACHE; virtual results are identical warm or cold)")
 		serveAddr  = fs.String("serve", os.Getenv("SUPERPIN_SERVE"), "serve live telemetry over HTTP on this address (/metrics, /metrics.json, /status, /trace, /healthz, /debug/pprof/; default $SUPERPIN_SERVE; empty = off)")
 		traceCap   = fs.Int("tracecap", 1<<20, "max events held by the -trace tracer (drop-oldest ring; <= 0 = unbounded)")
 		flightCap  = fs.Int("flightcap", telemetry.DefaultFlightCap, "flight-recorder ring capacity in events when -serve/-lastgasp create their own tracer")
@@ -234,8 +232,6 @@ func run(args []string) error {
 		pcost := pin.DefaultCost()
 		pcost.MemSurcharge = spec.PinMemCost
 		pcost.NoFastPath = *noFastPath
-		pcost.NoSA = *noSA
-		pcost.NoHotTier = *noHotTier
 		pcfg := kcfg
 		pcfg.Trace = tracer
 		pcfg.Metrics = metrics
@@ -272,8 +268,6 @@ func run(args []string) error {
 	}
 	opts.PinCost.MemSurcharge = spec.SliceMemCost
 	opts.PinCost.NoFastPath = *noFastPath
-	opts.PinCost.NoSA = *noSA
-	opts.PinCost.NoHotTier = *noHotTier
 	opts.NativeMemSurcharge = spec.NativeMemCost
 	opts.ProfInterval = profInterval
 	opts.Trace = tracer

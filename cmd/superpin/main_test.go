@@ -51,8 +51,6 @@ func TestRunCatalogBenchmarkBothModes(t *testing.T) {
 		{"-t", "icount2", "-scale", "0.01", "-spmsec", "50", "--", "gzip"},
 		{"-t", "icount1", "-sp", "0", "-scale", "0.01", "--", "gzip"},
 		{"-t", "dcache", "-scale", "0.01", "-spmsec", "50", "--", "mcf"},
-		{"-t", "icount2", "-scale", "0.01", "-spmsec", "50", "-nohottier", "--", "gzip"},
-		{"-t", "icount2", "-sp", "0", "-scale", "0.01", "-nohottier", "--", "gzip"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
@@ -187,7 +185,7 @@ func TestRunPinModeTrace(t *testing.T) {
 }
 
 // TestRunCacheDir: -cachedir creates a missing (nested) directory,
-// persists artifacts into it, and a second run warm-starts from them
+// persists the predecoded pages into it, and a second run hydrates them
 // while publishing artifact metrics.
 func TestRunCacheDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "deep", "cache")
@@ -201,8 +199,8 @@ func TestRunCacheDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) < 3 {
-		t.Fatalf("cache dir holds %d entries, want predecode+sa+seed", len(ents))
+	if len(ents) != 1 {
+		t.Fatalf("cache dir holds %d entries, want the predecode set", len(ents))
 	}
 	if err := run([]string{"-t", "icount1", "-sp", "0", "-scale", "0.01",
 		"-compare=false", "-cachedir", dir, "-metrics", metrics, "--", "gzip"}); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"superpin/internal/asm"
 	"superpin/internal/isa"
-	"superpin/internal/jit"
 	"superpin/internal/obs"
 	"superpin/internal/workload"
 )
@@ -43,7 +42,7 @@ func TestKeyOf(t *testing.T) {
 	if KeyOf(&mutated) == k1 {
 		t.Fatal("mutated image bytes kept the same key")
 	}
-	// Symbols are part of the key (sa roots discovery at them).
+	// Symbols are part of the key.
 	mutated = *prog
 	mutated.Symbols = map[string]uint32{"extra": 0x1000}
 	for n, a := range prog.Symbols {
@@ -61,8 +60,8 @@ func TestKeyOf(t *testing.T) {
 }
 
 // TestSingleflight hammers one store from many goroutines and asserts
-// the singleflight contract: each artifact computed exactly once, every
-// caller handed the same pointer. Run under -race in check.sh.
+// the singleflight contract: the predecode set computed exactly once,
+// every caller handed the same pointer. Run under -race in check.sh.
 func TestSingleflight(t *testing.T) {
 	prog := buildProg(t, "gzip")
 	key := KeyOf(prog)
@@ -71,15 +70,12 @@ func TestSingleflight(t *testing.T) {
 	const goroutines = 32
 	var wg sync.WaitGroup
 	pres := make([]any, goroutines)
-	sas := make([]any, goroutines)
 	for i := 0; i < goroutines; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			pres[i] = s.Predecode(key, prog)
-			sas[i] = s.Analysis(key, prog)
-			s.Seed(key)
 		}()
 	}
 	wg.Wait()
@@ -87,68 +83,10 @@ func TestSingleflight(t *testing.T) {
 		if pres[i] != pres[0] {
 			t.Fatalf("goroutine %d got a different PredecodeSet pointer", i)
 		}
-		if sas[i] != sas[0] {
-			t.Fatalf("goroutine %d got a different Analysis pointer", i)
-		}
 	}
 	st := s.Stats()
-	if st.PredecodeComputes != 1 || st.SAComputes != 1 {
-		t.Fatalf("computes = %d/%d, want exactly 1 each", st.PredecodeComputes, st.SAComputes)
-	}
-	if st.PredecodeHits != goroutines-1 || st.SAHits != goroutines-1 {
-		t.Fatalf("hits = %d/%d, want %d each", st.PredecodeHits, st.SAHits, goroutines-1)
-	}
-	if st.SeedMisses != goroutines {
-		t.Fatalf("seed misses = %d, want %d (no seed contributed yet)", st.SeedMisses, goroutines)
-	}
-}
-
-// TestSeedMergePublishes: merges publish immutable snapshots; concurrent
-// merges never lose counts.
-func TestSeedMergePublishes(t *testing.T) {
-	prog := buildProg(t, "gzip")
-	key := KeyOf(prog)
-	s := NewStore()
-
-	if s.Seed(key) != nil {
-		t.Fatal("fresh store returned a seed")
-	}
-	d1 := jit.NewWarmSeed()
-	d1.Entries[0x1000] = jit.WarmEntry{Execs: 10, HotExit: 0x2000, HotCount: 5}
-	s.MergeSeed(key, d1)
-	snap := s.Seed(key)
-	if snap.Len() != 1 {
-		t.Fatalf("seed len = %d, want 1", snap.Len())
-	}
-
-	const goroutines = 16
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := jit.NewWarmSeed()
-			d.Entries[0x1000] = jit.WarmEntry{Execs: 1}
-			s.MergeSeed(key, d)
-		}()
-	}
-	wg.Wait()
-	// The earlier snapshot is untouched.
-	if e := snap.Entries[0x1000]; e.Execs != 10 {
-		t.Fatalf("published snapshot mutated: %+v", e)
-	}
-	got := s.Seed(key).Entries[0x1000]
-	if got.Execs != 10+goroutines {
-		t.Fatalf("merged Execs = %d, want %d", got.Execs, 10+goroutines)
-	}
-	if got.HotExit != 0x2000 || got.HotCount != 5 {
-		t.Fatalf("merge lost the hottest exit: %+v", got)
-	}
-	// Empty deltas are ignored.
-	s.MergeSeed(key, nil)
-	s.MergeSeed(key, jit.NewWarmSeed())
-	if st := s.Stats(); st.SeedMerges != 1+goroutines {
-		t.Fatalf("merges = %d, want %d", st.SeedMerges, 1+goroutines)
+	if st.PredecodeComputes != 1 || st.PredecodeHits != goroutines-1 {
+		t.Fatalf("computes/hits = %d/%d, want 1/%d", st.PredecodeComputes, st.PredecodeHits, goroutines-1)
 	}
 }
 

@@ -29,27 +29,21 @@ import (
 // well-formed file, which is the same trust level as the binary itself.
 const (
 	diskMagic     = "SPAC"
-	formatVersion = 2
+	formatVersion = 3
 	headerSize    = 4 + 2 + 1 + 32 + 4
 )
 
 // kind tags the artifact type inside an entry.
 type kind uint8
 
-const (
-	kindPredecode kind = 1
-	kindSA        kind = 2
-	kindSeed      kind = 3
-)
+// kindPredecode is the one kind stored today. Kinds 2 (static analysis)
+// and 3 (hot-trace warm seed) belonged to format version 2 and are
+// retired with it.
+const kindPredecode kind = 1
 
 func (k kind) String() string {
-	switch k {
-	case kindPredecode:
+	if k == kindPredecode {
 		return "predecode"
-	case kindSA:
-		return "sa"
-	case kindSeed:
-		return "seed"
 	}
 	return fmt.Sprintf("kind%d", uint8(k))
 }

@@ -1,13 +1,13 @@
 package artifact
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"superpin/internal/jit"
-	"superpin/internal/sa"
+	"superpin/internal/mem"
 )
 
 func TestDiskStoreCreatesMissingDir(t *testing.T) {
@@ -39,9 +39,9 @@ func TestDiskStoreRejectsUnusableDir(t *testing.T) {
 	}
 }
 
-// TestDiskRoundtrip: a second store on the same directory loads every
-// artifact from disk instead of recomputing, and the loaded results
-// match the computed ones exactly.
+// TestDiskRoundtrip: a second store on the same directory loads the
+// predecoded pages from disk instead of recomputing, and the loaded set
+// matches the computed one.
 func TestDiskRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	prog := tiny(t)
@@ -52,12 +52,8 @@ func TestDiskRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := a.Predecode(key, prog)
-	an := a.Analysis(key, prog)
-	seed := jit.NewWarmSeed()
-	seed.Entries[0x1000] = jit.WarmEntry{Execs: 64, HotExit: 0x1008, HotCount: 63}
-	a.MergeSeed(key, seed)
-	if st := a.Stats(); st.DiskWrites != 3 || st.DiskHits != 0 {
-		t.Fatalf("populate stats = %+v, want 3 writes, 0 hits", st)
+	if st := a.Stats(); st.DiskWrites != 1 || st.DiskHits != 0 {
+		t.Fatalf("populate stats = %+v, want 1 write, 0 hits", st)
 	}
 
 	b, err := NewDiskStore(dir)
@@ -65,28 +61,87 @@ func TestDiskRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre2 := b.Predecode(key, prog)
-	an2 := b.Analysis(key, prog)
-	seed2 := b.Seed(key)
-	if st := b.Stats(); st.DiskHits != 3 || st.DiskErrors != 0 {
-		t.Fatalf("warm stats = %+v, want 3 disk hits, 0 errors", st)
+	if st := b.Stats(); st.DiskHits != 1 || st.DiskErrors != 0 || st.PredecodeComputes != 0 {
+		t.Fatalf("warm stats = %+v, want 1 disk hit, 0 errors, 0 computes", st)
 	}
 	if pre2.Pages() != pre.Pages() {
 		t.Fatalf("loaded predecode pages = %d, want %d", pre2.Pages(), pre.Pages())
 	}
-	if !reflect.DeepEqual(an.Diags(), an2.Diags()) ||
-		an.NumBlocks() != an2.NumBlocks() ||
-		an.LiveIn(0x1000) != an2.LiveIn(0x1000) {
-		t.Fatal("loaded analysis differs from computed analysis")
+}
+
+// v2Entry returns a cache file in on-disk format version 2, the format
+// before the static-analysis and warm-seed kinds were retired: the same
+// header layout stamped version 2, around payload.
+func v2Entry(k Key, kd kind, payload []byte) []byte {
+	buf := []byte(diskMagic)
+	buf = binary.LittleEndian.AppendUint16(buf, 2)
+	buf = append(buf, byte(kd))
+	buf = append(buf, k[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	sum := sha256.Sum256(payload)
+	return append(buf, sum[:]...)
+}
+
+// TestDiskV2EntryIsAMiss: a cache directory written by format version 2
+// — a well-formed predecode entry plus the retired sa (kind 2) and seed
+// (kind 3) entries, each under its v2 file name — is a counted miss, not
+// an error: the v3 name is absent, the store computes the predecode set
+// cold, persists it in the current format, and the next store hydrates
+// it from disk.
+func TestDiskV2EntryIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	prog := tiny(t)
+	key := KeyOf(prog)
+	spans := make([]mem.Span, len(prog.Segments))
+	for i, seg := range prog.Segments {
+		spans[i] = mem.Span{Addr: seg.Addr, Data: seg.Data}
 	}
-	if seed2.Len() != 1 || seed2.Entries[0x1000].Execs != 64 {
-		t.Fatalf("loaded seed = %+v, want the persisted entry", seed2)
+	for _, e := range []struct {
+		name    string
+		kd      kind
+		payload []byte
+	}{
+		{"predecode", kindPredecode, mem.EncodePredecodeSet(mem.BuildPredecodeSet(spans))},
+		{"sa", 2, []byte("retired static analysis")},
+		{"seed", 3, []byte("retired warm seed")},
+	} {
+		name := filepath.Join(dir, key.String()+"."+e.name+".v2")
+		if err := os.WriteFile(name, v2Entry(key, e.kd, e.payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cold, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := cold.Predecode(key, prog)
+	st := cold.Stats()
+	if st.DiskMisses != 1 || st.DiskErrors != 0 || st.DiskHits != 0 || st.PredecodeComputes != 1 {
+		t.Fatalf("v2 directory: %+v, want 1 disk miss, 0 errors, 0 hits, 1 compute", st)
+	}
+	if st.DiskWrites != 1 {
+		t.Fatalf("cold compute not persisted in the current format: %+v", st)
+	}
+
+	warm, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre2 := warm.Predecode(key, prog)
+	if st := warm.Stats(); st.DiskHits != 1 || st.DiskErrors != 0 || st.PredecodeComputes != 0 {
+		t.Fatalf("rehydrated store: %+v, want 1 disk hit, 0 errors, 0 computes", st)
+	}
+	if pre2.Pages() != pre.Pages() {
+		t.Fatalf("rehydrated predecode pages = %d, want %d", pre2.Pages(), pre.Pages())
 	}
 }
 
-// TestDiskCorruptCorpus seeds one corruption per entry, sa-verifier
-// corpus style: every damaged cache file must fall back silently to the
-// cold path — identical results, a counted disk error, no crash, and
-// never a poisoned artifact.
+// TestDiskCorruptCorpus seeds one corruption per entry: every damaged
+// cache file must fall back silently to the cold path — identical
+// results, a counted disk error, no crash, and never a poisoned
+// artifact.
 func TestDiskCorruptCorpus(t *testing.T) {
 	prog := tiny(t)
 	key := KeyOf(prog)
@@ -96,7 +151,6 @@ func TestDiskCorruptCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refAn := ref.Analysis(key, prog)
 	refPre := ref.Predecode(key, prog)
 
 	corruptions := []struct {
@@ -155,116 +209,34 @@ func TestDiskCorruptCorpus(t *testing.T) {
 		{"deleted", os.Remove, false},
 	}
 
-	for _, kd := range []kind{kindPredecode, kindSA, kindSeed} {
-		for _, tc := range corruptions {
-			t.Run(kd.String()+"/"+tc.name, func(t *testing.T) {
-				dir := t.TempDir()
-				w, err := NewDiskStore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.Predecode(key, prog)
-				w.Analysis(key, prog)
-				seed := jit.NewWarmSeed()
-				seed.Entries[0x1000] = jit.WarmEntry{Execs: 64, HotExit: 0x1008, HotCount: 63}
-				w.MergeSeed(key, seed)
+	for _, tc := range corruptions {
+		t.Run(kindPredecode.String()+"/"+tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Predecode(key, prog)
 
-				if err := tc.mutate(w.entryPath(key, kd)); err != nil {
-					t.Fatalf("mutate: %v", err)
-				}
+			if err := tc.mutate(w.entryPath(key, kindPredecode)); err != nil {
+				t.Fatalf("mutate: %v", err)
+			}
 
-				v, err := NewDiskStore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pre := v.Predecode(key, prog)
-				an := v.Analysis(key, prog)
-				v.Seed(key)
-				if pre.Pages() != refPre.Pages() {
-					t.Fatalf("fallback predecode pages = %d, want %d", pre.Pages(), refPre.Pages())
-				}
-				if an.NumBlocks() != refAn.NumBlocks() || an.LiveIn(0x1000) != refAn.LiveIn(0x1000) {
-					t.Fatal("fallback analysis differs from a cold compute")
-				}
-				st := v.Stats()
-				if tc.recover && st.DiskErrors == 0 {
-					t.Fatalf("corruption was not counted: %+v", st)
-				}
-				if !tc.recover && st.DiskMisses == 0 {
-					t.Fatalf("deleted entry not counted as miss: %+v", st)
-				}
-			})
-		}
-	}
-}
-
-// TestDiskSAWrongImage: an sa entry copied under another image's key (or
-// an image rebuilt differently at the same path) is rejected by the
-// structural validation, not silently adopted.
-// TestDiskSAStaleVersion: an SA entry written by an older encoding
-// version (simulated by stripping the v2 magic/version header, which is
-// exactly what a v1 payload looks like) must fall back to a cold
-// analysis — counted as a disk error, never a decode panic or a wrong
-// Analysis.
-func TestDiskSAStaleVersion(t *testing.T) {
-	dir := t.TempDir()
-	prog := tiny(t)
-	key := KeyOf(prog)
-
-	w, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := sa.Analyze(prog).Encode()[8:] // v1 payloads carried no header
-	w.writeDisk(key, kindSA, stale)
-
-	v, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := v.Analysis(key, prog)
-	ref := sa.Analyze(prog)
-	if an.NumBlocks() != ref.NumBlocks() || an.LiveIn(0x1000) != ref.LiveIn(0x1000) ||
-		an.IPStats() != ref.IPStats() {
-		t.Fatal("stale-version fallback differs from a cold compute")
-	}
-	if st := v.Stats(); st.DiskErrors == 0 {
-		t.Fatalf("stale version not counted as a disk error: %+v", st)
-	}
-	if st := v.Stats(); st.SAComputes == 0 {
-		t.Fatalf("stale version did not trigger a cold compute: %+v", st)
-	}
-}
-
-func TestDiskSAWrongImage(t *testing.T) {
-	dir := t.TempDir()
-	prog := tiny(t)
-	other := buildProg(t, "gzip")
-	key, okey := KeyOf(prog), KeyOf(other)
-
-	w, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Analysis(key, prog)
-	// Forge: rewrite tiny's sa payload under gzip's key with a matching
-	// header, simulating a misdirected-but-internally-consistent entry.
-	payload := sa.Analyze(prog).Encode()
-	w2, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2.writeDisk(okey, kindSA, payload)
-
-	v, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := v.Analysis(okey, other)
-	if an.NumBlocks() != sa.Analyze(other).NumBlocks() {
-		t.Fatal("forged entry poisoned the analysis")
-	}
-	if st := v.Stats(); st.DiskErrors == 0 {
-		t.Fatalf("structural rejection not counted: %+v", st)
+			v, err := NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre := v.Predecode(key, prog)
+			if pre.Pages() != refPre.Pages() {
+				t.Fatalf("fallback predecode pages = %d, want %d", pre.Pages(), refPre.Pages())
+			}
+			st := v.Stats()
+			if tc.recover && st.DiskErrors == 0 {
+				t.Fatalf("corruption was not counted: %+v", st)
+			}
+			if !tc.recover && st.DiskMisses == 0 {
+				t.Fatalf("deleted entry not counted as miss: %+v", st)
+			}
+		})
 	}
 }

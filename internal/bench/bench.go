@@ -79,8 +79,7 @@ type Config struct {
 	TraceDir string
 	// Artifacts, when non-nil, is the content-addressed artifact store
 	// every run the harness performs shares: concurrent suite runs of the
-	// same benchmark predecode and analyze each image exactly once, and
-	// later runs warm-start the hot tier from earlier runs' harvests.
+	// same benchmark predecode each image exactly once.
 	// Virtual-cycle results are identical with or without a store
 	// (`-exp diff`'s warm and disk-warm arms prove it).
 	Artifacts *artifact.Store

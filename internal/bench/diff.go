@@ -20,9 +20,9 @@ import (
 )
 
 // The differential harness (`spbench -exp diff`) checks the invariant
-// every host-side tier promises: dispatch fast paths, the hot tier, the
-// static-analysis tiers, the artifact store, telemetry and the profiler
-// change what the host pays, never a virtual result. Each benchmark runs
+// every host-side mechanism promises: dispatch fast paths, the artifact
+// store, telemetry and the profiler change what the host pays, never a
+// virtual result. Each benchmark runs
 // every leg (tool x mode) once under the reference setup and once per
 // arm; each arm flips one host-side axis, declares the host-only counters
 // that axis may move, and checks that its machinery really ran. One
@@ -30,7 +30,7 @@ import (
 
 // diffLeg is one tool run the harness repeats under every arm.
 type diffLeg struct {
-	tool     string // icount1, icount2, watch or watch-opaque
+	tool     string // icount1, icount2 or watch
 	superpin bool   // SuperPin rather than serial Pin
 	prof     bool   // profiler attached in the reference
 	shared   bool   // SuperPin shared code cache (Section 8)
@@ -44,15 +44,13 @@ func (l diffLeg) String() string {
 }
 
 // diffLegs is the per-benchmark coverage. Serial Pin runs both counting
-// tools and both watchpoint variants: the declared watch lets the value
-// analysis fold its predicate, the opaque one cannot fold, so its
-// predicate is evaluated at every site. SuperPin merges a profile across
-// slices under icount1 and shares translations under icount2.
+// tools and the watchpoint, whose If/Then pair runs at every block head.
+// SuperPin merges a profile across slices under icount1 and shares
+// translations under icount2.
 var diffLegs = []diffLeg{
 	{tool: "icount1"},
 	{tool: "icount2", prof: true},
 	{tool: "watch"},
-	{tool: "watch-opaque"},
 	{tool: "icount1", superpin: true, prof: true},
 	{tool: "icount2", superpin: true, shared: true},
 	{tool: "watch", superpin: true},
@@ -101,67 +99,31 @@ type armCheck struct {
 	ref, got *diffRun
 }
 
-// warmHost are the counters a warm start moves: the seed promotes traces
-// at compile time, which shifts hot-tier work and the first-tier link
-// traffic it displaces.
-var warmHost = []string{"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits",
-	"Engine.WarmPromotions", "Engine.FirstPromoDispatch",
-	"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"}
-
 // diffArms is the arm table, in run order. EXPERIMENTS.md documents it
 // row for row.
 var diffArms = []diffArm{
 	{
 		name:  "nofastpath",
-		axis:  "dispatch fast paths off (trace linking, superblocks; the hot tier rides on them)",
+		axis:  "dispatch fast paths off (trace linking, superblocks)",
 		apply: func(s *diffSetup) { s.cost.NoFastPath = true },
-		host: []string{"Engine.SuperblockIns", "Engine.SASharedRuns", "Engine.SAPrivateRuns",
-			"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits", "Engine.FirstPromoDispatch",
+		host: []string{"Engine.SuperblockIns",
 			"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"},
 		check:   checkNoFastPath,
-		engaged: "reference icount2 links traces and runs superblocks; arm reports no fast-path, sealing or hot activity",
-	},
-	{
-		name:  "nohottier",
-		axis:  "second-tier trace compiler off",
-		apply: func(s *diffSetup) { s.cost.NoHotTier = true },
-		host: []string{"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits",
-			"Engine.FirstPromoDispatch", "Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"},
-		check:   checkNoHotTier,
-		engaged: "reference promotes wherever it dispatched >= 4096 times; arm reports no hot activity",
-	},
-	{
-		name:    "saintra",
-		axis:    "static analysis restricted to its intraprocedural tier",
-		apply:   func(s *diffSetup) { s.cost.SAIntra = true },
-		host:    []string{"Engine.FoldedSites", "Engine.FoldedPreds"},
-		check:   checkSAIntra,
-		engaged: "arm reports no fold activity",
-	},
-	{
-		name:  "nosa",
-		axis:  "load-time static analysis off",
-		apply: func(s *diffSetup) { s.cost.NoSA = true },
-		host: []string{"Engine.SASharedRuns", "Engine.SAPrivateRuns", "Engine.HotIns",
-			"Engine.FoldedSites", "Engine.FoldedPreds"},
-		check:   checkNoSA,
-		engaged: "reference icount2 seals superblocks over the shared predecode; arm reports no sealing or fold activity",
+		engaged: "reference icount2 links traces and runs superblocks; arm reports no fast-path activity",
 	},
 	{
 		name:    "warm",
 		axis:    "second run on a populated in-process artifact store",
 		apply:   func(s *diffSetup) { s.store = warmStore },
-		host:    warmHost,
 		check:   checkWarm,
-		engaged: "one predecode and one analysis compute, then store hits; serial runs seed promotions and promote earlier",
+		engaged: "one predecode compute, then store hits",
 	},
 	{
 		name:    "disk-warm",
 		axis:    "fresh artifact store hydrated from a cache directory",
 		apply:   func(s *diffSetup) { s.store = diskStore },
-		host:    warmHost,
 		check:   checkDiskWarm,
-		engaged: "disk hits with zero predecode or analysis recomputes",
+		engaged: "disk hits with zero predecode recomputes",
 	},
 	{
 		name: "telemetry",
@@ -193,8 +155,8 @@ func checkNoFastPath(c *armCheck) error {
 	if c.leg.superpin {
 		return nil
 	}
-	if err := inert(c.got.pin, "Engine.SuperblockIns", "Engine.SASharedRuns", "Engine.SAPrivateRuns",
-		"Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits", "Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"); err != nil {
+	if err := inert(c.got.pin, "Engine.SuperblockIns",
+		"Cache.LinkHits", "Cache.LinkMisses", "Cache.LinkInvalidations"); err != nil {
 		return err
 	}
 	if ref := c.ref.pin; c.leg.tool == "icount2" && (ref.Cache.LinkHits == 0 || ref.Engine.SuperblockIns == 0) {
@@ -204,63 +166,13 @@ func checkNoFastPath(c *armCheck) error {
 	return nil
 }
 
-func checkNoHotTier(c *armCheck) error {
-	if c.leg.superpin {
-		return nil
-	}
-	if err := inert(c.got.pin, "Engine.HotPromotions", "Engine.HotIns", "Engine.HotLinkHits",
-		"Engine.WarmPromotions"); err != nil {
-		return err
-	}
-	// Promotion is driven by per-trace dispatch counts, so demand it only
-	// where the run dispatched enough to guarantee a hot trace exists.
-	if e := c.ref.pin.Engine; e.Dispatches >= 4096 && e.HotPromotions == 0 {
-		return fmt.Errorf("reference dispatched %d times but promoted no trace", e.Dispatches)
-	}
-	return nil
-}
-
-func checkSAIntra(c *armCheck) error {
-	if c.leg.superpin {
-		return nil
-	}
-	return inert(c.got.pin, "Engine.FoldedSites", "Engine.FoldedPreds")
-}
-
-func checkNoSA(c *armCheck) error {
-	if c.leg.superpin {
-		return nil
-	}
-	if err := inert(c.got.pin, "Engine.SASharedRuns", "Engine.SAPrivateRuns",
-		"Engine.FoldedSites", "Engine.FoldedPreds"); err != nil {
-		return err
-	}
-	// icount1 instruments every instruction, leaving no call-free run to
-	// seal; block-granularity tools must seal over the shared predecode.
-	if c.leg.tool == "icount2" && c.ref.pin.Engine.SASharedRuns == 0 {
-		return fmt.Errorf("reference sealed no superblock over the shared predecode")
-	}
-	return nil
-}
-
 func checkWarm(c *armCheck) error {
 	if c.got.store == nil {
 		return fmt.Errorf("no artifact store attached")
 	}
-	st := c.got.store.Stats()
-	if st.PredecodeComputes != 1 || st.SAComputes != 1 || st.PredecodeHits == 0 || st.SAHits == 0 {
-		return fmt.Errorf("store did not serve the second run: predecode %d computes/%d hits, analysis %d computes/%d hits",
-			st.PredecodeComputes, st.PredecodeHits, st.SAComputes, st.SAHits)
-	}
-	if c.leg.superpin {
-		return nil
-	}
-	// The seed only matters where the cold run promotes at all; there it
-	// must fire at compile time, strictly before the cold first promotion.
-	ref, got := c.ref.pin.Engine, c.got.pin.Engine
-	if ref.HotPromotions > 0 && (got.WarmPromotions == 0 || got.FirstPromoDispatch >= ref.FirstPromoDispatch) {
-		return fmt.Errorf("no warm start: %d seeded promotions, first promotion at dispatch %d (cold %d)",
-			got.WarmPromotions, got.FirstPromoDispatch, ref.FirstPromoDispatch)
+	if st := c.got.store.Stats(); st.PredecodeComputes != 1 || st.PredecodeHits == 0 {
+		return fmt.Errorf("store did not serve the second run: predecode %d computes/%d hits",
+			st.PredecodeComputes, st.PredecodeHits)
 	}
 	return nil
 }
@@ -269,9 +181,9 @@ func checkDiskWarm(c *armCheck) error {
 	if c.got.store == nil {
 		return fmt.Errorf("no artifact store attached")
 	}
-	if st := c.got.store.Stats(); st.DiskHits == 0 || st.PredecodeComputes != 0 || st.SAComputes != 0 {
-		return fmt.Errorf("store did not hydrate from disk: %d disk hits, %d predecode and %d analysis computes",
-			st.DiskHits, st.PredecodeComputes, st.SAComputes)
+	if st := c.got.store.Stats(); st.DiskHits == 0 || st.PredecodeComputes != 0 {
+		return fmt.Errorf("store did not hydrate from disk: %d disk hits, %d predecode computes",
+			st.DiskHits, st.PredecodeComputes)
 	}
 	return nil
 }
@@ -336,7 +248,7 @@ func compareRuns(ref, got *diffRun, host []string) error {
 }
 
 // zeroed returns v with every field named by paths (dotted, e.g.
-// "Engine.HotIns") set to its zero value; paths v lacks are skipped.
+// "Engine.SuperblockIns") set to its zero value; paths v lacks are skipped.
 func zeroed[T any](v T, paths []string) T {
 	rv := reflect.ValueOf(&v).Elem()
 	for _, p := range paths {
@@ -433,15 +345,10 @@ type DiffReport struct {
 	// Runs counts the arm runs compared against a reference.
 	Runs int
 	// LinkHits and SuperblockIns are the serial icount2 reference's
-	// fast-path counters; Promotions sums hot promotions over the serial
-	// references.
+	// fast-path counters.
 	LinkHits      uint64
 	SuperblockIns uint64
-	Promotions    uint64
-	// FoldedPreds are the declared watchpoint's predicate evaluations the
-	// value analysis decided at compile time.
-	FoldedPreds uint64
-	// StoreHits sums the warm arm's predecode and analysis store hits, and
+	// StoreHits sums the warm arm's predecode store hits, and
 	// DiskHits the disk-warm arm's loads from the cache directory, over
 	// every leg.
 	StoreHits uint64
@@ -458,26 +365,19 @@ type DiffReport struct {
 
 // RunDiff runs every configured benchmark's legs under the reference and
 // every arm of the table, and verifies that no arm changed a virtual
-// result. It then asserts the value analysis folded a declared predicate
-// somewhere in the suite, and that some merged profile spans several
-// slices and a nonempty call stack.
+// result. It then asserts that some merged profile spans several slices
+// and a nonempty call stack.
 func RunDiff(cfg Config) ([]*DiffReport, error) {
 	reports, err := runDiff(cfg, diffArms)
 	if err != nil {
 		return nil, err
 	}
-	var folded, merged bool
 	for _, r := range reports {
-		folded = folded || r.FoldedPreds > 0
-		merged = merged || (r.Slices >= 2 && r.MaxStack > 0)
+		if r.Slices >= 2 && r.MaxStack > 0 {
+			return reports, nil
+		}
 	}
-	switch {
-	case !folded:
-		return nil, fmt.Errorf("diff: value analysis never folded a declared predicate")
-	case !merged:
-		return nil, fmt.Errorf("diff: no merged profile spans two slices and a call")
-	}
-	return reports, nil
+	return nil, fmt.Errorf("diff: no merged profile spans two slices and a call")
 }
 
 // runDiff is RunDiff over an arbitrary arm table, without the suite-wide
@@ -617,11 +517,10 @@ func (h *diffBench) runLegArms(leg diffLeg, arms []diffArm) error {
 	return nil
 }
 
-// note records a leg's reference (and analysis-tier) counters.
+// note records a leg's reference counters and the store arms' hits.
 func (r *DiffReport) note(leg diffLeg, ref *diffRun, runs map[string]*diffRun) {
 	if run := runs["warm"]; run != nil && run.store != nil {
-		st := run.store.Stats()
-		r.StoreHits += st.PredecodeHits + st.SAHits
+		r.StoreHits += run.store.Stats().PredecodeHits
 	}
 	if run := runs["disk-warm"]; run != nil && run.store != nil {
 		r.DiskHits += run.store.Stats().DiskHits
@@ -636,15 +535,11 @@ func (r *DiffReport) note(leg diffLeg, ref *diffRun, runs map[string]*diffRun) {
 		}
 		return
 	}
-	e := ref.pin.Engine
-	r.Promotions += e.HotPromotions
 	switch leg.tool {
 	case "icount1":
 		r.PinCycles = ref.pin.Time
 	case "icount2":
-		r.LinkHits, r.SuperblockIns = ref.pin.Cache.LinkHits, e.SuperblockIns
-	case "watch":
-		r.FoldedPreds = e.FoldedPreds
+		r.LinkHits, r.SuperblockIns = ref.pin.Cache.LinkHits, ref.pin.Engine.SuperblockIns
 	}
 }
 
@@ -738,11 +633,8 @@ func diffTool(name string) (core.ToolFactory, func() uint64) {
 	case "icount2":
 		t := tools.NewIcount2(nil)
 		return t.Factory(), t.Total
-	case "watch":
-		w := tools.NewWatch(nil, workload.DataReg, workload.DataBase)
-		return w.Factory(), w.Hits
 	default:
-		w := tools.NewWatchOpaque(nil, workload.DataReg, workload.DataBase)
+		w := tools.NewWatch(nil, workload.DataReg, workload.DataBase)
 		return w.Factory(), w.Hits
 	}
 }
@@ -750,12 +642,12 @@ func diffTool(name string) (core.ToolFactory, func() uint64) {
 // DiffTable renders RunDiff's reports.
 func DiffTable(rs []*DiffReport) *report.Table {
 	t := report.New("Differential harness: every arm vs the reference, identical virtual results",
-		"benchmark", "ins", "pin cycles", "sp cycles", "arm runs", "link hits", "sb ins", "promos",
-		"folded preds", "store hits", "disk hits", "samples", "max stack",
+		"benchmark", "ins", "pin cycles", "sp cycles", "arm runs", "link hits", "sb ins",
+		"store hits", "disk hits", "samples", "max stack",
 		"slices", "events", "verdict")
 	for _, r := range rs {
 		t.Row(r.Name, r.Ins, uint64(r.PinCycles), uint64(r.SPCycles), r.Runs, r.LinkHits, r.SuperblockIns,
-			r.Promotions, r.FoldedPreds, r.StoreHits, r.DiskHits, r.Samples, r.MaxStack, r.Slices, r.Events, "ok")
+			r.StoreHits, r.DiskHits, r.Samples, r.MaxStack, r.Slices, r.Events, "ok")
 	}
 	return t
 }
@@ -764,7 +656,7 @@ func DiffTable(rs []*DiffReport) *report.Table {
 // counters it may move, and what it checks beyond equality.
 func DiffArms() string {
 	var sb strings.Builder
-	sb.WriteString("Differential arms (reference: fast paths, full analysis, hot tier, no store, no telemetry):\n")
+	sb.WriteString("Differential arms (reference: fast paths, no store, no telemetry):\n")
 	for _, a := range diffArms {
 		fmt.Fprintf(&sb, "  %-10s  %s\n", a.name, a.axis)
 		if len(a.host) > 0 {

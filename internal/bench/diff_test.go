@@ -24,8 +24,8 @@ func TestRunDiff(t *testing.T) {
 		t.Fatalf("got %d reports", len(reports))
 	}
 	for _, r := range reports {
-		if r.LinkHits == 0 || r.SuperblockIns == 0 || r.Promotions == 0 {
-			t.Errorf("%s: fast paths or hot tier idle: %+v", r.Name, r)
+		if r.LinkHits == 0 || r.SuperblockIns == 0 {
+			t.Errorf("%s: fast paths idle: %+v", r.Name, r)
 		}
 		if r.Samples == 0 || r.Slices < 2 || r.MaxStack == 0 {
 			t.Errorf("%s: profile merge untested: %d samples, %d slices, stack depth %d",
@@ -73,30 +73,6 @@ func TestRunFastPathDiff(t *testing.T) {
 		if r.LinkHits == 0 || r.SuperblockIns == 0 {
 			t.Errorf("%s: fast paths idle: %d link hits, %d superblock instructions",
 				r.Name, r.LinkHits, r.SuperblockIns)
-		}
-	}
-}
-
-// TestRunSADiff: the intraprocedural and no-analysis tiers match the
-// reference, and the value analysis folds declared predicates.
-func TestRunSADiff(t *testing.T) {
-	cfg := obsTestConfig()
-	cfg.Benchmarks = []string{"gzip"}
-	for _, r := range runArms(t, cfg, "saintra", "nosa") {
-		if r.FoldedPreds == 0 {
-			t.Errorf("%s: no declared predicate folded", r.Name)
-		}
-	}
-}
-
-// TestRunJITDiff: runs with the hot tier off match the reference, which
-// really promotes traces.
-func TestRunJITDiff(t *testing.T) {
-	cfg := obsTestConfig()
-	cfg.Benchmarks = []string{"gzip"}
-	for _, r := range runArms(t, cfg, "nohottier") {
-		if r.Promotions == 0 {
-			t.Errorf("%s: reference promoted no trace", r.Name)
 		}
 	}
 }
@@ -150,16 +126,16 @@ func TestRunCacheDiffSmall(t *testing.T) {
 	}
 }
 
-// TestRunWarmstartSmall: a warm run matches the cold one, and because the
-// cold run promotes, the warm arm's check has required seeded promotions
-// that fire before the cold first promotion.
+// TestRunWarmstartSmall: a run on an in-process store the previous run
+// populated matches the cold one with the default worker count, and the
+// store served it.
 func TestRunWarmstartSmall(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 0.02
 	cfg.Benchmarks = []string{"gzip"}
 	for _, r := range runArms(t, cfg, "warm") {
-		if r.Promotions == 0 || r.StoreHits == 0 {
-			t.Errorf("%s: warm start untested: %d cold promotions, %d store hits", r.Name, r.Promotions, r.StoreHits)
+		if r.StoreHits == 0 {
+			t.Errorf("%s: warm store served no predecode hit", r.Name)
 		}
 	}
 }

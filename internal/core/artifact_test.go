@@ -111,7 +111,7 @@ func TestArtifactSMCInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkPinResult(t, label, res, cold)
-		if st := store.Stats(); i == 1 && (st.PredecodeHits == 0 || st.SAHits == 0) {
+		if st := store.Stats(); i == 1 && st.PredecodeHits == 0 {
 			t.Fatalf("warm run missed the store: %+v", st)
 		}
 	}
@@ -143,8 +143,9 @@ func TestArtifactSMCInvalidation(t *testing.T) {
 }
 
 // TestArtifactSuperPinSMC: the same self-modifying guest under SuperPin
-// with a shared artifact store — slices adopt the store's predecode and
-// warm seed, and the merged result must still match native.
+// with a shared artifact store — the master adopts the store's predecode,
+// its slices inherit it through the fork, and the merged result must
+// still match native.
 func TestArtifactSuperPinSMC(t *testing.T) {
 	const iters, step = 2000, 3
 	cfg := testKernelCfg()
@@ -173,71 +174,18 @@ func TestArtifactSuperPinSMC(t *testing.T) {
 				label, res.ExitCode, count(), native.ExitCode, native.Ins)
 		}
 	}
-	if st := store.Stats(); st.PredecodeComputes != 1 || st.SAComputes != 1 {
-		t.Fatalf("store recomputed artifacts across runs: %+v", st)
-	}
-	if st := store.Stats(); st.SeedMerges == 0 {
-		t.Fatalf("no hotness harvested back into the store: %+v", st)
+	if st := store.Stats(); st.PredecodeComputes != 1 {
+		t.Fatalf("store recomputed the predecode set across runs: %+v", st)
 	}
 }
 
-// TestArtifactWarmSeedSharedAcrossRuns: a cached serial run must
-// warm-start from the previous execution's harvest (promotion at
-// compile time) while staying byte-identical to the cold run.
-func TestArtifactWarmSeedSharedAcrossRuns(t *testing.T) {
-	cfg := testKernelCfg()
-	cost := pin.DefaultCost()
-	cost.HotThreshold = 16
-	prog := func() *asm.Program { return buildWorkload(t, 3000, 31, kernel.SysRand) }
-
-	factory, _ := newIcount()
-	cold, err := RunPin(cfg, prog(), factory, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Engine.HotPromotions == 0 {
-		t.Fatal("cold run never promoted; test workload too small")
-	}
-
-	store := artifact.NewStore()
-	f1, _ := newIcount()
-	first, err := RunPinCached(cfg, prog(), f1, cost, 0, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPinResult(t, "first", first, cold)
-	if first.Engine.WarmPromotions != 0 {
-		t.Fatalf("first run warm-promoted from an empty store: %+v", first.Engine)
-	}
-
-	f2, _ := newIcount()
-	second, err := RunPinCached(cfg, prog(), f2, cost, 0, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPinResult(t, "second", second, cold)
-	if second.Engine.WarmPromotions == 0 {
-		t.Fatalf("second run earned no warm promotions: %+v", second.Engine)
-	}
-	if second.Engine.FirstPromoDispatch >= first.Engine.FirstPromoDispatch {
-		t.Fatalf("warm first promotion at dispatch %d, cold at %d — no warm start",
-			second.Engine.FirstPromoDispatch, first.Engine.FirstPromoDispatch)
-	}
-}
-
-// v1SeedFile returns a disk-cache seed entry in the version-1 format:
-// the "SPAC" header stamped version 1, and 32-byte warm records that
-// still carried a self-loop counter between Execs and HotExit.
-func v1SeedFile(key artifact.Key, pc uint32) []byte {
-	payload := binary.LittleEndian.AppendUint32(nil, 1) // one record
-	payload = binary.LittleEndian.AppendUint32(payload, pc)
-	payload = binary.LittleEndian.AppendUint64(payload, 1000) // Execs
-	payload = binary.LittleEndian.AppendUint64(payload, 999)  // SelfLoops
-	payload = binary.LittleEndian.AppendUint32(payload, pc)   // HotExit
-	payload = binary.LittleEndian.AppendUint64(payload, 999)  // HotCount
+// v2Entry returns a disk-cache entry in on-disk format version 2: the
+// "SPAC" header stamped version 2 around payload. Version 2 also stored
+// static analyses (kind 2) and hot-trace warm seeds (kind 3).
+func v2Entry(key artifact.Key, kind byte, payload []byte) []byte {
 	buf := []byte("SPAC")
-	buf = binary.LittleEndian.AppendUint16(buf, 1) // format version
-	buf = append(buf, 3)                           // seed kind
+	buf = binary.LittleEndian.AppendUint16(buf, 2) // format version
+	buf = append(buf, kind)
 	buf = append(buf, key[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
@@ -245,15 +193,14 @@ func v1SeedFile(key artifact.Key, pc uint32) []byte {
 	return append(buf, sum[:]...)
 }
 
-// TestArtifactV1SeedIsAMiss: a cache directory holding a warm seed in
-// the previous on-disk format is never decoded. The old file name is not
-// looked up, and an old header under the current name fails validation.
-// Either way the run counts a seed miss, warm-promotes nothing and
-// matches a cold run exactly.
-func TestArtifactV1SeedIsAMiss(t *testing.T) {
+// TestArtifactV2CacheDirIsAMiss: a cache directory left by format
+// version 2 — predecode, sa and seed entries under their v2 names — is
+// never decoded. Serial Pin and SuperPin runs on it count disk misses and
+// no disk error, compute the predecode set cold, match an uncached run
+// exactly, and leave a current-format entry the next store hydrates.
+func TestArtifactV2CacheDirIsAMiss(t *testing.T) {
 	cfg := testKernelCfg()
 	cost := pin.DefaultCost()
-	cost.HotThreshold = 16
 	prog := func() *asm.Program { return buildWorkload(t, 3000, 31, kernel.SysRand) }
 
 	factory, _ := newIcount()
@@ -261,33 +208,45 @@ func TestArtifactV1SeedIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prog()
-	key := artifact.KeyOf(p)
-	file := v1SeedFile(key, p.Entry)
+	key := artifact.KeyOf(prog())
+	dir := t.TempDir()
+	for i, name := range []string{"predecode", "sa", "seed"} {
+		path := filepath.Join(dir, key.String()+"."+name+".v2")
+		if err := os.WriteFile(path, v2Entry(key, byte(i+1), []byte("version 2 payload")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	for _, name := range []string{"v1", "v2"} {
-		t.Run("named "+name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, key.String()+".seed."+name)
-			if err := os.WriteFile(path, file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			store, err := artifact.NewDiskStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, _ := newIcount()
-			res, err := RunPinCached(cfg, prog(), f, cost, 0, store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPinResult(t, name, res, cold)
-			if res.Engine.WarmPromotions != 0 {
-				t.Fatalf("run warm-promoted from a v1 seed: %+v", res.Engine)
-			}
-			if st := store.Stats(); st.SeedHits != 0 || st.SeedMisses == 0 {
-				t.Fatalf("v1 seed not counted as a miss: %+v", st)
-			}
-		})
+	store, err := artifact.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := newIcount()
+	res, err := RunPinCached(cfg, prog(), f, cost, 0, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPinResult(t, "v2 dir", res, cold)
+	if st := store.Stats(); st.DiskMisses == 0 || st.DiskErrors != 0 || st.PredecodeComputes != 1 {
+		t.Fatalf("v2 entries not counted as a miss: %+v", st)
+	}
+
+	spStore, err := artifact.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := smallOpts(5)
+	opts.Artifacts = spStore
+	f, count := newIcount()
+	spRes, err := Run(cfg, prog(), f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spRes.Err != nil || spRes.ExitCode != cold.ExitCode || count() != cold.Ins {
+		t.Fatalf("superpin on the v2 dir: exit/icount = %d/%d (err %v), want %d/%d",
+			spRes.ExitCode, count(), spRes.Err, cold.ExitCode, cold.Ins)
+	}
+	if st := spStore.Stats(); st.DiskHits != 1 || st.DiskErrors != 0 || st.PredecodeComputes != 0 {
+		t.Fatalf("current-format entry not hydrated: %+v", st)
 	}
 }

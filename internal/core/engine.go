@@ -15,7 +15,6 @@ import (
 	"superpin/internal/obs"
 	"superpin/internal/pin"
 	"superpin/internal/prof"
-	"superpin/internal/sa"
 )
 
 // Stats are SuperPin execution statistics, including the Section 4.4
@@ -120,13 +119,6 @@ type Engine struct {
 	sharedAreas  [][]uint64
 	sharedTraces *jit.TraceCache // non-nil with Options.SharedCodeCache
 	masterRing   *kernel.IPRing  // non-nil with DetectorIPHistory
-	sa           *sa.Analysis    // load-time static analysis (nil with PinCost.NoSA)
-
-	// artKey/warmSeed carry the Options.Artifacts state for the run: the
-	// image's content key and the warm-start seed snapshot taken before
-	// the first fork (nil without a store or on a cold image).
-	artKey   artifact.Key
-	warmSeed *jit.WarmSeed
 
 	// masterProbe (non-nil with Options.ProfInterval) shadows the
 	// master's call stack without recording, so each fork can seed its
@@ -198,40 +190,6 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 			}
 		}
 	}
-	// Artifact cache: resolve the image key once; the analysis,
-	// predecode set and warm seed below all come through the store when
-	// one is attached, shared with every other execution of this image.
-	if opts.Artifacts != nil {
-		// Disk-fetch latency lands in the run's registry (nil detaches).
-		opts.Artifacts.AttachMetrics(opts.Metrics)
-		e.artKey = artifact.KeyOf(program)
-		// Snapshot the warm seed once, before the first fork: every
-		// slice of this run sees the same immutable snapshot, so
-		// promotion points stay a pure function of this run's virtual
-		// execution no matter what other runs merge concurrently.
-		e.warmSeed = opts.Artifacts.Seed(e.artKey)
-	}
-
-	// Load-time static analysis: verify the image once, then share the
-	// read-only liveness/predecode summaries with every slice engine the
-	// run forks (-nosa skips both, -saintra restricts to the
-	// intraprocedural tier; the artifact store only caches the full
-	// tier).
-	if !opts.PinCost.NoSA {
-		var an *sa.Analysis
-		if opts.PinCost.SAIntra {
-			an = sa.AnalyzeIntra(program)
-		} else if opts.Artifacts != nil {
-			an = opts.Artifacts.Analysis(e.artKey, program)
-		} else {
-			an = sa.Analyze(program)
-		}
-		if err := an.Err(); err != nil {
-			return nil, err
-		}
-		e.sa = an
-	}
-
 	// The master runs the application uninstrumented, traced by the
 	// control process (this engine) via the syscall hook. The rejected
 	// IP-history detector additionally requires branch-tracing the
@@ -239,17 +197,11 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 	m := mem.New()
 	program.LoadInto(m)
 	if opts.Artifacts != nil {
+		// Disk-fetch latency lands in the run's registry (nil detaches).
+		opts.Artifacts.AttachMetrics(opts.Metrics)
 		// Adopt the shared predecoded views onto the freshly loaded
 		// image; slices inherit them through the copy-on-write fork.
-		m.AdoptPredecode(opts.Artifacts.Predecode(e.artKey, program))
-	}
-	if e.sa != nil {
-		// Register the image as analyzed code so guest stores into it
-		// retract the analysis's fold verdicts. Slice images inherit the
-		// ranges (and the latch) through the copy-on-write fork.
-		for _, s := range program.Segments {
-			m.MarkCode(s.Addr, uint32(len(s.Data)))
-		}
+		m.AdoptPredecode(opts.Artifacts.Predecode(artifact.KeyOf(program), program))
 	}
 	regs := cpu.Regs{PC: program.Entry}
 	regs.R[isa.RegSP] = DefaultStackTop
@@ -267,6 +219,19 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 	}
 	e.master = k.Spawn("master", m, regs, runner)
 	e.master.Hook = e
+	// A guest fault ends the master group without an exit syscall. End
+	// the run as an exit would: the open slice runs to the same fault.
+	k.OnExit(e.master, func(p *kernel.Proc) {
+		if e.masterExited {
+			return
+		}
+		e.masterExited = true
+		e.exitCode = p.ExitCode
+		if e.timer != nil {
+			e.timer.Cancel()
+		}
+		e.finishLastSlice()
+	})
 	if opts.ProfInterval > 0 {
 		// The master's probe only maintains the shadow stack (observer
 		// mode): samples are taken by the slices, which cover the
@@ -326,17 +291,6 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 	e.armTimer()
 
 	kerr := k.Run()
-
-	// Publish the slices' harvested trace hotness back to the artifact
-	// store as one merged delta, so the next execution of this image
-	// warm-starts its second tier.
-	if opts.Artifacts != nil {
-		seed := jit.NewWarmSeed()
-		for _, sl := range e.slices {
-			sl.eng.HarvestWarm(seed)
-		}
-		opts.Artifacts.MergeSeed(e.artKey, seed)
-	}
 
 	res := &Result{
 		ExitCode:    e.exitCode,
@@ -533,10 +487,6 @@ func (e *Engine) doFork(kind boundaryKind) {
 	sl.eng.Shared = e.sharedTraces
 	// Publication waits for quantum end (see Run's QuantumHook).
 	sl.eng.SharedBarrier = true
-	sl.eng.SA = e.sa
-	// Slices share (never duplicate) the run's warm-seed snapshot, like
-	// the analysis above: both are immutable.
-	sl.eng.Warm = e.warmSeed
 
 	var runner kernel.Runner = sl.eng
 	var tr *threadedRunner

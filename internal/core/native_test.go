@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -554,6 +555,48 @@ func TestSMCEdgeCasesAgreeAcrossModes(t *testing.T) {
 				t.Errorf("%s shared=%v: superpin exit/icount = %d/%d (err %v), native %d/%d",
 					c.name, shared, res.ExitCode, count(), res.Err, native.ExitCode, native.Ins)
 			}
+		}
+	}
+}
+
+// guestFault returns the text of the *cpu.Error err wraps, or "" when it
+// wraps none.
+func guestFault(err error) string {
+	var ce *cpu.Error
+	if !errors.As(err, &ce) {
+		return ""
+	}
+	return ce.Error()
+}
+
+// TestFaultEdgeCasesAgreeAcrossModes runs the faulting edge cases — a
+// reachable undecodable word and a misaligned load — natively, under
+// serial Pin and under SuperPin. No mode verifies the image at load:
+// each runs until the bad instruction executes, and every mode reports
+// the same *cpu.Error, the fault native execution raises there.
+func TestFaultEdgeCasesAgreeAcrossModes(t *testing.T) {
+	cfg := testKernelCfg()
+	for _, c := range nativeEdgeCases() {
+		if c.name != "undecodable-word" && c.name != "misaligned-load" {
+			continue
+		}
+		prog := assembleEdge(t, c)
+		_, err := RunNative(cfg, prog, 0)
+		want := guestFault(err)
+		if !c.want([]procAcct{{Err: want}}) {
+			t.Fatalf("%s: native run returned %v, not the expected fault", c.name, err)
+		}
+		factory, _ := newInsCount()
+		if _, err := RunPin(cfg, prog, factory, pin.DefaultCost()); guestFault(err) != want {
+			t.Errorf("%s: pin returned %v, want the native fault %q", c.name, err, want)
+		}
+		factory, _ = newInsCount()
+		res, err := Run(cfg, prog, factory, smallOpts(5))
+		if err == nil && res != nil {
+			err = res.Err
+		}
+		if guestFault(err) != want {
+			t.Errorf("%s: superpin returned %v, want the native fault %q", c.name, err, want)
 		}
 	}
 }

@@ -86,14 +86,6 @@ func PublishPinMetrics(m *obs.Metrics, res *PinResult) {
 	m.Add("pin.then_calls", res.Engine.ThenCalls)
 	m.Add("pin.dispatches", res.Engine.Dispatches)
 	m.Add("pin.superblock.ins", res.Engine.SuperblockIns)
-	m.Add("pin.sa.shared_runs", res.Engine.SASharedRuns)
-	m.Add("pin.sa.private_runs", res.Engine.SAPrivateRuns)
-	m.Add("pin.hot.promotions", res.Engine.HotPromotions)
-	m.Add("pin.hot.ins", res.Engine.HotIns)
-	m.Add("pin.hot.link_hits", res.Engine.HotLinkHits)
-	m.Add("pin.hot.warm_promotions", res.Engine.WarmPromotions)
-	m.Add("pin.sa.ip.folded_sites", res.Engine.FoldedSites)
-	m.Add("pin.sa.ip.folded", res.Engine.FoldedPreds)
 	m.Add("pin.cache.lookups", res.Cache.Lookups)
 	m.Add("pin.cache.misses", res.Cache.Misses)
 	m.Add("pin.cache.compiles", res.Cache.Compiles)

@@ -161,13 +161,13 @@ type Options struct {
 	Metrics *obs.Metrics
 
 	// Artifacts, when non-nil, is the content-addressed artifact store
-	// (internal/artifact) the run shares with other executions:
-	// predecoded pages and the static analysis are fetched through it
-	// (computed at most once per image per process), every slice engine
-	// shares the image's hot-trace warm-start seed, and the slices'
-	// harvested hotness merges back at run end. Purely a host-side
-	// accelerator: results are byte-identical with or without a store,
-	// warm or cold (`spbench -exp diff`'s warm and disk-warm arms).
+	// (internal/artifact) the run shares with other executions: the
+	// image's predecoded pages are fetched through it (computed at most
+	// once per image per process) and adopted by the master, whose
+	// slices inherit them through the copy-on-write fork. Purely a
+	// host-side accelerator: results are byte-identical with or without
+	// a store, warm or cold (`spbench -exp diff`'s warm and disk-warm
+	// arms).
 	Artifacts *artifact.Store
 }
 

@@ -10,7 +10,6 @@ import (
 	"superpin/internal/mem"
 	"superpin/internal/pin"
 	"superpin/internal/prof"
-	"superpin/internal/sa"
 )
 
 // NativeResult is the outcome of an uninstrumented baseline run.
@@ -49,10 +48,8 @@ func RunNativeProf(cfg kernel.Config, program *asm.Program, memSurcharge kernel.
 }
 
 // RunNativeCached is RunNativeProf sharing predecoded pages through an
-// artifact store (nil runs uncached). A native run's engine carries no
-// tool and no static analysis, so the store contributes predecode
-// adoption only — still the dominant per-run decode cost for short
-// executions.
+// artifact store (nil runs uncached) — the dominant per-run decode cost
+// for short executions.
 func RunNativeCached(cfg kernel.Config, program *asm.Program, memSurcharge kernel.Cycles, profInterval uint64, store *artifact.Store) (*NativeResult, error) {
 	k := kernel.New(cfg)
 	m := mem.New()
@@ -127,21 +124,16 @@ func RunPinProf(cfg kernel.Config, program *asm.Program, factory ToolFactory, co
 	return RunPinCached(cfg, program, factory, cost, profInterval, nil)
 }
 
-// RunPinCached is RunPinProf sharing artifacts through a store (nil runs
-// uncached): predecoded pages adopt onto the fresh image, the static
-// analysis is fetched instead of recomputed, the engine warm-starts its
-// hot tier from the image's seed, and the run's harvested hotness merges
-// back at exit. All host-side: results are byte-identical either way.
+// RunPinCached is RunPinProf sharing predecoded pages through an
+// artifact store (nil runs uncached): they adopt onto the fresh image
+// instead of being decoded again. Host-side only: results are
+// byte-identical either way.
 func RunPinCached(cfg kernel.Config, program *asm.Program, factory ToolFactory, cost pin.CostModel, profInterval uint64, store *artifact.Store) (*PinResult, error) {
-	var key artifact.Key
-	if store != nil {
-		key = artifact.KeyOf(program)
-	}
 	k := kernel.New(cfg)
 	m := mem.New()
 	program.LoadInto(m)
 	if store != nil {
-		m.AdoptPredecode(store.Predecode(key, program))
+		m.AdoptPredecode(store.Predecode(artifact.KeyOf(program), program))
 	}
 	regs := cpu.Regs{PC: program.Entry}
 	regs.R[isa.RegSP] = DefaultStackTop
@@ -151,43 +143,11 @@ func RunPinCached(cfg kernel.Config, program *asm.Program, factory ToolFactory, 
 	tool := factory(ctl)
 	e.AddTraceInstrumenter(tool.Instrument)
 
-	// Load-time static analysis: verify the image and hand the engine the
-	// liveness/predecode summaries (-nosa skips both, -saintra restricts
-	// to the intraprocedural tier). The artifact store only caches
-	// full-tier analyses, so the intra tier always computes fresh.
-	var an *sa.Analysis
-	if !cost.NoSA {
-		if cost.SAIntra {
-			an = sa.AnalyzeIntra(program)
-		} else if store != nil {
-			an = store.Analysis(key, program)
-		} else {
-			an = sa.Analyze(program)
-		}
-		if err := an.Err(); err != nil {
-			return nil, err
-		}
-		e.SA = an
-		// Register the image as analyzed code: a guest store into it
-		// retracts the analysis's compile-time fold verdicts
-		// (mem.CodeWritten gates them in the engine).
-		for _, s := range program.Segments {
-			m.MarkCode(s.Addr, uint32(len(s.Data)))
-		}
-	}
-	var warm *jit.WarmSeed
-	if store != nil {
-		warm = store.Seed(key)
-		e.Warm = warm
-	}
-
 	// Threads each get their own engine (their own code cache and
 	// execution state), all instrumented by the same tool instance —
 	// like real Pin, where the Pintool is process-wide.
 	k.ThreadRunner = func(*kernel.Proc) kernel.Runner {
 		te := pin.NewEngine(cost)
-		te.SA = an
-		te.Warm = warm
 		te.AddTraceInstrumenter(tool.Instrument)
 		return te
 	}
@@ -210,14 +170,6 @@ func RunPinCached(cfg kernel.Config, program *asm.Program, factory ToolFactory, 
 	}
 	if fin, ok := tool.(Finisher); ok {
 		fin.Fini(p.ExitCode)
-	}
-	if store != nil {
-		// Publish this run's trace hotness for the next execution's
-		// warm start (the leader engine's cache; thread engines are
-		// short-lived and not harvested).
-		seed := jit.NewWarmSeed()
-		e.HarvestWarm(seed)
-		store.MergeSeed(key, seed)
 	}
 	res := &PinResult{
 		Time:     p.EndTime - p.StartTime,

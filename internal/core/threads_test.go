@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"superpin/internal/asm"
+	"superpin/internal/cpu"
+	"superpin/internal/isa"
+	"superpin/internal/kernel"
+	"superpin/internal/mem"
 	"superpin/internal/pin"
 )
 
@@ -308,4 +312,123 @@ func TestSuperPinRejectsThreadedApp(t *testing.T) {
 	if !strings.Contains(res.Err.Error(), "multithreaded") {
 		t.Fatalf("unexpected error: %v", res.Err)
 	}
+}
+
+// groupCow sums the copy-on-write charges of p's thread group.
+func groupCow(k *kernel.Kernel, p *kernel.Proc) kernel.Cycles {
+	var cow kernel.Cycles
+	for _, q := range k.Procs() {
+		if q.Group() == p.Group() {
+			cow += q.CowCost
+		}
+	}
+	return cow
+}
+
+// TestThreadGroupChargesEachCopyOnce runs threadedSrc with its data page
+// written before the run and shared with a sleeping forked holder, so
+// the group's first store to the page copies it — once, since all three
+// threads share the image. The copy must be charged once (one PageCopy
+// over the whole group), not once per thread, under the cpu.Step
+// reference, the native engine and an instrumented engine.
+func TestThreadGroupChargesEachCopyOnce(t *testing.T) {
+	prog, err := asm.Assemble(threadedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testKernelCfg()
+	interp := cfg.Cost.InterpCost
+	blockCounter := func() kernel.Runner {
+		e := pin.NewEngine(pin.DefaultCost())
+		e.AddTraceInstrumenter(func(tr *pin.Trace) {
+			for _, bbl := range tr.Bbls() {
+				bbl.InsHead().InsertCall(pin.Before, func(*pin.Ctx) {})
+			}
+		})
+		return e
+	}
+	for _, r := range []struct {
+		name string
+		mk   func() kernel.Runner
+	}{
+		{"step", func() kernel.Runner { return stepRunner(interp, 0) }},
+		{"native", func() kernel.Runner { return nativeRunner(interp, 0) }},
+		{"pin", blockCounter},
+	} {
+		k := kernel.New(cfg)
+		m := mem.New()
+		prog.LoadInto(m)
+		m.StoreWord(0x9000, 0)
+		k.ThreadRunner = func(*kernel.Proc) kernel.Runner { return r.mk() }
+		regs := cpu.Regs{PC: prog.Entry}
+		regs.R[isa.RegSP] = DefaultStackTop
+		p := k.Spawn("main", m, regs, r.mk())
+		holder := k.Fork(p, "holder", kernel.NativeRunner{}, false)
+		k.OnExit(p, func(*kernel.Proc) { k.Exit(holder, 0) })
+		if err := k.Run(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if p.ExitCode != 1999000&0xff {
+			t.Fatalf("%s: exit %d", r.name, p.ExitCode)
+		}
+		if m.Copies != 1 {
+			t.Fatalf("%s: %d page copies, want 1", r.name, m.Copies)
+		}
+		if cow := groupCow(k, p); cow != k.PageCopy() {
+			t.Errorf("%s: thread group charged %d copy-on-write cycles for one copy, want %d",
+				r.name, cow, k.PageCopy())
+		}
+	}
+}
+
+// TestThreadedSuperPinChargesEachCopyOnce: under SuperPin with
+// Options.Threads every fork shares the master group's pages with a
+// slice, so the group copies pages again after each fork. Here main
+// writes the data page before its spawn calls, which fork slices, so the
+// workers' result stores copy it. However many copies that makes, the
+// group is charged one PageCopy per copy.
+func TestThreadedSuperPinChargesEachCopyOnce(t *testing.T) {
+	src := strings.Replace(threadedSrc, "main:\n", "main:\n\tli r14, 0x9200\n\tsw r14, (r14)\n", 1)
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k *kernel.Kernel
+	var master *kernel.Proc
+	saved := nativeRunner
+	t.Cleanup(func() { nativeRunner = saved })
+	nativeRunner = func(interp, surcharge kernel.Cycles) kernel.Runner {
+		r := saved(interp, surcharge)
+		return runnerFunc(func(kk *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (kernel.Cycles, kernel.StopReason) {
+			if master == nil {
+				k, master = kk, p
+			}
+			return r.Run(kk, p, budget)
+		})
+	}
+	opts := smallOpts(20)
+	opts.Threads = true
+	factory, _ := newInsCount()
+	res, err := Run(testKernelCfg(), prog, factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	copies := master.Mem.Copies
+	if copies == 0 {
+		t.Fatal("the master group copied no page; the test exercises nothing")
+	}
+	if cow := groupCow(k, master); cow != kernel.Cycles(copies)*k.PageCopy() {
+		t.Errorf("master group charged %d copy-on-write cycles for %d copies, want %d",
+			cow, copies, kernel.Cycles(copies)*k.PageCopy())
+	}
+}
+
+// runnerFunc adapts a function to kernel.Runner.
+type runnerFunc func(*kernel.Kernel, *kernel.Proc, kernel.Cycles) (kernel.Cycles, kernel.StopReason)
+
+func (f runnerFunc) Run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (kernel.Cycles, kernel.StopReason) {
+	return f(k, p, budget)
 }

@@ -5,46 +5,33 @@ import (
 
 	"superpin/internal/isa"
 	"superpin/internal/mem"
-	"superpin/internal/prof"
 )
 
 // ExecBlockCached is ExecBlock on a host-local register file: the guest
 // registers are copied into a stack-allocated Regs once per run, the run
 // executes against that local copy through ExecBlock's loop, and on the
-// way out only the registers in wb — the run's static written-set,
-// computed at hot-tier promotion — are written back, plus the PC.
-// Registers the run cannot write are never touched in r, and registers
-// it can write hold their reference values in the local file whether or
-// not the run completed, so a masked writeback leaves r exactly as
-// ExecBlock would have.
+// way out only the registers in wb — the run's written-register set —
+// are written back, plus the PC. Registers the run cannot write are
+// never touched in r, and registers it can write hold their reference
+// values in the local file whether or not the run completed, so a
+// masked writeback leaves r exactly as ExecBlock would have.
 //
-// The stop conditions, counting rules and fault semantics are identical
-// to ExecBlock (see there); the two executors are differentially tested
-// against each other over random programs and the whole benchmark
-// catalog (`spbench -exp diff`'s nohottier arm).
+// No engine calls it: the Pin engine executes superblocks through
+// ExecBlock and ExecBlockProf only. It stays because the repository
+// benchmark (benchmark/layers.go, cpu.execblockcached_mips) times it
+// against ExecBlock. The stop conditions, counting rules and fault
+// semantics are identical to ExecBlock (see there); the two executors
+// are differentially tested against each other over random programs.
 //
 // wb must be the run's written-register mask with bit 0 set (writing r0
-// back is harmless — it is zero in both copies — and a non-zero mask is
-// how the dispatch loop distinguishes "cached run" from "not promoted").
-// A full mask writes the whole register file back.
+// back is harmless — it is zero in both copies). A full mask writes the
+// whole register file back.
 func ExecBlockCached(r *Regs, m *mem.Memory, block []BlockIns, max int, cowStart uint64, wb uint32) (n int, ev Event, err error) {
 	if max < len(block) {
 		block = block[:max]
 	}
 	l := *r
 	n, ev, err = execLoop(&l, m, block, cowStart)
-	writeBack(r, &l, wb)
-	return n, ev, err
-}
-
-// ExecBlockCachedProf is ExecBlockCached with a profiler probe observing
-// every completed instruction. The run still executes on the host-local
-// register file with a masked writeback; per-instruction dispatch goes
-// through ExecBlockProf so profiled runs retire instructions through
-// exactly the same observation point as every other execution mode.
-func ExecBlockCachedProf(r *Regs, m *mem.Memory, block []BlockIns, max int, cowStart uint64, pr *prof.Probe, wb uint32) (n int, ev Event, err error) {
-	l := *r
-	n, ev, err = ExecBlockProf(&l, m, block, max, cowStart, pr)
 	writeBack(r, &l, wb)
 	return n, ev, err
 }

@@ -8,8 +8,8 @@ import (
 	"superpin/internal/mem"
 )
 
-// writtenSet is the written-register mask the hot tier computes at
-// promotion (bit 0 always set), reimplemented here for the differential.
+// writtenSet is a run's written-register mask (bit 0 always set), the
+// mask ExecBlockCached's contract asks for.
 func writtenSet(block []BlockIns) uint32 {
 	m := uint32(1)
 	for i := range block {

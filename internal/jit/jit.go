@@ -17,7 +17,6 @@ import (
 	"superpin/internal/isa"
 	"superpin/internal/mem"
 	"superpin/internal/obs"
-	"superpin/internal/prof"
 )
 
 // Limits on trace construction, matching the spirit of Pin's trace
@@ -129,49 +128,14 @@ type AnalysisFn func(ctx *Ctx)
 // guest and must not write its registers or memory.
 type PredicateFn func(ctx *Ctx) bool
 
-// CondKind enumerates the comparison shapes a tool can declare for an
-// If-predicate (InsertIfCondCall). CondNone marks an opaque predicate.
-type CondKind uint8
-
-const (
-	CondNone CondKind = iota
-	CondEQ            // R[Reg] == Imm
-	CondNE            // R[Reg] != Imm
-	CondLTU           // R[Reg] <  Imm, unsigned
-	CondGEU           // R[Reg] >= Imm, unsigned
-)
-
-// Cond is the declarative form of an If-predicate: the tool asserts its
-// If callback returns exactly `R[Reg] <op> Imm` at this site. A
-// declared shape lets the engine consult the static value analysis and
-// fold the predicate where the comparison is decided at compile time.
-type Cond struct {
-	Kind CondKind
-	Reg  uint8
-	Imm  uint32
-}
-
-// Fold is the engine's compile-time verdict on a declared predicate.
-type Fold uint8
-
-const (
-	FoldUnknown Fold = iota // not declared, not provable, or analysis off
-	FoldTrue                // predicate is true on every execution of the site
-	FoldFalse               // predicate is false on every execution of the site
-)
-
 // Call is one analysis-call site attached to an instruction.
 // Either Fn is set (a plain InsertCall), or If/Then are set (an inlined
 // InsertIfCall guarding an InsertThenCall; Then may be nil for a bare
-// if). Cond optionally declares the If predicate's shape
-// (InsertIfCondCall); Fold is stamped by the engine at compile time
-// when the static value analysis decides the declared comparison.
+// if).
 type Call struct {
 	Fn   AnalysisFn
 	If   PredicateFn
 	Then AnalysisFn
-	Cond Cond
-	Fold Fold
 }
 
 // CompiledIns is one guest instruction in a compiled trace together with
@@ -229,18 +193,6 @@ type CompiledTrace struct {
 	// RunAt is nil when the trace has no runs (or the fast path is off).
 	Sblocks []Superblock
 	RunAt   []int32
-
-	// Execs counts dispatches into this trace, and Exits profiles where
-	// the trace's exits transferred to. The pin engine maintains them
-	// until Execs crosses its hotness threshold, then promotes the trace
-	// and stops counting. Both are host-side tier-up state: they steer
-	// execution strategy, never virtual cycles, and like the trace itself
-	// they are private to the owning engine.
-	Execs uint64
-	Exits prof.ExitHist
-
-	// Hot is the second-tier compilation artifact; nil until promotion.
-	Hot *HotTrace
 
 	links [numTraceLinks]traceLink
 }
@@ -492,15 +444,6 @@ func (c *CodeCache) RecordLookup(hit bool) {
 	c.stats.Lookups++
 	if !hit {
 		c.stats.Misses++
-	}
-}
-
-// Traces calls fn for every resident compiled trace, in no particular
-// order. It is a read-only walk for tests and diagnostics; fn must not
-// insert into or flush the cache.
-func (c *CodeCache) Traces(fn func(*CompiledTrace)) {
-	for _, ct := range c.traces { //detguard:ok documented order-free walk
-		fn(ct)
 	}
 }
 

@@ -266,11 +266,10 @@ func (k *Kernel) SpawnThread(parent *Proc, entry, sp, arg uint32) *Proc {
 	} else {
 		r = parent.Runner
 	}
-	if parent.memShare == nil {
-		n := 1
-		parent.memShare = &n
+	if parent.share == nil {
+		parent.share = &imageShare{live: 1, copyMark: parent.copyMark}
 	}
-	*parent.memShare++
+	parent.share.live++
 
 	var regs cpu.Regs
 	regs.PC = entry &^ 3
@@ -287,7 +286,7 @@ func (k *Kernel) SpawnThread(parent *Proc, entry, sp, arg uint32) *Proc {
 		Brk:       parent.Brk,
 		MmapTop:   parent.MmapTop,
 		TGID:      parent.Group(),
-		memShare:  parent.memShare,
+		share:     parent.share,
 		Hook:      parent.Hook,
 	}
 	k.nextPID++
@@ -362,11 +361,11 @@ func (k *Kernel) exitOne(p *Proc, code uint32) {
 	p.State = StateExited
 	p.ExitCode = code
 	p.EndTime = k.Now
-	if p.memShare == nil {
+	if p.share == nil {
 		p.Mem.Release()
 	} else {
-		*p.memShare--
-		if *p.memShare == 0 {
+		p.share.live--
+		if p.share.live == 0 {
 			p.Mem.Release()
 		}
 	}

@@ -121,9 +121,9 @@ type Proc struct {
 	// memory image.
 	TGID PID
 
-	// memShare counts live processes sharing Mem (nil for a sole owner);
-	// the image is released when the last sharer exits.
-	memShare *int
+	// share is the thread group's state for the image its members share
+	// (nil for a sole owner).
+	share *imageShare
 
 	// Accounting, all in cycles of virtual time.
 	StartTime Cycles // kernel time at spawn
@@ -144,7 +144,17 @@ type Proc struct {
 	sleepSince Cycles
 	exitFns    []func(*Proc)
 	cowMark    uint64 // last-seen Mem.CopyEvents, for CowPending
-	copyMark   uint64 // last-seen Mem.Copies, for charging deltas
+	copyMark   uint64 // Mem.Copies already charged, while Mem is not shared
+}
+
+// imageShare is what the threads of a group keep once for the memory
+// image they share: how many are alive (the image is released when the
+// last one exits) and how many of its copy-on-write copies have been
+// charged. One copy is one page copy whichever thread's store made it,
+// so it is charged once, to the thread that settles it first.
+type imageShare struct {
+	live     int
+	copyMark uint64
 }
 
 // Exited reports whether p has terminated.
@@ -169,7 +179,8 @@ func (p *Proc) CowPending() bool { return p.Mem.CopyEvents != p.cowMark }
 // ChargeCow charges any copy-on-write page copies performed since the
 // last call at pageCopy cycles each (CostModel.PageCopy, see
 // Kernel.PageCopy), returning the cycles charged, and marks every
-// pending event seen. Every Runner implementation (native and
+// pending event seen. Threads sharing an image share the mark, so each
+// copy is charged to one of them. Every Runner implementation (native and
 // instrumented) calls it after each instruction or batch that may have
 // copied a page; the batch loops stop at the copying instruction, so the
 // charge lands there.
@@ -178,8 +189,12 @@ func (p *Proc) ChargeCow(pageCopy Cycles) Cycles {
 		return 0
 	}
 	p.cowMark = p.Mem.CopyEvents
-	delta := p.Mem.Copies - p.copyMark
-	p.copyMark = p.Mem.Copies
+	mark := &p.copyMark
+	if p.share != nil {
+		mark = &p.share.copyMark
+	}
+	delta := p.Mem.Copies - *mark
+	*mark = p.Mem.Copies
 	cy := Cycles(delta) * pageCopy
 	p.CowCost += cy
 	return cy

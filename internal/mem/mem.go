@@ -164,8 +164,7 @@ type Memory struct {
 	// refs == 1, so hitting it can never skip a needed copy-on-write
 	// duplication or a code-store log entry. Both are flushed on Fork
 	// (parent and child), Release and whenever caching is toggled;
-	// MarkCode flushes the write entries and WatchCode evicts the entry
-	// of each page it watches.
+	// WatchCode evicts the entry of each page it watches.
 	rtlb, wtlb [tlbSize]tlbEntry
 
 	// Fetch TLB: the predecoded view of the last fetched-from page. Kept
@@ -178,16 +177,6 @@ type Memory struct {
 
 	// noCache disables the TLBs and the predecode cache (SetCaching).
 	noCache bool
-
-	// codeRanges lists the address ranges holding analyzed code
-	// (MarkCode), and codeWritten latches once any store touches a page
-	// overlapping one. Instrumentation engines consult CodeWritten to
-	// retract static-analysis conclusions when the program self-modifies.
-	// Detection is page-granular and sticky, checked only on the
-	// write-TLB miss path (every page's first store goes through it), so
-	// the store fast path is unaffected.
-	codeRanges  []codeRange
-	codeWritten bool
 
 	// code holds the page numbers an engine translated code from
 	// (WatchCode), and codeLo..codeHi bounds them, so a write miss on a
@@ -250,45 +239,8 @@ func (m *Memory) SetCaching(on bool) {
 	m.flushTLB()
 }
 
-// codeRange is one half-open address range registered via MarkCode.
+// codeRange is one inclusive byte range [lo, hi] of a code store.
 type codeRange struct{ lo, hi uint32 }
-
-// MarkCode registers [addr, addr+size) as code whose static analysis
-// the owning engine relies on. Subsequent stores into any page
-// overlapping a marked range latch CodeWritten. Ranges accumulate;
-// marking is expected once per loaded segment.
-func (m *Memory) MarkCode(addr, size uint32) {
-	if size == 0 {
-		return
-	}
-	m.codeRanges = append(m.codeRanges, codeRange{lo: addr, hi: addr + size - 1})
-	// Drop the cached write pages: the miss path is where overlap is
-	// checked, and a page cached before this range existed would
-	// otherwise bypass it.
-	m.flushWriteTLB()
-}
-
-// CodeWritten reports whether any store has touched a page overlapping
-// a MarkCode range — conservatively, whether the analyzed code may have
-// been modified since loading.
-func (m *Memory) CodeWritten() bool { return m.codeWritten }
-
-// noteWrite latches codeWritten when page pn overlaps a marked code
-// range. Called only on write-TLB misses; a hit means this page already
-// passed through here since the ranges were registered.
-func (m *Memory) noteWrite(pn uint32) {
-	if m.codeWritten || len(m.codeRanges) == 0 {
-		return
-	}
-	lo := pn << PageShift
-	hi := lo + PageSize - 1
-	for _, r := range m.codeRanges {
-		if r.lo <= hi && r.hi >= lo {
-			m.codeWritten = true
-			return
-		}
-	}
-}
 
 // codeLogSize is the number of code stores the log keeps. A reader that
 // falls further behind (another thread's engine, off-CPU while this many
@@ -369,11 +321,6 @@ func (m *Memory) logCodeStore(addr, n uint32) {
 // a page it was about to start sharing anyway.
 func (m *Memory) Fork() *Memory {
 	child := &Memory{pages: make(map[uint32]*page, len(m.pages)), noCache: m.noCache}
-	// The child watches the same code ranges and inherits the latch
-	// (its image contains the modified bytes too). The slice is copied:
-	// both sides may keep appending independently.
-	child.codeRanges = append([]codeRange(nil), m.codeRanges...)
-	child.codeWritten = m.codeWritten
 	child.flushTLB()
 	for pn, pg := range m.pages { //detguard:ok per-page refcounts, order-free
 		pg.refs.Add(1)
@@ -459,13 +406,12 @@ func (m *Memory) writePage(addr, n uint32) *page {
 	return m.writeMiss(addr, n)
 }
 
-// writeMiss is writePage's write-TLB-miss path: it checks the page
-// against the marked code ranges, materializes or copies it as needed,
+// writeMiss is writePage's write-TLB-miss path: it materializes or
+// copies the page as needed,
 // logs the store when the page is watched code and refills the TLB slots
 // of the page (unless caching is off; a watched page gets no write slot).
 func (m *Memory) writeMiss(addr, n uint32) *page {
 	pn := addr >> PageShift
-	m.noteWrite(pn)
 	pg := m.pages[pn]
 	switch {
 	case pg == nil:

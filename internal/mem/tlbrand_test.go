@@ -59,12 +59,12 @@ func checkTLBInvariants(m *Memory) error {
 
 // imageState is the observable accounting of one image.
 func imageState(m *Memory) string {
-	return fmt.Sprintf("copies=%d touched=%d codeWritten=%v pages=%d shared=%d",
-		m.CopyEvents, m.TouchedPages, m.CodeWritten(), m.Pages(), m.SharedPages())
+	return fmt.Sprintf("copies=%d touched=%d codegen=%d pages=%d shared=%d",
+		m.CopyEvents, m.TouchedPages, m.CodeGen(), m.Pages(), m.SharedPages())
 }
 
 // TestTLBRandomEquivalence runs seeded random sequences of loads,
-// stores, fetches, forks, releases and code marks over images whose
+// stores, fetches, forks, releases and code watches over images whose
 // pages collide in the TLBs, against an identical set of images with
 // caching off. Every result and every image's accounting must match
 // after every step, and the cached images must keep the TLB invariants.
@@ -147,13 +147,13 @@ func TestTLBRandomEquivalence(t *testing.T) {
 					}
 					got[w] = fmt.Sprintf("uncached store %#x %v", addr, f)
 				default:
-					// Store, mark, store again: the write entry the first
+					// Store, watch, store again: the write entry the first
 					// store cached must not let the second skip the
-					// code-range check.
+					// code-store log.
 					f1 := m.StoreWord(addr, val)
-					m.MarkCode(addr, size)
+					m.WatchCode(addr, size)
 					f2 := m.StoreWord(addr, ^val)
-					got[w] = fmt.Sprintf("store+markcode+store %#x %v %v", addr, f1, f2)
+					got[w] = fmt.Sprintf("store+watchcode+store %#x %v %v", addr, f1, f2)
 				}
 			}
 			if got[0] != got[1] {

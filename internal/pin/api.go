@@ -198,8 +198,8 @@ func (i *Ins) InsertCall(when IPoint, fn AnalysisFn) {
 	i.trace.insert(i.idx, when, jit.Call{Fn: fn})
 }
 
-// wrapPredicate, when non-nil, wraps every predicate InsertIfCall and
-// InsertIfCondCall attach, at instrumentation time. Only tests set it
+// wrapPredicate, when non-nil, wraps every predicate InsertIfCall
+// attaches, at instrumentation time. Only tests set it
 // (export_test.go), to check that predicates leave guest state alone.
 var wrapPredicate func(PredicateFn) PredicateFn
 
@@ -222,26 +222,6 @@ func (i *Ins) InsertIfCall(when IPoint, pred PredicateFn) {
 		pred = wrapPredicate(pred)
 	}
 	i.trace.insert(i.idx, when, jit.Call{If: pred})
-}
-
-// InsertIfCondCall is InsertIfCall plus a declaration of the
-// predicate's shape: the tool asserts pred returns exactly
-// `R[cond.Reg] <op> cond.Imm` at this site. When the engine's static
-// value analysis decides the comparison at compile time, the site is
-// folded — the predicate is not evaluated at run time (its verdict is
-// known), though its virtual-cycle charge is unchanged, keeping virtual
-// results byte-identical. A declaration the predicate does not honor is
-// a programmer error in the tool, like a nil predicate. Like every
-// InsertIfCall predicate, pred must not write guest registers or memory;
-// the engine does not shield guest state from it.
-func (i *Ins) InsertIfCondCall(when IPoint, pred PredicateFn, cond jit.Cond) {
-	if pred == nil {
-		panic("pin: InsertIfCondCall with nil predicate")
-	}
-	if wrapPredicate != nil {
-		pred = wrapPredicate(pred)
-	}
-	i.trace.insert(i.idx, when, jit.Call{If: pred, Cond: cond})
 }
 
 // InsertThenCall attaches the guarded routine for the latest unpaired

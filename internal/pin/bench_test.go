@@ -10,7 +10,6 @@ import (
 	"superpin/internal/isa"
 	"superpin/internal/kernel"
 	"superpin/internal/mem"
-	"superpin/internal/sa"
 )
 
 // benchLoop is a tight guest loop for engine-throughput benchmarks.
@@ -200,21 +199,6 @@ func boundaryProbe(n *uint64) func(*Engine) {
 func BenchmarkEngineIfcallProbe(b *testing.B) {
 	var n uint64
 	k, p, e := setupEngine(b, benchLoop, boundaryProbe(&n))
-	runN(b, e, k, p)
-}
-
-// BenchmarkEngineIfcallProbeSA is the same boundary probe with the
-// load-time static analysis attached (as cmd/superpin does by default):
-// superblock runs seal over the analysis's shared predecode and register
-// caching engages on promoted traces.
-func BenchmarkEngineIfcallProbeSA(b *testing.B) {
-	prog, err := asm.Assemble(benchLoop)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var n uint64
-	k, p, e := setupEngine(b, benchLoop, boundaryProbe(&n))
-	e.SA = sa.Analyze(prog)
 	runN(b, e, k, p)
 }
 

@@ -121,8 +121,8 @@ func (l *callLog) describe(calls []jit.Call) []string {
 		if c.Then != nil {
 			c.Then(nil)
 		}
-		out = append(out, fmt.Sprintf("fn=%t if=%t then=%t cond=%v ids=%v",
-			c.Fn != nil, c.If != nil, c.Then != nil, c.Cond, l.ids))
+		out = append(out, fmt.Sprintf("fn=%t if=%t then=%t ids=%v",
+			c.Fn != nil, c.If != nil, c.Then != nil, l.ids))
 	}
 	return out
 }
@@ -148,7 +148,7 @@ func TestPlacementMatchesDirectAppend(t *testing.T) {
 				idx := rng.Intn(len(all))
 				when := IPoint(rng.Intn(2))
 				ins, list := all[idx], &ref[idx][when]
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0:
 					ins.InsertCall(when, log.fn(id))
 					*list = append(*list, jit.Call{Fn: log.fn(id)})
@@ -156,10 +156,6 @@ func TestPlacementMatchesDirectAppend(t *testing.T) {
 					ins.InsertIfCall(when, log.pred(id))
 					*list = append(*list, jit.Call{If: log.pred(id)})
 				case 2:
-					cond := jit.Cond{Kind: jit.CondLTU, Reg: uint8(id % 8), Imm: uint32(id)}
-					ins.InsertIfCondCall(when, log.pred(id), cond)
-					*list = append(*list, jit.Call{If: log.pred(id), Cond: cond})
-				case 3:
 					j := len(*list) - 1
 					for ; j >= 0; j-- {
 						if c := (*list)[j]; c.If != nil && c.Then == nil && c.Fn == nil {

@@ -9,7 +9,6 @@ import (
 	"superpin/internal/kernel"
 	"superpin/internal/mem"
 	"superpin/internal/obs"
-	"superpin/internal/sa"
 )
 
 // CostModel holds the engine's calibrated per-operation cycle costs. The
@@ -62,37 +61,12 @@ type CostModel struct {
 	// including the per-slice engines SuperPin forks.
 	NoFastPath bool
 
-	// NoSA disables the load-time static-analysis pass (internal/sa):
-	// no verifier, no predicate folding, no shared predecode for
-	// superblock sealing. Like NoFastPath it is host-side only — virtual
-	// results are byte-identical either way (`spbench -exp diff`'s nosa
-	// arm proves it) — and rides in the cost model for the same plumbing
-	// reason.
-	NoSA bool
-
-	// SAIntra restricts the static analysis to its intraprocedural tier
-	// (sa.AnalyzeIntra): no call-graph recovery, no cross-call liveness,
-	// no value analysis, no predicate folding. Host-side only like NoSA
-	// — `spbench -exp diff`'s saintra and nosa arms prove virtual results
-	// byte-identical across full/intra/off — and rides in the cost model for the same
-	// plumbing reason. Ignored when NoSA is set.
-	SAIntra bool
-
-	// NoHotTier disables the second-tier trace compiler: no promotion of
-	// hot traces, so no profile-guided hot-successor links and no
-	// register-cached superblock execution. The hot tier rides on the
-	// superblock machinery, so it is also off whenever NoFastPath is set.
-	// Host-side only — virtual results are byte-identical either way
-	// (`spbench -exp diff`'s nohottier arm proves it) — and rides in the
-	// cost model for the same plumbing reason as the other two escape
-	// hatches.
+	// NoSA, SAIntra and NoHotTier have no effect; set only by
+	// benchmark/layers.go (ROADMAP 17(b)), which still compiles against
+	// them. The engine has one tier and reads no static analysis.
+	NoSA      bool
+	SAIntra   bool
 	NoHotTier bool
-
-	// HotThreshold is the per-trace dispatch count that triggers
-	// promotion to the second tier (<= 0 means DefaultHotThreshold).
-	// Host-side only: promotion is a pure function of the virtual
-	// execution, so any value yields byte-identical virtual results.
-	HotThreshold int
 }
 
 // DefaultCost returns the calibrated default engine cost model.
@@ -131,9 +105,8 @@ func DefaultCost() CostModel {
 //
 // Copy-on-write copies are charged by the kernel's PageCopy on both
 // paths. CacheCapacity is 0 (unlimited): a capacity flush would only
-// cost host time. The engine should carry no static analysis, tracer or
-// metrics registry, so its host-side statistics reach no result or
-// metric.
+// cost host time. The engine should carry no tracer or metrics registry,
+// so its host-side statistics reach no result or metric.
 func NativeCost(interp, memSurcharge kernel.Cycles) CostModel {
 	return CostModel{Exec: interp, MemSurcharge: memSurcharge}
 }
@@ -141,31 +114,7 @@ func NativeCost(interp, memSurcharge kernel.Cycles) CostModel {
 // Stats are cumulative engine execution statistics. SuperblockIns counts
 // the subset of ExecIns executed through the batched superblock fast
 // path (zero when the fast path is disabled or every instruction is
-// instrumented).
-//
-// SASharedRuns and SAPrivateRuns are host-side counters like
-// SuperblockIns: superblock runs sealed over the analysis's shared
-// load-time predecode versus runs that fell back to a private copy
-// (stale against current guest memory). Both stay zero when no analysis
-// is attached. Neither affects virtual-cycle results.
-// HotPromotions, HotIns and HotLinkHits are the hot tier's host-side
-// counters: traces promoted to the second tier, instructions executed
-// through register-cached superblocks (a subset of SuperblockIns), and
-// dispatches resolved through a promoted trace's hot-successor link. All
-// zero with the hot tier disabled; none affect virtual-cycle results.
-//
-// FoldedSites and FoldedPreds belong to the interprocedural tier: call
-// sites whose declared If-predicate the value analysis decided at
-// compile time (FoldedSites, stamped once per compilation) and run-time
-// predicate evaluations skipped because of a folded verdict
-// (FoldedPreds). Host-side, like every other counter here.
-//
-// WarmPromotions counts the subset of HotPromotions triggered at compile
-// time by the artifact cache's warm-start seed rather than earned
-// through this run's own dispatch counting. FirstPromoDispatch records
-// the Dispatches value at the first promotion (zero when nothing
-// promoted) — the time-to-first-promotion measurement the warm-start
-// experiment reports. Host-side like the rest.
+// instrumented). It is host-side: it never affects virtual-cycle results.
 type Stats struct {
 	ExecIns       uint64
 	AnalysisCalls uint64
@@ -173,16 +122,6 @@ type Stats struct {
 	ThenCalls     uint64
 	Dispatches    uint64
 	SuperblockIns uint64
-	SASharedRuns  uint64
-	SAPrivateRuns uint64
-	HotPromotions uint64
-	HotIns        uint64
-	HotLinkHits   uint64
-	FoldedSites   uint64
-	FoldedPreds   uint64
-
-	WarmPromotions     uint64
-	FirstPromoDispatch uint64
 }
 
 // SyscallFilter lets a wrapper (SuperPin's slice engine) intercept guest
@@ -233,25 +172,6 @@ type Engine struct {
 	// instruction count the master recorded.
 	InsLimit uint64
 
-	// SA, when non-nil, is the load-time static analysis of the guest
-	// program (internal/sa). The engine consumes it in two host-side
-	// ways: the value analysis folds declared If-predicates it decides
-	// at compile time, and the analysis's shared predecode backs
-	// superblock sealing. It must be set before the first Run and is
-	// read-only thereafter, so one analysis may be shared by every engine
-	// of a run (including every SuperPin slice engine) and by concurrent
-	// runs.
-	SA *sa.Analysis
-
-	// Warm, when non-nil, is the hot-trace warm-start seed from the
-	// artifact cache (internal/artifact): per trace PC, the promotion
-	// counters a prior execution of the same image earned. Freshly
-	// compiled traces start from the seeded counters, so proven-hot
-	// traces promote at compile time instead of re-earning the
-	// threshold. Immutable and shareable like SA; set before first Run.
-	// Purely host-side: seeding never changes a virtual result.
-	Warm *jit.WarmSeed
-
 	cache         *jit.CodeCache
 	sealScratch   []runSpan // reused across seal calls to avoid per-compile allocs
 	instrumenters []func(*Trace)
@@ -280,10 +200,8 @@ type Engine struct {
 	metrics     *obs.Metrics
 	mBatch      *obs.Hist    // pin.dispatch_batch_ins
 	mCompile    *obs.Hist    // pin.compile_ns
-	mPromote    *obs.Hist    // pin.promote_ns
 	mExecIns    *obs.Counter // pin.live.exec_ins
 	mDispatch   *obs.Counter // pin.live.dispatches
-	mPromotions *obs.Counter // pin.live.promotions
 	locBatch    [obs.HistBuckets]uint64
 	locBatchSum uint64
 	locBatchN   uint64
@@ -305,12 +223,6 @@ type Engine struct {
 	// it. At most one of the two is set.
 	linkNext *jit.CompiledTrace
 	linkFrom *jit.CompiledTrace
-
-	// hotTier caches "the hot tier is active this Run" (fast path on and
-	// NoHotTier off); hotThr is the resolved promotion threshold. Both
-	// are recomputed at every Run entry.
-	hotTier bool
-	hotThr  uint64
 
 	// codeGen is the guest memory's CodeGen value the code cache was last
 	// synchronized with (syncCode): stores into translated code past it
@@ -361,8 +273,8 @@ func (e *Engine) AttachObs(t *obs.Tracer, pid int32) {
 	e.cache.PID = pid
 }
 
-// AttachMetrics connects the engine to a live metrics registry: compile
-// and promote wall-time histograms, the dispatch batch-size histogram,
+// AttachMetrics connects the engine to a live metrics registry: the
+// compile wall-time histogram, the dispatch batch-size histogram,
 // and live counters (pin.live.*) that track the engine's progress while
 // it runs. Handles are resolved once here; the dispatch loop
 // accumulates locally and flushes at each Run exit. Purely host-side —
@@ -371,16 +283,14 @@ func (e *Engine) AttachObs(t *obs.Tracer, pid int32) {
 func (e *Engine) AttachMetrics(m *obs.Metrics) {
 	e.metrics = m
 	if m == nil {
-		e.mBatch, e.mCompile, e.mPromote = nil, nil, nil
-		e.mExecIns, e.mDispatch, e.mPromotions = nil, nil, nil
+		e.mBatch, e.mCompile = nil, nil
+		e.mExecIns, e.mDispatch = nil, nil
 		return
 	}
 	e.mBatch = m.Hist("pin.dispatch_batch_ins")
 	e.mCompile = m.Hist("pin.compile_ns")
-	e.mPromote = m.Hist("pin.promote_ns")
 	e.mExecIns = m.LiveCounter("pin.live.exec_ins")
 	e.mDispatch = m.LiveCounter("pin.live.dispatches")
-	e.mPromotions = m.LiveCounter("pin.live.promotions")
 	e.cache.SizeHist = m.Hist("jit.trace_ins")
 }
 
@@ -399,9 +309,6 @@ func (e *Engine) flushTelemetry() {
 	}
 	if e.mDispatch != nil {
 		e.mDispatch.Add(e.stats.Dispatches - e.lastFlushed.Dispatches)
-	}
-	if e.mPromotions != nil {
-		e.mPromotions.Add(e.stats.HotPromotions - e.lastFlushed.HotPromotions)
 	}
 	e.lastFlushed = e.stats
 }
@@ -454,14 +361,6 @@ func (e *Engine) PublishMetrics(m *obs.Metrics, prefix string) {
 	m.Add(prefix+".then_calls", e.stats.ThenCalls)
 	m.Add(prefix+".dispatches", e.stats.Dispatches)
 	m.Add(prefix+".superblock.ins", e.stats.SuperblockIns)
-	m.Add(prefix+".sa.shared_runs", e.stats.SASharedRuns)
-	m.Add(prefix+".sa.private_runs", e.stats.SAPrivateRuns)
-	m.Add(prefix+".hot.promotions", e.stats.HotPromotions)
-	m.Add(prefix+".hot.ins", e.stats.HotIns)
-	m.Add(prefix+".hot.link_hits", e.stats.HotLinkHits)
-	m.Add(prefix+".hot.warm_promotions", e.stats.WarmPromotions)
-	m.Add(prefix+".sa.ip.folded_sites", e.stats.FoldedSites)
-	m.Add(prefix+".sa.ip.folded", e.stats.FoldedPreds)
 	cs := e.cache.Stats()
 	m.Add(prefix+".cache.lookups", cs.Lookups)
 	m.Add(prefix+".cache.misses", cs.Misses)
@@ -512,15 +411,6 @@ func (e *Engine) FlushCache() {
 //     copy-on-write charges batched per run. The run is cut at the exact
 //     instruction where the reference loop's per-instruction budget or
 //     InsLimit check would stop, so stop points are unchanged.
-//
-// A second tier rides on top of the fast paths (disable with
-// Cost.NoHotTier; `spbench -exp diff`'s nohottier arm proves
-// equivalence): traces whose dispatch
-// count crosses the hotness threshold are promoted — their superblocks
-// execute on a host-local register file with a static-written-set
-// writeback (cpu.ExecBlockCached), and the profiled hottest exit becomes
-// a preferred successor link. See promote.go for the policy and DESIGN.md
-// for the soundness argument.
 func (e *Engine) Run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (kernel.Cycles, kernel.StopReason) {
 	used, stop := e.run(k, p, budget)
 	if e.metrics != nil {
@@ -534,13 +424,6 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 	cost := &e.Cost
 	pageCopy := k.PageCopy()
 	fast := !cost.NoFastPath
-	e.hotTier = fast && !cost.NoHotTier
-	if e.hotTier {
-		e.hotThr = DefaultHotThreshold
-		if cost.HotThreshold > 0 {
-			e.hotThr = uint64(cost.HotThreshold)
-		}
-	}
 	pr := p.Prof
 	ctx := &e.ctx
 	ctx.Regs = &p.Regs
@@ -599,9 +482,6 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 						return used, kernel.StopError
 					}
 					e.cache.Insert(ct)
-					if e.hotTier && e.Warm != nil {
-						e.applyWarm(ct)
-					}
 					if e.mCompile != nil {
 						e.mCompile.Observe(uint64(time.Since(compileStart)))
 					}
@@ -613,17 +493,10 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 				}
 				if from := e.linkFrom; from != nil {
 					from.SetLink(p.Regs.PC, ct, e.cache.Epoch())
-					if h := from.Hot; h != nil && h.NextPC == p.Regs.PC {
-						// The exiting trace's promoted layout treats this
-						// successor as its fall-through: resolve the hot
-						// link so future exits skip the link cache.
-						h.SetNext(ct, e.cache.Epoch())
-					}
 					e.linkFrom = nil
 				}
 				e.cur, e.idx = ct, 0
 			}
-			e.tickHot(e.cur)
 			hasRuns = fast && e.cur.RunAt != nil
 		}
 
@@ -674,24 +547,9 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 				var n int
 				var ev cpu.Event
 				var err error
-				// Promoted traces run register-cached: a non-zero writeback
-				// mask (the run's static written-set) selects the host-local
-				// register file executor. Entering mid-run (off > 0) keeps
-				// the whole-run mask — a superset writeback writes values
-				// the suffix left untouched, which are the values already
-				// in the architectural file.
-				wb := uint32(0)
-				if h := e.cur.Hot; h != nil && h.WB != nil {
-					wb = h.WB[ri]
-				}
-				switch {
-				case wb != 0 && pr == nil:
-					n, ev, err = cpu.ExecBlockCached(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents, wb)
-				case wb != 0:
-					n, ev, err = cpu.ExecBlockCachedProf(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents, pr, wb)
-				case pr != nil:
+				if pr != nil {
 					n, ev, err = cpu.ExecBlockProf(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents, pr)
-				default:
+				} else {
 					n, ev, err = cpu.ExecBlock(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents)
 				}
 				if n > 0 {
@@ -710,9 +568,6 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 						e.locBatch[obs.HistBucket(uint64(n))]++
 						e.locBatchSum += uint64(n)
 						e.locBatchN++
-					}
-					if wb != 0 {
-						e.stats.HotIns += uint64(n)
 					}
 				}
 				if err != nil {
@@ -896,7 +751,6 @@ func (e *Engine) selfLoop(used *kernel.Cycles) {
 	}
 	e.stats.Dispatches++
 	e.cache.RecordLookup(true)
-	e.tickHot(e.cur)
 	e.idx = 0
 }
 
@@ -909,29 +763,6 @@ func (e *Engine) selfLoop(used *kernel.Cycles) {
 // virtual-cycle accounting identical with -nofastpath.
 func (e *Engine) leaveTrace(nextPC uint32, fast bool) {
 	if fast {
-		if h := e.cur.Hot; h != nil {
-			if h.NextPC == nextPC {
-				// Promoted layout: this exit is the trace's measured
-				// fall-through. An epoch-valid hot link stages the successor
-				// directly; a stale one was evicted by a flush and is
-				// dropped. The first-tier link counters are left alone —
-				// they keep describing the link cache only (the
-				// differential's nohottier arm declares them host-only;
-				// HotLinkHits is the hot tier's own
-				// counter).
-				if next, _ := h.Next(e.cache.Epoch()); next != nil {
-					e.stats.HotLinkHits++
-					e.linkNext = next
-					e.cur = nil
-					return
-				}
-				// Unresolved: fall through to the link cache; its miss path
-				// stages linkFrom, and the next dispatch resolves both the
-				// link-cache entry and the hot link.
-			}
-		} else if e.hotTier {
-			e.cur.Exits.Record(nextPC)
-		}
 		if next, stale := e.cur.Link(nextPC, e.cache.Epoch()); next != nil {
 			e.cache.RecordLink(true)
 			e.linkNext = next
@@ -982,9 +813,6 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 		fn(view)
 	}
 	e.place(ct)
-	if e.SA != nil {
-		e.annotateFolds(e.SA, ct)
-	}
 	if fast {
 		e.seal(ct)
 	}
@@ -1017,36 +845,9 @@ func fastEligible(ci *jit.CompiledIns) bool {
 	return len(ci.Before) == 0 && len(ci.After) == 0 && ci.Inst.Op != isa.OpSYSCALL
 }
 
-// sharedRun returns the analysis's load-time predecode slice covering
-// the run ct.Ins[i:j], or nil when no analysis is attached or the
-// predecode no longer matches the freshly compiled trace. Traces are
-// address-contiguous, so a run maps onto one region slice; each entry is
-// validated against the compiled instruction, which catches predecode
-// gone stale through self-modifying code — execution must follow what
-// the trace (compiled from current guest memory) says, never the
-// load-time image.
-func (e *Engine) sharedRun(ct *jit.CompiledTrace, i, j int) []cpu.BlockIns {
-	if e.SA == nil {
-		return nil
-	}
-	pre, ok := e.SA.Predecoded(ct.Ins[i].Addr)
-	if !ok || len(pre) < j-i {
-		return nil
-	}
-	pre = pre[: j-i : j-i]
-	for x := i; x < j; x++ {
-		if pre[x-i].Inst != ct.Ins[x].Inst {
-			return nil
-		}
-	}
-	return pre
-}
-
-// runSpan is one superblock run found by seal's sizing pass.
-type runSpan struct {
-	i, j   int
-	shared []cpu.BlockIns // non-nil: use the analysis's predecode
-}
+// runSpan is one superblock run found by seal's sizing pass:
+// instructions i through j-1 of the trace.
+type runSpan struct{ i, j int }
 
 // seal precomputes a freshly instrumented trace's superblock index:
 // maximal runs of fast-eligible instructions, predecoded for
@@ -1057,14 +858,12 @@ type runSpan struct {
 //
 // Sealing runs on every compile, so allocation cost matters: a sizing
 // pass finds the runs (into an engine-owned scratch slice) before a fill
-// pass allocates single backing arrays. With a static analysis attached,
-// runs that still match the load-time image borrow its shared predecode
-// instead of building a private copy.
+// pass allocates single backing arrays.
 func (e *Engine) seal(ct *jit.CompiledTrace) {
 	cost := &e.Cost
 	n := len(ct.Ins)
 	spans := e.sealScratch[:0]
-	covered, private := 0, 0
+	covered := 0
 	for i := 0; i < n; {
 		if !fastEligible(&ct.Ins[i]) {
 			i++
@@ -1075,12 +874,8 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 			j++
 		}
 		if j-i >= minSuperblockIns {
-			sp := runSpan{i: i, j: j, shared: e.sharedRun(ct, i, j)}
 			covered += j - i
-			if sp.shared == nil {
-				private += j - i
-			}
-			spans = append(spans, sp)
+			spans = append(spans, runSpan{i: i, j: j})
 		}
 		i = j
 	}
@@ -1092,30 +887,18 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 	for r := range runAt {
 		runAt[r] = -1
 	}
-	var blocks []cpu.BlockIns
-	if private > 0 {
-		blocks = make([]cpu.BlockIns, private)
-	}
+	blocks := make([]cpu.BlockIns, covered)
 	cums := make([]uint64, covered)
 	sblocks := make([]jit.Superblock, 0, len(spans))
-	bpos, cpos := 0, 0
+	pos := 0
 	for _, sp := range spans {
 		i, j := sp.i, sp.j
 		sb := jit.Superblock{
 			Start: i,
-			Block: sp.shared,
-			Cum:   cums[cpos : cpos+j-i : cpos+j-i],
+			Block: blocks[pos : pos+j-i : pos+j-i],
+			Cum:   cums[pos : pos+j-i : pos+j-i],
 		}
-		cpos += j - i
-		if sp.shared == nil {
-			sb.Block = blocks[bpos : bpos+j-i : bpos+j-i]
-			bpos += j - i
-			if e.SA != nil {
-				e.stats.SAPrivateRuns++
-			}
-		} else {
-			e.stats.SASharedRuns++
-		}
+		pos += j - i
 		var cum uint64
 		ri := int32(len(sblocks))
 		for x := i; x < j; x++ {
@@ -1124,9 +907,7 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 			if ci.Inst.Op.IsMem() {
 				cum += uint64(cost.MemSurcharge)
 			}
-			if sp.shared == nil {
-				sb.Block[x-i] = cpu.BlockIns{Inst: ci.Inst, Next: ci.Addr + isa.WordSize}
-			}
+			sb.Block[x-i] = cpu.BlockIns{Inst: ci.Inst, Next: ci.Addr + isa.WordSize}
 			sb.Cum[x-i] = cum
 			runAt[x] = ri
 		}
@@ -1134,50 +915,6 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 	}
 	ct.Sblocks = sblocks
 	ct.RunAt = runAt
-}
-
-// annotateFolds offers the declared predicate shapes (InsertIfCondCall)
-// of a freshly compiled trace's call sites to the value analysis: a
-// comparison ProveCond decides gets its Fold verdict stamped, and runCall
-// skips evaluating the predicate there — guarded at run time by
-// Mem.CodeWritten, which retracts every verdict if the program modifies
-// its code after load.
-func (e *Engine) annotateFolds(a *sa.Analysis, ct *jit.CompiledTrace) {
-	for i := range ct.Ins {
-		if ci := &ct.Ins[i]; len(ci.Before)+len(ci.After) > 0 {
-			e.stampFolds(a, ci.Addr, ci.Before)
-			e.stampFolds(a, ci.Addr, ci.After)
-		}
-	}
-}
-
-// stampFolds resolves declared predicate shapes at one call site
-// against the value analysis. Both insertion points of an instruction
-// prove against the state entering it: predicates are pure observers,
-// so the registers they compare are unchanged until the instruction's
-// own writeback, and After-calls on writers of their compared register
-// are the tool's error by the InsertIfCondCall contract.
-func (e *Engine) stampFolds(a *sa.Analysis, addr uint32, calls []jit.Call) {
-	for i := range calls {
-		c := &calls[i]
-		if c.If == nil || c.Cond.Kind == jit.CondNone || c.Fold != jit.FoldUnknown {
-			continue
-		}
-		res, proven := a.ProveCond(addr, sa.Cond{
-			Kind: sa.CondKind(c.Cond.Kind),
-			Reg:  c.Cond.Reg,
-			Imm:  c.Cond.Imm,
-		})
-		if !proven {
-			continue
-		}
-		if res {
-			c.Fold = jit.FoldTrue
-		} else {
-			c.Fold = jit.FoldFalse
-		}
-		e.stats.FoldedSites++
-	}
 }
 
 // limitReached reports whether the InsLimit pause point has been hit.
@@ -1197,9 +934,8 @@ func (e *Engine) ResetPosition() {
 
 // runCall executes one analysis call site and returns its cycle cost.
 //
-// An If-call counts, takes the compile-time fold verdict when the value
-// analysis stamped one (stampFolds) or evaluates the predicate, and runs
-// the then-routine when it fired. Pin's register save/restore around an
+// An If-call counts, evaluates the predicate, and runs the then-routine
+// when it fired. Pin's register save/restore around an
 // inlined predicate is charged virtually inside IfCall; nothing is copied
 // on the host, because predicates are pure observers of guest state (the
 // InsertIfCall contract, which pin's predicate-purity test enforces).
@@ -1212,20 +948,7 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call) kernel.Cycles {
 	}
 	e.stats.IfCalls++
 	cy := cost.IfCall
-	var fire bool
-	if c.Fold != jit.FoldUnknown && !ctx.Mem.CodeWritten() {
-		// The value analysis decided this predicate at compile time; the
-		// evaluation is skipped, the verdict substituted. The virtual
-		// IfCall charge stands — folding is host-side work elimination,
-		// virtual results stay byte-identical. CodeWritten retracts the
-		// verdict if the program has modified its code since the
-		// analysis read it.
-		e.stats.FoldedPreds++
-		fire = c.Fold == jit.FoldTrue
-	} else {
-		fire = c.If(ctx)
-	}
-	if fire && c.Then != nil {
+	if c.If(ctx) && c.Then != nil {
 		e.stats.ThenCalls++
 		c.Then(ctx)
 		cy += cost.ThenCall

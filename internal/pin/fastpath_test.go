@@ -16,13 +16,10 @@ import (
 // to the -nofastpath reference loop. These tests run the same guest code
 // both ways and compare everything observable.
 
-// normStats zeroes the counters that intentionally differ between modes
-// (they count fast-path and hot-tier activity, which the reference loop
-// has none of).
+// normStats zeroes the counter that intentionally differs between modes
+// (it counts fast-path activity, which the reference loop has none of).
 func normStats(s Stats) Stats {
 	s.SuperblockIns = 0
-	s.HotPromotions, s.HotIns, s.HotLinkHits = 0, 0, 0
-	s.WarmPromotions, s.FirstPromoDispatch = 0, 0
 	return s
 }
 

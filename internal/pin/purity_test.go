@@ -64,8 +64,8 @@ func watchFactory(opaque bool) core.ToolFactory {
 }
 
 // TestPredicatesLeaveGuestStateAlone runs every predicate-inserting tool
-// and detector the project ships — the declared and opaque watchpoints
-// under serial Pin, SuperPin's default two-register quick check and the
+// and detector the project ships — the watchpoint, built through both
+// NewWatch and NewWatchOpaque, under serial Pin, SuperPin's default two-register quick check and the
 // IP-history detector, whose After-predicate pushes to the IP ring — over
 // two catalog programs, and requires each run to evaluate predicates
 // without one of them writing a guest register.

@@ -38,9 +38,9 @@ type Status struct {
 	SlicesRunning uint64 `json:"slices_running"`
 	SlicesMerged  uint64 `json:"slices_merged"`
 
-	// HotTier and Artifact are the pin.* and artifact.* counter
-	// namespaces (live counters folded in).
-	HotTier  map[string]uint64 `json:"hot_tier,omitempty"`
+	// Pin and Artifact are the pin.* and artifact.* counter namespaces
+	// (live counters folded in).
+	Pin      map[string]uint64 `json:"pin,omitempty"`
 	Artifact map[string]uint64 `json:"artifact,omitempty"`
 
 	// LatencyNS is every histogram in the registry with extracted
@@ -175,10 +175,10 @@ func (s *Server) status() Status {
 	classify := func(k string, v uint64) {
 		switch {
 		case strings.HasPrefix(k, "pin."):
-			if st.HotTier == nil {
-				st.HotTier = map[string]uint64{}
+			if st.Pin == nil {
+				st.Pin = map[string]uint64{}
 			}
-			st.HotTier[k] = v
+			st.Pin[k] = v
 		case strings.HasPrefix(k, "artifact."):
 			if st.Artifact == nil {
 				st.Artifact = map[string]uint64{}

@@ -22,7 +22,7 @@ func testRegistry() (*obs.Metrics, *Recorder) {
 	m.Set(LiveSlicesSpawned, 4)
 	m.Set(LiveSlicesRunning, 2)
 	m.Set(LiveSlicesMerged, 1)
-	m.Add("pin.hot.promotions", 3)
+	m.Add("pin.superblock.ins", 3)
 	m.Add("artifact.predecode.hits", 5)
 	m.Observe("kernel.quantum_wall_ns", 1200)
 	tr := obs.NewRingTracer(8)
@@ -99,7 +99,7 @@ func TestServerEndpoints(t *testing.T) {
 	if st.GuestMIPS <= 0 {
 		t.Errorf("/status guest_mips = %v, want > 0", st.GuestMIPS)
 	}
-	if st.HotTier["pin.hot.promotions"] != 3 || st.Artifact["artifact.predecode.hits"] != 5 {
+	if st.Pin["pin.superblock.ins"] != 3 || st.Artifact["artifact.predecode.hits"] != 5 {
 		t.Errorf("/status namespaces: %+v", st)
 	}
 	if st.LatencyNS["kernel.quantum_wall_ns"].Count != 1 {

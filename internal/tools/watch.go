@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"superpin/internal/core"
-	"superpin/internal/jit"
 	"superpin/internal/pin"
 )
 
@@ -16,36 +15,25 @@ import (
 // against the start of the data region, so any block entered with the
 // pointer escaped below the fence is caught and counted.
 //
-// The check is attached with InsertIfCondCall, declaring its shape
-// (`R[reg] < fence`, unsigned) to the engine. Where the load-time value
-// analysis proves the register's range, the predicate folds at compile
-// time and the per-block check costs the host nothing — on well-behaved
-// programs the watchpoint is provably never hit, and the engine's
-// pin.sa.ip.folded counter records the checks it never had to run. The
-// count and the virtual timeline are byte-identical with folding off
-// (`spbench -exp diff`'s saintra and nosa arms prove it): folding
-// substitutes the verdict
-// the predicate would have computed, never a different one.
+// The check is an InsertIfCall predicate guarding an InsertThenCall
+// counter, so each block head pays the inlined-predicate cost and only a
+// hit pays a full call.
 type Watch struct {
-	reg     uint8
-	fence   uint32
-	declare bool
-	out     io.Writer
-	shared  []uint64
+	reg    uint8
+	fence  uint32
+	out    io.Writer
+	shared []uint64
 }
 
-// NewWatch returns a watchpoint on reg against fence, declaring the
-// predicate shape to the engine (fold-eligible).
+// NewWatch returns a watchpoint on reg against fence.
 func NewWatch(out io.Writer, reg uint8, fence uint32) *Watch {
-	return &Watch{reg: reg, fence: fence, declare: true, out: out}
+	return &Watch{reg: reg, fence: fence, out: out}
 }
 
-// NewWatchOpaque is NewWatch without the shape declaration: the
-// predicate is inserted as a plain InsertIfCall the engine cannot fold,
-// so every check evaluates at run time — same checks, same counts as
-// NewWatch, with the value analysis out of the picture.
+// NewWatchOpaque builds the same tool as NewWatch. It stays only
+// because benchmark/workloads.go still calls it (ROADMAP 17(b)).
 func NewWatchOpaque(out io.Writer, reg uint8, fence uint32) *Watch {
-	return &Watch{reg: reg, fence: fence, out: out}
+	return NewWatch(out, reg, fence)
 }
 
 // Factory returns the per-process tool factory.
@@ -84,18 +72,9 @@ type watchInstance struct {
 
 // Instrument implements core.Tool.
 func (t *watchInstance) Instrument(tr *pin.Trace) {
-	reg, fence := t.family.reg, t.family.fence
 	for _, bbl := range tr.Bbls() {
 		head := bbl.InsHead()
-		if t.family.declare {
-			// The predicate is pure and returns exactly the declared
-			// comparison — the InsertIfCondCall contract that makes the
-			// engine's compile-time folding sound.
-			head.InsertIfCondCall(pin.Before, t.pred,
-				jit.Cond{Kind: jit.CondLTU, Reg: reg, Imm: fence})
-		} else {
-			head.InsertIfCall(pin.Before, t.pred)
-		}
+		head.InsertIfCall(pin.Before, t.pred)
 		head.InsertThenCall(pin.Before, t.hit)
 	}
 }
