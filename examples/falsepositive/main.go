@@ -115,8 +115,7 @@ type icount struct {
 
 func (t icount) Instrument(tr *pin.Trace) {
 	for _, bbl := range tr.Bbls() {
-		n := uint64(bbl.NumIns())
-		bbl.InsertCall(pin.Before, func(*pin.Ctx) { t.local[0] += n })
+		bbl.InsertInlineAdd(pin.Before, &t.local[0], uint64(bbl.NumIns()))
 	}
 }
 

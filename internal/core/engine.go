@@ -113,6 +113,7 @@ type Engine struct {
 	masterExited    bool
 	exitCode        uint32
 	lastFork        kernel.Cycles
+	lastForkIns     uint64 // the master's InsCount at the last fork
 	timer           *kernel.Timer
 	endTime         kernel.Cycles
 
@@ -364,7 +365,11 @@ func (e *Engine) sliceCycles() kernel.Cycles {
 
 // armTimer schedules the timer process's next check: if no slice has been
 // forked within the timeslice interval, stop the master and spawn one
-// through the trampoline (Section 4.3).
+// through the trampoline (Section 4.3). A timer fork also needs the
+// master to have retired an instruction since the last fork. The master
+// (the thread-group leader under Options.Threads) pays every fork's
+// cost, so with an interval shorter than that cost the timer would
+// otherwise fork forever while the master only pays off fork debt.
 func (e *Engine) armTimer() {
 	if e.masterExited {
 		return
@@ -379,7 +384,7 @@ func (e *Engine) armTimer() {
 			return
 		}
 		if !e.pendingFork && e.master.State == kernel.StateRunnable &&
-			e.k.Now >= e.lastFork+e.sliceCycles() {
+			e.k.Now >= e.lastFork+e.sliceCycles() && e.master.InsCount > e.lastForkIns {
 			e.requestFork(boundaryTimeout)
 		}
 		e.armTimer()
@@ -581,6 +586,7 @@ func (e *Engine) doFork(kind boundaryKind) {
 	e.open = sl
 	e.slices = append(e.slices, sl)
 	e.lastFork = e.k.Now
+	e.lastForkIns = e.master.InsCount
 	e.stats.Forks++
 	switch kind {
 	case boundarySyscall:

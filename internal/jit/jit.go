@@ -128,43 +128,70 @@ type AnalysisFn func(ctx *Ctx)
 // guest and must not write its registers or memory.
 type PredicateFn func(ctx *Ctx) bool
 
-// Call is one analysis-call site attached to an instruction.
-// Either Fn is set (a plain InsertCall), or If/Then are set (an inlined
-// InsertIfCall guarding an InsertThenCall; Then may be nil for a bare
-// if).
+// Call is one analysis-call site attached to an instruction. It is one
+// of three kinds:
+//
+//   - a plain call: Fn is set (InsertCall);
+//   - an If/Then pair: If is set, and Then when the if guards a routine
+//     (an inlined InsertIfCall guarding an InsertThenCall);
+//   - an inline add: Ctr is set, and the call means *Ctr += N
+//     (InsertInlineAdd). It runs no tool code and cannot request a stop,
+//     so superblocks may run through it and settle the counter once per
+//     run.
 type Call struct {
 	Fn   AnalysisFn
 	If   PredicateFn
 	Then AnalysisFn
+	Ctr  *uint64
+	N    uint64
 }
 
+// CallIdx indexes a trace's call slab. A trace holds at most
+// MaxTraceCalls calls; the engine panics, naming the trace, when one
+// asks for more.
+type CallIdx uint16
+
+// MaxTraceCalls is the largest call slab a compiled trace can index.
+const MaxTraceCalls = 1<<16 - 1
+
 // CompiledIns is one guest instruction in a compiled trace together with
-// its woven-in instrumentation.
+// its woven-in instrumentation. Its calls live in the trace's slab:
+// Calls[B0:B1] run before the instruction and Calls[B1:A1] after it. The
+// struct holds no pointer, so a trace's instruction array is memory the
+// collector does not scan.
 type CompiledIns struct {
-	Addr   uint32
-	Inst   isa.Inst
-	Before []Call // run before the instruction executes
-	After  []Call // run after it executes
+	Addr       uint32
+	Inst       isa.Inst
+	B0, B1, A1 CallIdx
 }
 
 // Superblock is a maximal run of consecutive compiled instructions that
-// carry no analysis calls and cannot trap into the kernel: no Before or
-// After call sites and no SYSCALL. The dispatch loop executes such a run
-// as one cpu.ExecBlock call, batching cycle, instruction-count and COW
-// accounting once per run instead of once per instruction. Superblocks
-// are a host-side execution strategy only — the virtual cycles charged
-// are identical to the per-instruction reference loop.
+// cannot trap into the kernel (no SYSCALL) and whose analysis calls, if
+// any, are inline adds to one counter. The dispatch loop executes such a
+// run as one cpu.ExecBlock call, batching cycle, instruction-count,
+// counter and COW accounting once per run instead of once per
+// instruction. Superblocks are a host-side execution strategy only — the
+// virtual cycles charged are identical to the per-instruction reference
+// loop.
 type Superblock struct {
 	// Start is the index into CompiledTrace.Ins of the run's first
 	// instruction; Block[i] predecodes Ins[Start+i].
 	Start int
 	Block []cpu.BlockIns
 	// Cum[i] is the cumulative virtual cost of executing Block[:i+1]
-	// (per-instruction exec cost plus the memory surcharge for memory
-	// ops; copy-on-write charges are excluded and accounted separately).
-	// Monotone non-decreasing, so the dispatch loop can binary-search
-	// for the exact instruction where a cycle budget would trip.
+	// (per-instruction exec cost, the memory surcharge for memory ops
+	// and the Call cost of each inline add; copy-on-write charges are
+	// excluded and accounted separately). Monotone non-decreasing, so
+	// the dispatch loop can binary-search for the exact instruction
+	// where a cycle budget would trip.
 	Cum []uint64
+	// Ctr is the counter the run's inline adds target, nil when the run
+	// has none. Adds[i] and Sites[i] are the cumulative amount added to
+	// it and the cumulative number of add sites over Block[:i+1]; both
+	// are nil when Ctr is.
+	Ctr   *uint64
+	Adds  []uint64
+	Sites []uint64
 }
 
 // numTraceLinks is the size of the per-trace successor cache. Trace
@@ -185,14 +212,18 @@ type traceLink struct {
 type CompiledTrace struct {
 	Addr uint32
 	Ins  []CompiledIns
+	// Calls is the slab every instruction's call ranges index.
+	Calls []Call
 
 	// Sblocks and RunAt are the dispatch fast path's superblock index,
 	// filled in by the pin engine after instrumentation is woven in.
 	// RunAt[i] is the index into Sblocks of the run beginning coverage of
 	// instruction i, or -1 when instruction i is not inside any run.
 	// RunAt is nil when the trace has no runs (or the fast path is off).
+	// A run holds at least two instructions, so a trace of MaxTraceIns
+	// has at most 32 runs and an int8 indexes them.
 	Sblocks []Superblock
-	RunAt   []int32
+	RunAt   []int8
 
 	links [numTraceLinks]traceLink
 }
@@ -235,7 +266,7 @@ func (ct *CompiledTrace) Link(pc uint32, epoch uint64) (next *CompiledTrace, sta
 
 // Compile lowers a trace into its executable compiled form (without
 // instrumentation; the pin engine's instrumentation pass fills in the
-// call lists afterwards).
+// call slab and each instruction's ranges afterwards).
 func Compile(tr *Trace) *CompiledTrace {
 	ct := &CompiledTrace{Addr: tr.Addr, Ins: make([]CompiledIns, 0, tr.NumIns)}
 	for _, b := range tr.Bbls {

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"reflect"
 	"testing"
 
 	"superpin/internal/asm"
@@ -236,5 +237,37 @@ func TestCodeCacheUnlimited(t *testing.T) {
 	}
 	if c.Resident() != 5000 {
 		t.Fatalf("resident = %d", c.Resident())
+	}
+}
+
+// TestCompiledInsHoldsNoPointer pins the compiled-instruction layout:
+// call ranges into the trace's slab, not slices, so an instruction array
+// is memory the collector never scans.
+func TestCompiledInsHoldsNoPointer(t *testing.T) {
+	var hasPointer func(reflect.Type) bool
+	hasPointer = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if hasPointer(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return hasPointer(ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return false
+		}
+		return true
+	}
+	ty := reflect.TypeOf(CompiledIns{})
+	if hasPointer(ty) {
+		t.Errorf("jit.CompiledIns holds a pointer: %v", ty)
+	}
+	if size := ty.Size(); size > 20 {
+		t.Errorf("jit.CompiledIns is %d bytes, want <= 20", size)
 	}
 }

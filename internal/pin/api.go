@@ -2,9 +2,10 @@
 // SuperPin is built on — a workalike of Intel Pin's VM at the level of
 // detail the paper depends on (Section 2.2): a JIT that compiles guest
 // code into instrumented traces held in a code cache, a dispatcher, and a
-// Pintool instrumentation API with TRACE/BBL/INS objects, InsertCall, and
+// Pintool instrumentation API with TRACE/BBL/INS objects, InsertCall,
 // the inlined InsertIfCall / InsertThenCall pair used by SuperPin's
-// signature detector.
+// signature detector, and InsertInlineAdd, the inlined counter add of
+// the paper's icount tools.
 //
 // A Pintool registers a trace-instrumentation callback; at compile time
 // the callback walks the trace's basic blocks and instructions and
@@ -14,15 +15,16 @@
 //
 // # Error handling
 //
-// The Insert* functions panic on misuse: a nil analysis function or
-// predicate, an InsertThenCall with no preceding unpaired InsertIfCall
-// at the same instruction and point, or an Insert* through a handle
-// whose instrumentation callback has returned. These are programmer
-// errors in the Pintool itself — detectable the first time the tool's
-// instrumentation callback runs, never dependent on user input — so
-// they fail loudly at the call site rather than propagating errors
-// through every instrumentation callback, mirroring Pin's own usage
-// contract. Configuration errors
+// The Insert* functions panic on misuse: a nil analysis function,
+// predicate or counter, an InsertThenCall with no preceding unpaired
+// InsertIfCall at the same instruction and point, an Insert* through a
+// handle whose instrumentation callback has returned, or more calls in
+// one trace than its call slab can index (jit.MaxTraceCalls). These are
+// programmer errors in the Pintool itself — detectable the first time
+// the tool's instrumentation callback runs, never dependent on user
+// input — so they fail loudly at the call site rather than propagating
+// errors through every instrumentation callback, mirroring Pin's own
+// usage contract. Configuration errors
 // (user-supplied cache geometry, sampling budgets) are returned as
 // ordinary errors by the tool constructors in internal/tools.
 package pin
@@ -168,6 +170,12 @@ func (b *Bbl) InsertCall(when IPoint, fn AnalysisFn) {
 	b.trace.insert(int(b.start), when, jit.Call{Fn: fn})
 }
 
+// InsertInlineAdd attaches an inline counter add to the head of the
+// block: *ctr += n, the shape of icount2's per-block count.
+func (b *Bbl) InsertInlineAdd(when IPoint, ctr *uint64, n uint64) {
+	b.trace.insert(int(b.start), when, inlineAdd(ctr, n))
+}
+
 func (i *Ins) slot() *jit.CompiledIns { return &i.trace.ct.Ins[i.idx] }
 
 // Addr returns the instruction's address.
@@ -196,6 +204,25 @@ func (i *Ins) InsertCall(when IPoint, fn AnalysisFn) {
 		panic("pin: InsertCall with nil function")
 	}
 	i.trace.insert(i.idx, when, jit.Call{Fn: fn})
+}
+
+// InsertInlineAdd attaches an inline counter add at the given point:
+// *ctr += n, with no analysis routine. It is Pin's inlining of the
+// paper's Fig. 2 docount: the engine charges it the Call cost like a
+// plain call, but runs it without a closure, and superblocks execute
+// through it, settling the counter once per run. The batching is
+// invisible to the tool: a run's adds are settled before any other
+// analysis call runs and before Run returns.
+func (i *Ins) InsertInlineAdd(when IPoint, ctr *uint64, n uint64) {
+	i.trace.insert(i.idx, when, inlineAdd(ctr, n))
+}
+
+// inlineAdd builds an inline-add call, panicking on a nil counter.
+func inlineAdd(ctr *uint64, n uint64) jit.Call {
+	if ctr == nil {
+		panic("pin: InsertInlineAdd with nil counter")
+	}
+	return jit.Call{Ctr: ctr, N: n}
 }
 
 // wrapPredicate, when non-nil, wraps every predicate InsertIfCall
@@ -267,16 +294,22 @@ func slotKey(idx int, when IPoint) int {
 }
 
 // place moves the calls inserted while instrumenting ct from the
-// pending buffer into one exact-size slab and gives each instruction's
-// Before and After lists a capped window of it. The placement is a
+// pending buffer into one exact-size slab, ct.Calls, and gives each
+// instruction its Before and After ranges of it. The placement is a
 // counting sort by slotKey that keeps insertion order within a key, so
 // every list holds the calls, in the order, that appending to it
 // directly would have produced. It closes the trace to further inserts.
+// A trace with more calls than jit.CallIdx can index panics, naming the
+// trace.
 func (e *Engine) place(ct *jit.CompiledTrace) {
 	e.instrumenting = nil
 	pend := e.pending
 	if len(pend) == 0 {
 		return
+	}
+	if len(pend) > jit.MaxTraceCalls {
+		panic(fmt.Sprintf("pin: trace %#08x has %d analysis calls, more than the %d a trace can hold",
+			ct.Addr, len(pend), jit.MaxTraceCalls))
 	}
 	nk := 2 * len(ct.Ins)
 	start := slices.Grow(e.placeStart[:0], nk+1)[:nk+1]
@@ -287,21 +320,19 @@ func (e *Engine) place(ct *jit.CompiledTrace) {
 	for k := 1; k <= nk; k++ {
 		start[k] += start[k-1]
 	}
-	slab := make([]jit.Call, len(pend))
 	for i := range ct.Ins {
 		ci := &ct.Ins[i]
-		if a, b := start[2*i], start[2*i+1]; a < b {
-			ci.Before = slab[a:b:b]
-		}
-		if a, b := start[2*i+1], start[2*i+2]; a < b {
-			ci.After = slab[a:b:b]
-		}
+		ci.B0 = jit.CallIdx(start[2*i])
+		ci.B1 = jit.CallIdx(start[2*i+1])
+		ci.A1 = jit.CallIdx(start[2*i+2])
 	}
+	slab := make([]jit.Call, len(pend))
 	for i := range pend {
 		k := pend[i].key
 		slab[start[k]] = pend[i].call
 		start[k]++
 	}
+	ct.Calls = slab
 	clear(pend) // drop the tool's closures
 	e.pending = pend[:0]
 	e.placeStart = start

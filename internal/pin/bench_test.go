@@ -117,27 +117,32 @@ func BenchmarkEngineDispatchUnlinked(b *testing.B) {
 	runN(b, e, k, p)
 }
 
+// BenchmarkEngineIcount1Style is icount1 as the tool ships it: an inline
+// add before every instruction, which superblocks run through.
 func BenchmarkEngineIcount1Style(b *testing.B) {
 	var n uint64
-	k, p, e := setupEngine(b, benchLoop, func(e *Engine) {
-		e.AddTraceInstrumenter(func(tr *Trace) {
-			for _, bbl := range tr.Bbls() {
-				for _, ins := range bbl.Ins() {
-					ins.InsertCall(Before, func(*Ctx) { n++ })
-				}
-			}
-		})
-	})
+	k, p, e := setupEngine(b, benchLoop, inlineIcount1(&n))
 	runN(b, e, k, p)
 }
 
-// BenchmarkEngineIcount1StyleNoFastPath: fully instrumented code has no
-// superblocks, so the delta to BenchmarkEngineIcount1Style is what trace
-// linking alone buys on an instrumented workload.
+// BenchmarkEngineIcount1StyleNoFastPath runs the same adds one by one
+// through the reference loop, so the delta to BenchmarkEngineIcount1Style
+// is what superblocks and trace linking buy on a fully instrumented
+// workload.
 func BenchmarkEngineIcount1StyleNoFastPath(b *testing.B) {
 	var n uint64
 	k, p, e := setupEngine(b, benchLoop, func(e *Engine) {
 		e.Cost.NoFastPath = true
+		inlineIcount1(&n)(e)
+	})
+	runN(b, e, k, p)
+}
+
+// BenchmarkEngineIcount1Closure is icount1 through a closure call per
+// instruction, the opaque call kind no superblock runs through.
+func BenchmarkEngineIcount1Closure(b *testing.B) {
+	var n uint64
+	k, p, e := setupEngine(b, benchLoop, func(e *Engine) {
 		e.AddTraceInstrumenter(func(tr *Trace) {
 			for _, bbl := range tr.Bbls() {
 				for _, ins := range bbl.Ins() {
@@ -149,33 +154,21 @@ func BenchmarkEngineIcount1StyleNoFastPath(b *testing.B) {
 	runN(b, e, k, p)
 }
 
+// BenchmarkEngineIcount2Style is icount2 as the tool ships it: an inline
+// add of the block's size at every block head.
 func BenchmarkEngineIcount2Style(b *testing.B) {
 	var n uint64
-	k, p, e := setupEngine(b, benchLoop, func(e *Engine) {
-		e.AddTraceInstrumenter(func(tr *Trace) {
-			for _, bbl := range tr.Bbls() {
-				c := uint64(bbl.NumIns())
-				bbl.InsertCall(Before, func(*Ctx) { n += c })
-			}
-		})
-	})
+	k, p, e := setupEngine(b, benchLoop, inlineIcount2(&n))
 	runN(b, e, k, p)
 }
 
-// BenchmarkEngineIcount2StyleNoFastPath: block-head calls leave call-free
-// block tails, so this measures the reference loop on partially
-// instrumented code (superblocks cover the tails when the fast path is
-// on).
+// BenchmarkEngineIcount2StyleNoFastPath is the reference loop on the same
+// block-head adds.
 func BenchmarkEngineIcount2StyleNoFastPath(b *testing.B) {
 	var n uint64
 	k, p, e := setupEngine(b, benchLoop, func(e *Engine) {
 		e.Cost.NoFastPath = true
-		e.AddTraceInstrumenter(func(tr *Trace) {
-			for _, bbl := range tr.Bbls() {
-				c := uint64(bbl.NumIns())
-				bbl.InsertCall(Before, func(*Ctx) { n += c })
-			}
-		})
+		inlineIcount2(&n)(e)
 	})
 	runN(b, e, k, p)
 }

@@ -3,6 +3,7 @@ package pin
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -44,38 +45,48 @@ main:
 	syscall
 `
 
-// addIcount1 registers an icount1-style instrumenter: one analysis call
-// before every instruction, the closure built once.
-func addIcount1(e *Engine) {
-	var n uint64
-	count := func(*Ctx) { n++ }
-	e.AddTraceInstrumenter(func(tr *Trace) {
-		for _, bbl := range tr.Bbls() {
-			for _, ins := range bbl.Ins() {
-				ins.InsertCall(Before, count)
-			}
-		}
-	})
-}
+// addIcount1 registers icount1 as the tool ships it: one inline add
+// before every instruction.
+func addIcount1(e *Engine) { inlineIcount1(new(uint64))(e) }
 
-// TestCompileAllocs pins the compile path's allocations: a constant
-// number per trace, whatever its length.
+// compileBytesCeiling is the heap bytes one 64-instruction icount1
+// compile may allocate: the figure measured before inline adds, when
+// icount1 compiled to closure calls and sealed no superblock.
+const compileBytesCeiling = 8896
+
+// TestCompileAllocs pins the compile path's allocations for an icount1
+// trace, which seals into one superblock through its inline adds: a
+// constant number per trace whatever its length, at most 12, and at
+// most compileBytesCeiling bytes for a full-size trace.
 func TestCompileAllocs(t *testing.T) {
 	var counts []float64
-	for _, n := range []int{8, 64} {
+	var bytes uint64
+	for _, n := range []int{8, jit.MaxTraceIns} {
 		m, pc := loadCode(t, straightLine(n))
 		e := NewEngine(DefaultCost())
 		addIcount1(e)
-		allocs := testing.AllocsPerRun(50, func() {
+		compile := func() {
 			ct, _, err := e.compile(m, pc, true)
-			if err != nil || ct.NumIns() != n {
-				panic(fmt.Sprintf("compile: %d instructions, %v", ct.NumIns(), err))
+			if err != nil || ct.NumIns() != n || len(ct.Sblocks) != 1 {
+				panic(fmt.Sprintf("compile: %d instructions, %d runs, %v", ct.NumIns(), len(ct.Sblocks), err))
 			}
-		})
-		counts = append(counts, allocs)
+		}
+		counts = append(counts, testing.AllocsPerRun(50, compile))
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			compile()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	if counts[0] != counts[1] || counts[0] > 8 {
-		t.Fatalf("allocations per compile: %v for 8 and 64 instructions, want equal and <= 8", counts)
+	t.Logf("allocations per compile %v, %d B per 64-instruction compile", counts, bytes)
+	if counts[0] != counts[1] || counts[0] > 12 {
+		t.Errorf("allocations per compile: %v for 8 and 64 instructions, want equal and <= 12", counts)
+	}
+	if bytes > compileBytesCeiling {
+		t.Errorf("a 64-instruction compile allocates %d B, want <= %d", bytes, compileBytesCeiling)
 	}
 }
 
@@ -121,21 +132,23 @@ func (l *callLog) describe(calls []jit.Call) []string {
 		if c.Then != nil {
 			c.Then(nil)
 		}
-		out = append(out, fmt.Sprintf("fn=%t if=%t then=%t ids=%v",
-			c.Fn != nil, c.If != nil, c.Then != nil, l.ids))
+		out = append(out, fmt.Sprintf("fn=%t if=%t then=%t ids=%v add=%p+%d",
+			c.Fn != nil, c.If != nil, c.Then != nil, l.ids, c.Ctr, c.N))
 	}
 	return out
 }
 
 // TestPlacementMatchesDirectAppend drives random Insert* sequences —
 // instructions out of order, Before and After mixed, If/Then pairs
-// interleaved with other calls — and checks every instruction's lists
-// against a reference that appends to each list directly.
+// interleaved with other calls and inline adds — and checks every
+// instruction's slab ranges against a reference that appends to each
+// list directly.
 func TestPlacementMatchesDirectAppend(t *testing.T) {
 	m, pc := loadCode(t, multiBlock)
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		log := &callLog{}
+		var ctrs [2]uint64
 		var ref [][2][]jit.Call // [instruction][point]
 		e := NewEngine(DefaultCost())
 		e.AddTraceInstrumenter(func(tr *Trace) {
@@ -148,7 +161,7 @@ func TestPlacementMatchesDirectAppend(t *testing.T) {
 				idx := rng.Intn(len(all))
 				when := IPoint(rng.Intn(2))
 				ins, list := all[idx], &ref[idx][when]
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					ins.InsertCall(when, log.fn(id))
 					*list = append(*list, jit.Call{Fn: log.fn(id)})
@@ -167,6 +180,10 @@ func TestPlacementMatchesDirectAppend(t *testing.T) {
 					}
 					ins.InsertThenCall(when, log.fn(id))
 					(*list)[j].Then = log.fn(id)
+				case 3:
+					ctr := &ctrs[id%len(ctrs)]
+					ins.InsertInlineAdd(when, ctr, uint64(id))
+					*list = append(*list, jit.Call{Ctr: ctr, N: uint64(id)})
 				}
 			}
 		})
@@ -174,14 +191,12 @@ func TestPlacementMatchesDirectAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ct.Ins {
-			for when, got := range [2][]jit.Call{ct.Ins[i].Before, ct.Ins[i].After} {
+		for i, ci := range ct.Ins {
+			before, after := ct.Calls[ci.B0:ci.B1:ci.B1], ct.Calls[ci.B1:ci.A1:ci.A1]
+			for when, got := range [2][]jit.Call{before, after} {
 				want := ref[i][when]
 				if g, w := log.describe(got), log.describe(want); !slices.Equal(g, w) {
 					t.Fatalf("seed %d ins %d point %d:\n got %v\nwant %v", seed, i, when, g, w)
-				}
-				if cap(got) != len(got) {
-					t.Fatalf("seed %d ins %d point %d: list cap %d > len %d", seed, i, when, cap(got), len(got))
 				}
 			}
 		}

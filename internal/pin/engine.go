@@ -111,10 +111,11 @@ func NativeCost(interp, memSurcharge kernel.Cycles) CostModel {
 	return CostModel{Exec: interp, MemSurcharge: memSurcharge}
 }
 
-// Stats are cumulative engine execution statistics. SuperblockIns counts
-// the subset of ExecIns executed through the batched superblock fast
-// path (zero when the fast path is disabled or every instruction is
-// instrumented). It is host-side: it never affects virtual-cycle results.
+// Stats are cumulative engine execution statistics. AnalysisCalls counts
+// plain calls and inline adds. SuperblockIns counts the subset of ExecIns
+// executed through the batched superblock fast path (zero when the fast
+// path is disabled or every instruction carries a call other than an
+// inline add). It is host-side: it never affects virtual-cycle results.
 type Stats struct {
 	ExecIns       uint64
 	AnalysisCalls uint64
@@ -405,10 +406,11 @@ func (e *Engine) FlushCache() {
 //     successor in a small per-trace cache, so the next dispatch is a
 //     pointer chase instead of a map lookup. The dispatch cycles are
 //     still charged and the logical cache lookup is still counted.
-//   - superblock execution: runs of instructions with no analysis calls
-//     execute through cpu.ExecBlock (ExecBlockProf when a profiler probe
-//     is attached), with cycles, InsCount, ExecIns and
-//     copy-on-write charges batched per run. The run is cut at the exact
+//   - superblock execution: runs of instructions whose only analysis
+//     calls are inline adds to one counter execute through cpu.ExecBlock
+//     (ExecBlockProf when a profiler probe is attached), with cycles,
+//     InsCount, ExecIns, the counter, AnalysisCalls and copy-on-write
+//     charges batched per run. The run is cut at the exact
 //     instruction where the reference loop's per-instruction budget or
 //     InsLimit check would stop, so stop points are unchanged.
 func (e *Engine) Run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (kernel.Cycles, kernel.StopReason) {
@@ -500,8 +502,8 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 			hasRuns = fast && e.cur.RunAt != nil
 		}
 
-		// Superblock fast path: execute the call-free run starting at the
-		// current instruction in one batched ExecBlock call. Skipped while
+		// Superblock fast path: execute the run starting at the current
+		// instruction in one batched ExecBlock call. Skipped while
 		// an uncharged copy-on-write event is pending (possible after a
 		// kernel syscall wrote guest memory) so the charge lands at the
 		// same instruction as in the reference loop.
@@ -553,7 +555,17 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					n, ev, err = cpu.ExecBlock(&p.Regs, p.Mem, sb.Block[off:], allow, p.Mem.CopyEvents)
 				}
 				if n > 0 {
-					used += kernel.Cycles(sb.Cum[off+n-1] - pre)
+					last := off + n - 1
+					used += kernel.Cycles(sb.Cum[last] - pre)
+					if sb.Ctr != nil {
+						// Settle the run's inline adds once.
+						var preAdd, preSites uint64
+						if off > 0 {
+							preAdd, preSites = sb.Adds[off-1], sb.Sites[off-1]
+						}
+						*sb.Ctr += sb.Adds[last] - preAdd
+						e.stats.AnalysisCalls += sb.Sites[last] - preSites
+					}
 					e.idx += n
 					if p.CowPending() {
 						used += e.settle(p, pageCopy)
@@ -571,6 +583,13 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					}
 				}
 				if err != nil {
+					// The reference loop runs the faulting instruction's
+					// Before calls, inline adds here, before it faults.
+					ct := e.cur
+					fi := &ct.Ins[sb.Start+off+n]
+					for i := fi.B0; i < fi.B1; i++ {
+						used += e.runCall(ctx, &ct.Calls[i])
+					}
 					p.Err = err
 					e.cur = nil
 					return used, kernel.StopError
@@ -613,6 +632,8 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		}
 
 		ci := &e.cur.Ins[e.idx]
+		calls := e.cur.Calls[ci.B0:ci.A1]
+		before := calls[:ci.B1-ci.B0]
 		ctx.PC = ci.Addr
 		ctx.Inst = ci.Inst
 
@@ -620,8 +641,8 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		// the run before the instruction executes, with the PC still at
 		// the instrumented instruction — the semantics SuperPin's
 		// boundary detection needs.
-		for i := range ci.Before {
-			used += e.runCall(ctx, &ci.Before[i])
+		for i := range before {
+			used += e.runCall(ctx, &before[i])
 			if ctx.StopRequested() {
 				e.cur = nil
 				return used, kernel.StopExit
@@ -655,9 +676,9 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 
 		// IPOINT_AFTER analysis calls. They may write guest memory, so the
 		// cached no-pending-COW flag is dropped.
-		for i := range ci.After {
+		for i := len(before); i < len(calls); i++ {
 			cowClear = false
-			used += e.runCall(ctx, &ci.After[i])
+			used += e.runCall(ctx, &calls[i])
 			if ctx.StopRequested() {
 				e.cur = nil
 				return used, kernel.StopExit
@@ -833,28 +854,47 @@ func decodesFrom(m *mem.Memory, tr *jit.Trace) bool {
 	return true
 }
 
-// minSuperblockIns is the shortest call-free run worth batching: the
-// fast path's setup (run lookup, budget search, batched accounting)
-// costs more than the reference loop saves on a run of one.
+// minSuperblockIns is the shortest run worth batching: the fast path's
+// setup (run lookup, budget search, batched accounting) costs more than
+// the reference loop saves on a run of one.
 const minSuperblockIns = 2
 
-// fastEligible reports whether a compiled instruction may live inside a
-// superblock: it must carry no analysis calls (nothing to run between
-// instructions) and must not trap (SYSCALL returns to the kernel).
-func fastEligible(ci *jit.CompiledIns) bool {
-	return len(ci.Before) == 0 && len(ci.After) == 0 && ci.Inst.Op != isa.OpSYSCALL
+// fastEligible reports whether instruction i of ct may live inside a
+// superblock: it must not trap (SYSCALL returns to the kernel), and its
+// analysis calls, if any, must all be inline adds to one counter, ctr
+// (nil when it has no calls). Nothing else may run between a run's
+// instructions.
+func fastEligible(ct *jit.CompiledTrace, i int) (ok bool, ctr *uint64) {
+	ci := &ct.Ins[i]
+	if ci.Inst.Op == isa.OpSYSCALL {
+		return false, nil
+	}
+	for k := ci.B0; k < ci.A1; k++ {
+		c := ct.Calls[k].Ctr
+		if c == nil || (ctr != nil && c != ctr) {
+			return false, nil
+		}
+		ctr = c
+	}
+	return true, ctr
 }
 
 // runSpan is one superblock run found by seal's sizing pass:
-// instructions i through j-1 of the trace.
-type runSpan struct{ i, j int }
+// instructions i through j-1 of the trace, whose inline adds (if any)
+// target ctr.
+type runSpan struct {
+	i, j int
+	ctr  *uint64
+}
 
 // seal precomputes a freshly instrumented trace's superblock index:
 // maximal runs of fast-eligible instructions, predecoded for
 // cpu.ExecBlock, with cumulative per-run cycle costs so the dispatch
 // loop can batch accounting and hoist the budget checks out of the
-// per-instruction path. Runs after the tool's instrumenters, which are
-// what decide eligibility.
+// per-instruction path. A run ends where an instruction's adds target a
+// different counter than the run's, and a run with adds also carries
+// their cumulative amounts and site counts. Runs after the tool's
+// instrumenters, which are what decide eligibility.
 //
 // Sealing runs on every compile, so allocation cost matters: a sizing
 // pass finds the runs (into an engine-owned scratch slice) before a fill
@@ -863,19 +903,29 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 	cost := &e.Cost
 	n := len(ct.Ins)
 	spans := e.sealScratch[:0]
-	covered := 0
+	covered, counted := 0, 0
 	for i := 0; i < n; {
-		if !fastEligible(&ct.Ins[i]) {
+		ok, ctr := fastEligible(ct, i)
+		if !ok {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < n && fastEligible(&ct.Ins[j]) {
-			j++
+		for ; j < n; j++ {
+			ok, c := fastEligible(ct, j)
+			if !ok || (c != nil && ctr != nil && c != ctr) {
+				break
+			}
+			if ctr == nil {
+				ctr = c
+			}
 		}
 		if j-i >= minSuperblockIns {
 			covered += j - i
-			spans = append(spans, runSpan{i: i, j: j})
+			if ctr != nil {
+				counted += j - i
+			}
+			spans = append(spans, runSpan{i: i, j: j, ctr: ctr})
 		}
 		i = j
 	}
@@ -883,32 +933,51 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 	if len(spans) == 0 {
 		return
 	}
-	runAt := make([]int32, n)
+	runAt := make([]int8, n)
 	for r := range runAt {
 		runAt[r] = -1
 	}
 	blocks := make([]cpu.BlockIns, covered)
-	cums := make([]uint64, covered)
+	// One array holds every run's Cum, then the Adds and Sites of the
+	// runs that count.
+	sums := make([]uint64, covered+2*counted)
+	cums, addSums := sums[:covered], sums[covered:]
 	sblocks := make([]jit.Superblock, 0, len(spans))
-	pos := 0
+	pos, apos := 0, 0
 	for _, sp := range spans {
 		i, j := sp.i, sp.j
+		m := j - i
 		sb := jit.Superblock{
 			Start: i,
-			Block: blocks[pos : pos+j-i : pos+j-i],
-			Cum:   cums[pos : pos+j-i : pos+j-i],
+			Block: blocks[pos : pos+m : pos+m],
+			Cum:   cums[pos : pos+m : pos+m],
 		}
-		pos += j - i
-		var cum uint64
-		ri := int32(len(sblocks))
+		pos += m
+		if sp.ctr != nil {
+			sb.Ctr = sp.ctr
+			sb.Adds = addSums[apos : apos+m : apos+m]
+			sb.Sites = addSums[apos+m : apos+2*m : apos+2*m]
+			apos += 2 * m
+		}
+		var cum, adds, sites uint64
+		ri := int8(len(sblocks))
 		for x := i; x < j; x++ {
 			ci := &ct.Ins[x]
-			cum += uint64(cost.Exec)
+			k := uint64(ci.A1 - ci.B0) // inline-add sites on this instruction
+			cum += uint64(cost.Exec) + k*uint64(cost.Call)
 			if ci.Inst.Op.IsMem() {
 				cum += uint64(cost.MemSurcharge)
 			}
 			sb.Block[x-i] = cpu.BlockIns{Inst: ci.Inst, Next: ci.Addr + isa.WordSize}
 			sb.Cum[x-i] = cum
+			if sb.Ctr != nil {
+				for c := ci.B0; c < ci.A1; c++ {
+					adds += ct.Calls[c].N
+				}
+				sites += k
+				sb.Adds[x-i] = adds
+				sb.Sites[x-i] = sites
+			}
 			runAt[x] = ri
 		}
 		sblocks = append(sblocks, sb)
@@ -933,6 +1002,7 @@ func (e *Engine) ResetPosition() {
 }
 
 // runCall executes one analysis call site and returns its cycle cost.
+// A plain call and an inline add each count as one analysis call.
 //
 // An If-call counts, evaluates the predicate, and runs the then-routine
 // when it fired. Pin's register save/restore around an
@@ -946,12 +1016,17 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call) kernel.Cycles {
 		c.Fn(ctx)
 		return cost.Call
 	}
-	e.stats.IfCalls++
-	cy := cost.IfCall
-	if c.If(ctx) && c.Then != nil {
-		e.stats.ThenCalls++
-		c.Then(ctx)
-		cy += cost.ThenCall
+	if c.If != nil {
+		e.stats.IfCalls++
+		cy := cost.IfCall
+		if c.If(ctx) && c.Then != nil {
+			e.stats.ThenCalls++
+			c.Then(ctx)
+			cy += cost.ThenCall
+		}
+		return cy
 	}
-	return cy
+	e.stats.AnalysisCalls++
+	*c.Ctr += c.N
+	return cost.Call
 }

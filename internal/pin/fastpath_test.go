@@ -212,69 +212,102 @@ loop:
 	syscall
 `
 
+// limitTools are the instrumenters the single-Run stop tests cover:
+// none, and the inline-add counters, whose superblocks stop mid-run.
+var limitTools = []struct {
+	name string
+	mk   func(*uint64) func(*Engine)
+}{
+	{"uninstrumented", func(*uint64) func(*Engine) { return nil }},
+	{"icount1", inlineIcount1},
+	{"icount2", inlineIcount2},
+}
+
 func TestFastPathInsLimitExact(t *testing.T) {
 	// InsLimit must pause at exactly the requested instruction count —
 	// SuperPin's deterministic thread replay depends on it — including
 	// limits that land mid-superblock.
-	for _, limit := range []uint64{1, 2, 5, 777, 4000} {
-		var states []fastModeState
-		for _, nofast := range []bool{false, true} {
-			cost := DefaultCost()
-			cost.NoFastPath = nofast
-			kcfg := kernel.DefaultConfig()
-			s := setupMode(t, limitLoop, kcfg, cost, nil)
-			s.e.InsLimit = limit
-			used, stop := s.e.Run(s.k, s.p, 1<<40)
-			if stop != kernel.StopBudget {
-				t.Fatalf("limit %d nofast=%v: stop %v", limit, nofast, stop)
+	for _, tool := range limitTools {
+		for _, limit := range []uint64{1, 2, 5, 777, 4000} {
+			var states []fastModeState
+			var used [2]kernel.Cycles
+			var counts [2]uint64
+			for i, nofast := range []bool{false, true} {
+				cost := DefaultCost()
+				cost.NoFastPath = nofast
+				kcfg := kernel.DefaultConfig()
+				s := setupMode(t, limitLoop, kcfg, cost, tool.mk(&counts[i]))
+				s.e.InsLimit = limit
+				var stop kernel.StopReason
+				used[i], stop = s.e.Run(s.k, s.p, 1<<40)
+				if stop != kernel.StopBudget {
+					t.Fatalf("%s limit %d nofast=%v: stop %v", tool.name, limit, nofast, stop)
+				}
+				if s.p.InsCount != limit {
+					t.Errorf("%s limit %d nofast=%v: stopped at %d instructions", tool.name, limit, nofast, s.p.InsCount)
+				}
+				if used[i] == 0 {
+					t.Errorf("%s limit %d nofast=%v: no cycles charged", tool.name, limit, nofast)
+				}
+				states = append(states, s)
 			}
-			if s.p.InsCount != limit {
-				t.Errorf("limit %d nofast=%v: stopped at %d instructions", limit, nofast, s.p.InsCount)
+			if states[0].p.Regs != states[1].p.Regs {
+				t.Errorf("%s limit %d: registers diverged", tool.name, limit)
 			}
-			if used == 0 {
-				t.Errorf("limit %d nofast=%v: no cycles charged", limit, nofast)
+			if used[0] != used[1] || counts[0] != counts[1] {
+				t.Errorf("%s limit %d: fast used %d count %d, slow used %d count %d",
+					tool.name, limit, used[0], counts[0], used[1], counts[1])
 			}
-			states = append(states, s)
-		}
-		if states[0].p.Regs != states[1].p.Regs {
-			t.Errorf("limit %d: registers diverged", limit)
+			if fs, ss := normStats(states[0].e.Stats()), normStats(states[1].e.Stats()); fs != ss {
+				t.Errorf("%s limit %d: stats diverged:\nfast %+v\nslow %+v", tool.name, limit, fs, ss)
+			}
 		}
 	}
 }
 
 func TestFastPathBudgetStopExact(t *testing.T) {
-	// Single Run calls with assorted budgets: used cycles, stop PC and
-	// instruction counts must match the reference loop exactly, including
-	// on resumption mid-superblock after a budget stop.
-	for _, budget := range []kernel.Cycles{1, 2, 3, 50, 997, 12345} {
-		var used [2]kernel.Cycles
-		var states []fastModeState
-		for i, nofast := range []bool{false, true} {
-			cost := DefaultCost()
-			cost.NoFastPath = nofast
-			s := setupMode(t, limitLoop, kernel.DefaultConfig(), cost, nil)
-			u1, stop := s.e.Run(s.k, s.p, budget)
-			if stop != kernel.StopBudget {
-				t.Fatalf("budget %d nofast=%v: stop %v", budget, nofast, stop)
+	// Single Run calls with assorted budgets: used cycles, stop PC,
+	// instruction counts, tool counters and engine statistics must match
+	// the reference loop exactly, including on resumption mid-superblock
+	// after a budget stop.
+	for _, tool := range limitTools {
+		for _, budget := range []kernel.Cycles{1, 2, 3, 50, 997, 12345} {
+			var used [2]kernel.Cycles
+			var counts [2]uint64
+			var states []fastModeState
+			for i, nofast := range []bool{false, true} {
+				cost := DefaultCost()
+				cost.NoFastPath = nofast
+				s := setupMode(t, limitLoop, kernel.DefaultConfig(), cost, tool.mk(&counts[i]))
+				u1, stop := s.e.Run(s.k, s.p, budget)
+				if stop != kernel.StopBudget {
+					t.Fatalf("%s budget %d nofast=%v: stop %v", tool.name, budget, nofast, stop)
+				}
+				// Resume once: the fast engine re-enters mid-trace, mid-run.
+				u2, stop := s.e.Run(s.k, s.p, budget)
+				if stop != kernel.StopBudget {
+					t.Fatalf("%s budget %d nofast=%v resume: stop %v", tool.name, budget, nofast, stop)
+				}
+				used[i] = u1 + u2
+				states = append(states, s)
 			}
-			// Resume once: the fast engine re-enters mid-trace, mid-run.
-			u2, stop := s.e.Run(s.k, s.p, budget)
-			if stop != kernel.StopBudget {
-				t.Fatalf("budget %d nofast=%v resume: stop %v", budget, nofast, stop)
+			f, s := states[0], states[1]
+			if used[0] != used[1] {
+				t.Errorf("%s budget %d: used fast %d, slow %d", tool.name, budget, used[0], used[1])
 			}
-			used[i] = u1 + u2
-			states = append(states, s)
-		}
-		f, s := states[0], states[1]
-		if used[0] != used[1] {
-			t.Errorf("budget %d: used fast %d, slow %d", budget, used[0], used[1])
-		}
-		if f.p.Regs != s.p.Regs {
-			t.Errorf("budget %d: registers diverged (fast PC %#x, slow PC %#x)",
-				budget, f.p.Regs.PC, s.p.Regs.PC)
-		}
-		if f.p.InsCount != s.p.InsCount {
-			t.Errorf("budget %d: InsCount fast %d, slow %d", budget, f.p.InsCount, s.p.InsCount)
+			if f.p.Regs != s.p.Regs {
+				t.Errorf("%s budget %d: registers diverged (fast PC %#x, slow PC %#x)",
+					tool.name, budget, f.p.Regs.PC, s.p.Regs.PC)
+			}
+			if f.p.InsCount != s.p.InsCount {
+				t.Errorf("%s budget %d: InsCount fast %d, slow %d", tool.name, budget, f.p.InsCount, s.p.InsCount)
+			}
+			if counts[0] != counts[1] {
+				t.Errorf("%s budget %d: count fast %d, slow %d", tool.name, budget, counts[0], counts[1])
+			}
+			if fs, ss := normStats(f.e.Stats()), normStats(s.e.Stats()); fs != ss {
+				t.Errorf("%s budget %d: stats diverged:\nfast %+v\nslow %+v", tool.name, budget, fs, ss)
+			}
 		}
 	}
 }
@@ -329,7 +362,11 @@ func TestSealFastPathsStructure(t *testing.T) {
 	ct := jit.Compile(tr)
 	// Instrument one instruction in the middle to split a run.
 	mid := len(ct.Ins) / 2
-	ct.Ins[mid].Before = append(ct.Ins[mid].Before, jit.Call{Fn: func(*jit.Ctx) {}})
+	ct.Calls = []jit.Call{{Fn: func(*jit.Ctx) {}}}
+	for i := mid; i < len(ct.Ins); i++ {
+		ct.Ins[i].B0, ct.Ins[i].B1, ct.Ins[i].A1 = 1, 1, 1
+	}
+	ct.Ins[mid].B0 = 0
 	cost := DefaultCost()
 	cost.MemSurcharge = 7
 	sealFastPaths(ct, cost)

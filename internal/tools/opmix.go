@@ -60,8 +60,7 @@ type opmixInstance struct {
 func (t *opmixInstance) Instrument(tr *pin.Trace) {
 	for _, bbl := range tr.Bbls() {
 		for _, ins := range bbl.Ins() {
-			op := ins.Inst().Op
-			ins.InsertCall(pin.Before, func(*pin.Ctx) { t.local[op]++ })
+			ins.InsertInlineAdd(pin.Before, &t.local[ins.Inst().Op], 1)
 		}
 	}
 }
