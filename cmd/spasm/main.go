@@ -7,11 +7,13 @@
 //	spasm -lint file.svasm      # run the static-analysis verifier
 //	spasm -run file.svasm       # assemble and run natively; prints exit code
 //
-// -lint runs the load-time verifier (internal/sa) over the assembled
-// image and prints every diagnostic with its source line. Errors (bad
-// branch targets, truncated images, stack-imbalanced loops — things the
-// engine would reject at load time) exit non-zero; warnings alone
-// (uninitialized reads, provable self-modifying stores) exit zero.
+// -lint runs the static-analysis verifier (internal/sa) over the
+// assembled image and prints every diagnostic with its source line.
+// Errors (bad branch targets, truncated images, stack-imbalanced loops:
+// the image is malformed) exit non-zero; warnings alone (uninitialized
+// reads, provable self-modifying stores, the call-graph rules) exit
+// zero. No run mode verifies the image: a bad word faults only when it
+// executes.
 package main
 
 import (
@@ -80,10 +82,10 @@ func run(args []string) error {
 	return nil
 }
 
-// runLint runs the load-time verifier over the assembled image and
-// prints every diagnostic, resolving addresses to source lines through
-// the assembler's line map. Verifier errors fail the lint; warnings
-// alone do not.
+// runLint runs the verifier over the assembled image and prints every
+// diagnostic, resolving addresses to source lines through the
+// assembler's line map. Verifier errors fail the lint; warnings alone
+// do not.
 func runLint(file string, prog *asm.Program) error {
 	an := sa.Analyze(prog)
 	diags := an.Diags()

@@ -133,10 +133,10 @@ type Kernel struct {
 	// the per-quantum cost is a nil check, an atomic add, and (for the
 	// sampled wall-time histogram) two clock reads every 16th quantum.
 	// All nil when cfg.Metrics is nil.
-	liveRetired *obs.Counter // kernel.live.retired_ins
-	quantumHist *obs.Hist    // kernel.quantum_wall_ns, sampled
-	qseq        uint64       // quanta since Run started (sampling phase)
-	lastLiveIns uint64       // retired-ins total at the last quantum
+	liveRetired     *obs.Counter // kernel.live.retired_ins
+	quantumHist     *obs.Hist    // kernel.quantum_wall_ns, sampled
+	qseq            uint64       // quanta since Run started (sampling phase)
+	lastLiveRetired uint64       // retired-ins total at the last quantum
 }
 
 // quantumSampleMask samples every 16th quantum for the wall-time
@@ -511,8 +511,8 @@ func (k *Kernel) runQuantum() {
 		for _, p := range k.procs {
 			total += p.InsCount
 		}
-		k.liveRetired.Add(total - k.lastLiveIns)
-		k.lastLiveIns = total
+		k.liveRetired.Add(total - k.lastLiveRetired)
+		k.lastLiveRetired = total
 	}
 }
 

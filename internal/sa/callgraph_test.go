@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"superpin/internal/asm"
+	"superpin/internal/isa"
 )
 
 // TestTarjanSCCHandBuilt checks the SCC decomposition on a hand-built
@@ -74,86 +75,70 @@ main:
 	syscall
 `
 
+// callGraph recovers the function-level call multigraph of ip from the
+// final CFG: the resolved call edges leaving each function's body.
+func callGraph(z *analyzer) [][]int {
+	edges := make([][]int, len(z.blocks))
+	for _, f := range z.ip.fns {
+		for _, id := range z.ip.body[f] {
+			b := z.blocks[id]
+			for i, s := range b.succs {
+				if b.kinds[i] == edgeCall && !b.conservative {
+					edges[f] = append(edges[f], s)
+				}
+			}
+		}
+	}
+	return edges
+}
+
 // TestSCCFixpointConverges analyzes a mutually recursive program and
-// pins the interprocedural liveness fixpoint: the mutual-recursion SCC
-// is recovered as one multi-member component, a second liveness sweep
-// over the converged state changes no mask (true fixpoint), and no mask
-// is ever wider than the intraprocedural tier's.
+// pins the mayDef fixpoint: the mutual-recursion SCC is recovered as
+// one multi-member component, its members share one may-define set
+// (each reaches the other), and a second call-graph build over the
+// converged CFG reproduces every summary (a true fixpoint).
 func TestSCCFixpointConverges(t *testing.T) {
 	prog, err := asm.Assemble(mutualSrc)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	a := Analyze(prog)
-	if a.Err() != nil {
-		t.Fatalf("analyze: %v", a.Err())
+	z := analyze(prog, true)
+	if z.Err() != nil {
+		t.Fatalf("analyze: %v", z.Err())
 	}
-	if a.ip == nil {
-		t.Fatal("full analysis retained no interprocedural state")
+	if z.ip == nil {
+		t.Fatal("full analysis built no call graph")
 	}
 
-	// Recover the function-level call multigraph from the analysis and
-	// confirm even/odd form the one multi-member SCC.
-	edges := make([][]int, a.NumBlocks())
-	for _, f := range a.ip.fns {
-		for _, b := range a.ip.body[f] {
-			if ci, ok := a.ip.call(b); ok {
-				edges[f] = append(edges[f], ci.callees...)
-			}
-		}
-	}
-	sccs := tarjanSCC(a.ip.fns, edges)
-	multi := 0
-	for _, scc := range sccs {
+	var pair []int
+	for _, scc := range tarjanSCC(z.ip.fns, callGraph(z)) {
 		if len(scc) > 1 {
-			multi++
-			if len(scc) != 2 {
-				t.Fatalf("mutual recursion SCC has %d members, want 2: %v", len(scc), scc)
+			if pair != nil {
+				t.Fatalf("found a second multi-member SCC %v, want only even/odd", scc)
 			}
+			pair = scc
 		}
 	}
-	if multi != 1 {
-		t.Fatalf("found %d multi-member SCCs, want exactly 1 (even/odd): %v", multi, sccs)
+	if len(pair) != 2 {
+		t.Fatalf("mutual recursion SCC = %v, want exactly even/odd", pair)
 	}
-
-	// Snapshot every instruction's converged masks, re-run the sweep on
-	// a freshly built graph, and demand bit-identical masks: the
-	// fixpoint is stable, not merely bounded.
-	type masks struct{ in, out uint32 }
-	snapshot := func() map[uint32]masks {
-		m := make(map[uint32]masks)
-		for _, seg := range prog.Segments {
-			for off := uint32(0); off+4 <= uint32(len(seg.Data)); off += 4 {
-				addr := seg.Addr + off
-				m[addr] = masks{in: a.LiveIn(addr), out: a.LiveOut(addr)}
-			}
+	// even and odd each write r10 and r11, and their calls write lr.
+	want := uint32(1<<10 | 1<<11 | 1<<isa.RegLR)
+	for _, f := range pair {
+		if got := z.ip.mayDef[f]; got != want {
+			t.Errorf("mayDef[%d] = %#x, want %#x", f, got, want)
 		}
-		return m
 	}
-	before := snapshot()
-	z := rebuiltAnalyzer(a)
-	z.computeLiveness(z.buildInterproc())
-	after := snapshot()
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("second liveness sweep moved a converged mask")
-	}
-
-	// The interprocedural masks must be monotonically contained in the
-	// intraprocedural tier's.
-	intra := AnalyzeIntra(prog)
-	for addr, m := range before {
-		if w := m.out &^ intra.LiveOut(addr); w != 0 {
-			t.Fatalf("LiveOut(%#x): interprocedural mask %#x wider than intra %#x",
-				addr, m.out, intra.LiveOut(addr))
-		}
+	if !reflect.DeepEqual(z.ip, rebuiltAnalyzer(z.Analysis).buildInterproc()) {
+		t.Fatal("a second call-graph build moved a converged summary")
 	}
 }
 
 // TestResolveRoundCap drives indirect-target resolution past
 // maxResolveRounds: each call in the chain is reached, and so resolved,
 // only once the call before it has been. The loop stops with the last
-// call unresolved and no fold-grade states, and the call graph analyze
-// rebuilds is the one of the final CFG.
+// call unresolved, and the call graph analyze rebuilds is the one of
+// the final CFG.
 func TestResolveRoundCap(t *testing.T) {
 	n := maxResolveRounds + 1
 	src := ".entry main\nk: ret\nmain:\n" + strings.Repeat("la r5, k\njalr r31, r5, 0\n", n) + "li r1, 1\nsyscall\n"
@@ -161,12 +146,19 @@ func TestResolveRoundCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	a := Analyze(prog)
-	got := a.IPStats()
-	if got.ResolvedIndirect != maxResolveRounds || got.UnresolvedIndirect != 1 || got.ValuesOK {
-		t.Fatalf("IPStats = %+v, want %d resolved, 1 unresolved, no fold-grade values", got, maxResolveRounds)
+	z := analyze(prog, true)
+	resolved, unresolved := 0, 0
+	for _, id := range z.indirectBlocks() {
+		if z.blocks[id].conservative {
+			unresolved++
+		} else {
+			resolved++
+		}
 	}
-	if !reflect.DeepEqual(a.ip, rebuiltAnalyzer(a).buildInterproc()) {
+	if resolved != maxResolveRounds || unresolved != 1 {
+		t.Fatalf("%d resolved, %d unresolved indirect calls; want %d and 1", resolved, unresolved, maxResolveRounds)
+	}
+	if !reflect.DeepEqual(z.ip, rebuiltAnalyzer(z.Analysis).buildInterproc()) {
 		t.Fatal("call graph differs from a fresh build on the final CFG")
 	}
 }

@@ -28,8 +28,6 @@ func (a *Analysis) buildRegions() {
 			ins:     make([]isa.Inst, n),
 			ok:      make([]bool, n),
 			pre:     make([]cpu.BlockIns, n),
-			liveIn:  make([]uint32, n),
-			liveOut: make([]uint32, n),
 			reach:   make([]uint8, n),
 			leader:  make([]bool, n),
 			blockOf: make([]int32, n),
@@ -152,7 +150,7 @@ func (a *Analysis) discover() {
 
 	// Symbol roots: kernels and helper routines reached only through
 	// indirect calls (the workloads' LW+JALR dispatch) are still labeled,
-	// so the symbol table recovers them for liveness. Sorted for
+	// so the symbol table recovers them for the verifier. Sorted for
 	// determinism.
 	syms := make([]uint32, 0, len(a.prog.Symbols))
 	for _, addr := range a.prog.Symbols { //detguard:ok sorted below

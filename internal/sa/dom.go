@@ -101,36 +101,9 @@ func (a *Analysis) computeDominators() {
 	a.idom[entryID] = -1
 }
 
-// Idom returns the address of the immediate dominator of the block whose
-// leader is addr. ok is false for the entry block and for blocks outside
-// the entry-reachable subgraph.
-func (a *Analysis) Idom(addr uint32) (idom uint32, ok bool) {
-	b := a.blockAt(addr)
-	if b == nil {
-		return 0, false
-	}
-	id := int(a.regions[b.ri].blockOf[b.start])
-	d := a.idom[id]
-	if d < 0 {
-		return 0, false
-	}
-	db := a.blocks[d]
-	return a.regions[db.ri].wordAddr(db.start), true
-}
-
-// Dominates reports whether the block containing x dominates the block
-// containing y (reflexively). Both must be entry-reachable; unknown
-// blocks never dominate anything.
-func (a *Analysis) Dominates(x, y uint32) bool {
-	bx, by := a.blockAt(x), a.blockAt(y)
-	if bx == nil || by == nil {
-		return false
-	}
-	xid := int(a.regions[bx.ri].blockOf[bx.start])
-	yid := int(a.regions[by.ri].blockOf[by.start])
-	return a.dominates(xid, yid)
-}
-
+// dominates reports whether block xid dominates block yid
+// (reflexively). Blocks outside the entry-reachable subgraph never
+// dominate anything.
 func (a *Analysis) dominates(xid, yid int) bool {
 	if xid == a.entryBlock || xid == yid {
 		return xid == yid || a.idomKnown(yid)

@@ -47,18 +47,16 @@ func goldenPrograms(t testing.TB) (names []string, progs []*asm.Program) {
 }
 
 // goldenRecord is one program's line: the sha256 of Encode (every
-// liveness mask, block edge, dominator, diagnostic and fold-grade value
-// state), the IPStats counters, and the count and sha256 of the
-// Diags() strings. The strings themselves are hashed, not listed: the
-// catalog's generated helpers raise ~16k call-imbalance warnings.
+// block, edge, dominator and diagnostic), and the count and sha256 of
+// the Diags() strings.
 func goldenRecord(name string, a *Analysis) string {
 	diags := a.Diags()
 	h := sha256.New()
 	for _, d := range diags {
 		fmt.Fprintln(h, d)
 	}
-	return fmt.Sprintf("%s encode=%x ipstats=%+v diags=%d/%x\n",
-		name, sha256.Sum256(a.Encode()), a.IPStats(), len(diags), h.Sum(nil))
+	return fmt.Sprintf("%s encode=%x diags=%d/%x\n",
+		name, sha256.Sum256(a.Encode()), len(diags), h.Sum(nil))
 }
 
 // TestAnalyzeGolden pins Analyze's complete output over the catalog.

@@ -1,26 +1,22 @@
 // Package sa is the guest-code static analysis subsystem: a one-shot
-// pass over a linked SVR32 program image that runs at load time, before
-// the first instruction executes.
+// pass over a linked SVR32 program image.
 //
-// It provides, in load order:
+// It provides, in pipeline order:
 //
 //   - whole-program CFG recovery from the decoded image: basic-block
 //     discovery from the entry point and the symbol table, direct
-//     branch/jal edge resolution, reachability, and a dominator tree
-//     over the entry-reachable subgraph (cfg.go, dom.go);
-//   - backward register-liveness and stack-depth dataflow per block,
-//     exposed through a compact per-address query API (live.go);
+//     branch/jal edge resolution, and a dominator tree over the
+//     entry-reachable subgraph (cfg.go, dom.go);
+//   - the interprocedural tier: a sparse conditional value propagation
+//     that resolves provable indirect transfers into CFG edges, and a
+//     call graph over the resolved graph (value.go, callgraph.go);
 //   - a guest-binary verifier that rejects malformed images and warns
 //     on suspicious ones (verify.go).
 //
-// The Pin engine (internal/pin) consumes the results in two ways: the
-// per-instruction liveness masks let it skip dead registers in the
-// save/restore sequence modeled around inlined if/then analysis calls,
-// and the per-region predecoded instruction arrays let superblock run
-// marking slice a load-time predecode instead of rebuilding one per
-// compile. Both are host-side optimizations: virtual-cycle results are
-// byte-identical with the analysis attached or not (the -nosa escape
-// hatch, proven by `spbench -exp diff`'s nosa arm).
+// No execution mode analyzes the image: SuperPin forks, slices by timer
+// and checks signatures, with no load-time analysis step. The verifier
+// serves `spasm -lint`, and the repository benchmark times the analysis
+// and its serialization (serial.go) as a layer of its own.
 package sa
 
 import (
@@ -30,11 +26,6 @@ import (
 	"superpin/internal/cpu"
 	"superpin/internal/isa"
 )
-
-// AllRegs is the liveness mask meaning "every register live" — the
-// conservative answer returned for addresses the analysis knows nothing
-// about.
-const AllRegs = ^uint32(0)
 
 // Severity classifies a verifier finding.
 type Severity uint8
@@ -148,18 +139,14 @@ type region struct {
 	addr uint32 // word-aligned start
 	ins  []isa.Inst
 	ok   []bool // ok[i]: word i decodes
-	// pre is the shared predecode of the region for the engine's
-	// superblock fast path: pre[i] = {ins[i], addr+4(i+1)}. Built once
-	// at load time and never written afterwards, so engines (including
-	// concurrently running SuperPin slices) may slice it freely.
-	pre []cpu.BlockIns
-	// liveIn/liveOut are per-word liveness masks (bit r = register r
-	// live); 0 means "not analyzed" and reads back as AllRegs.
-	liveIn, liveOut []uint32
-	reach           []uint8
-	leader          []bool
-	blockOf         []int32
-	tail            int // trailing bytes that do not form a word
+	// pre is the region's predecode: pre[i] = {ins[i], addr+4(i+1)}.
+	// Built once and never written afterwards, so readers on any
+	// goroutine may slice it freely.
+	pre     []cpu.BlockIns
+	reach   []uint8
+	leader  []bool
+	blockOf []int32
+	tail    int // trailing bytes that do not form a word
 }
 
 func (r *region) words() int            { return len(r.ins) }
@@ -173,8 +160,7 @@ type block struct {
 
 	// succs are resolved successor block ids, aligned with kinds.
 	// conservative marks blocks whose successor set is not fully known
-	// (indirect jumps, calls, faults) — liveness treats their live-out
-	// as AllRegs.
+	// (indirect jumps, calls, faults).
 	succs        []int
 	kinds        []edgeKind
 	conservative bool
@@ -200,113 +186,74 @@ type Analysis struct {
 	entryBlock int   // block id of the entry block, -1 if none
 	idom       []int // per block id; -1 = no immediate dominator / not entry-reachable
 	rpo        []int // entry-reachable block ids in reverse postorder
-
-	// Interprocedural tier (nil for AnalyzeIntra): value states for
-	// predicate folding, the image word view they replay against, and
-	// the call-graph summaries behind cross-call liveness.
-	vals *valueInfo
-	img  *imageWords
-	ip   *ipInfo
 }
 
 // Analyze runs the full static-analysis pass over p: CFG recovery, the
-// interprocedural value/call-graph tier (indirect-target resolution,
-// cross-call liveness, predicate-fold proofs), dominators, liveness,
-// stack-depth dataflow, and the verifier. It never fails; malformed
-// images are reported through the diagnostics (Errors/Warnings), and
-// queries about unanalyzable addresses return conservative answers.
-func Analyze(p *asm.Program) *Analysis { return analyze(p, true) }
+// interprocedural tier (indirect-target resolution and the call graph),
+// dominators, stack-depth dataflow, and the verifier. It never fails;
+// malformed images are reported through the diagnostics
+// (Errors/Warnings).
+func Analyze(p *asm.Program) *Analysis { return analyze(p, true).Analysis }
 
-// AnalyzeIntra runs the intraprocedural pass only — the exact PR 5
-// pipeline, with calls treated as opaque and no value analysis. It is
-// the reference point the `spbench -exp diff` saintra arm holds the
-// interprocedural tier against (the -saintra mode).
-func AnalyzeIntra(p *asm.Program) *Analysis { return analyze(p, false) }
+// AnalyzeIntra runs the intraprocedural pass only: calls are opaque, no
+// indirect transfer is resolved, and the call-graph-aware verifier
+// rules (unreachable-fn, indirect-data, call-imbalance) do not run.
+func AnalyzeIntra(p *asm.Program) *Analysis { return analyze(p, false).Analysis }
 
-func analyze(p *asm.Program, interproc bool) *Analysis {
+// analyze runs the pipeline and returns its scratch state, whose
+// Analysis is the result.
+func analyze(p *asm.Program, interproc bool) *analyzer {
 	a := &Analysis{prog: p, entryBlock: -1}
 	if p == nil {
 		a.diags = append(a.diags, Diag{Sev: SevError, Code: CodeBadTarget, Msg: "nil program"})
-		return a
+		return &analyzer{Analysis: a}
 	}
 	a.buildRegions()
 	a.discover()
 	z := newAnalyzer(a, a.buildBlocks())
-	var ip *ipInfo
 	if interproc {
 		// Patch provable indirect edges into the CFG before dominators
-		// and liveness run, so both see the resolved graph.
-		ip = z.resolveValues()
+		// run, so they see the resolved graph.
+		z.ip = z.resolveValues()
 	}
 	a.computeDominators()
-	if interproc {
-		if ip == nil {
-			// Resolution ran out of rounds, so the graph moved after
-			// the last call-graph build.
-			ip = z.buildInterproc()
-		}
-		a.ip = ip
-		if a.vals != nil {
-			a.vals.ok = a.vals.ok && !a.ip.wild
-			a.vals.stats.ValuesOK = a.vals.ok
-		}
-		z.computeLiveness(a.ip)
-	} else {
-		z.computeLiveness(nil)
-	}
 	a.verify()
 	if interproc {
-		a.verifyInterproc()
+		if z.ip == nil {
+			// Resolution ran out of rounds, so the graph moved after
+			// the last call-graph build.
+			z.ip = z.buildInterproc()
+		}
+		z.verifyInterproc()
 	}
-	return a
+	return z
 }
 
 // analyzer is the scratch state of one analyze call. It holds the
 // per-block facts that depend only on a block's instructions, which
 // never change after buildBlocks (indirect-edge patching rewrites only
-// succs, kinds and conservative), plus reusable work buffers. It is
-// dropped when analyze returns: the Analysis keeps none of it.
+// succs, kinds and conservative), and the call graph of the
+// interprocedural tier. It is dropped when analyze returns: the
+// Analysis keeps none of it.
 type analyzer struct {
 	*Analysis
+	ip  *ipInfo   // call graph of the final CFG; nil for AnalyzeIntra
 	def []uint32  // per block: registers written anywhere (r0 stripped)
-	use []uint32  // per block: upward-exposed uses (syscall refinement applied)
 	ret []bool    // per block: canonical return shape
 	r1  []r1State // per block: syscall-number state before its control instruction
-
-	// Scratch for the per-function walks: mark[id] == gen tags the
-	// blocks of the current walk, kin is fnMustKill's dataflow state.
-	mark []int
-	gen  int
-	kin  []uint32
-	work []int
 }
 
 func newAnalyzer(a *Analysis, r1 []r1State) *analyzer {
 	n := len(a.blocks)
-	z := &analyzer{Analysis: a, def: make([]uint32, n), use: make([]uint32, n),
-		ret: make([]bool, n), r1: r1}
+	z := &analyzer{Analysis: a, def: make([]uint32, n), ret: make([]bool, n), r1: r1}
 	for id, b := range a.blocks {
 		r := a.regions[b.ri]
-		last := b.end - 1
-		use, def := useDef(r.ins[last])
-		if r.ins[last].Op == isa.OpSYSCALL {
-			use = z.syscallUse(id)
+		for i := b.start; i < b.end; i++ {
+			z.def[id] |= defMask(r.ins[i])
 		}
 		z.ret[id] = a.isReturnBlock(b)
-		for i := last - 1; i >= b.start; i-- {
-			u, d := useDef(r.ins[i])
-			use = u | (use &^ d)
-			def |= d
-		}
-		z.use[id], z.def[id] = use, def
 	}
 	return z
-}
-
-// nextGen starts a new mark generation for a per-function walk.
-func (z *analyzer) nextGen() int {
-	z.gen++
-	return z.gen
 }
 
 // Diags returns all findings, errors first, in discovery order within
@@ -369,58 +316,9 @@ func (a *Analysis) locate(addr uint32) (ri, wi int, ok bool) {
 	return 0, 0, false
 }
 
-// LiveIn returns the mask of registers statically live immediately
-// before the instruction at addr executes (bit r set = register r's
-// value may still be read). Addresses the analysis has no code for
-// return AllRegs, the conservative answer.
-func (a *Analysis) LiveIn(addr uint32) uint32 {
-	if ri, wi, ok := a.locate(addr); ok {
-		if m := a.regions[ri].liveIn[wi]; m != 0 {
-			return m
-		}
-	}
-	return AllRegs
-}
-
-// LiveOut is LiveIn's counterpart for the point immediately after the
-// instruction at addr retires.
-func (a *Analysis) LiveOut(addr uint32) uint32 {
-	if ri, wi, ok := a.locate(addr); ok {
-		if m := a.regions[ri].liveOut[wi]; m != 0 {
-			return m
-		}
-	}
-	return AllRegs
-}
-
-// Summary returns the per-trace liveness summary for the n instructions
-// starting at addr: the live-in mask at the trace head and the union of
-// the live-out masks at its instructions (every register the trace may
-// leave meaningful). ok is false when any instruction is unanalyzed, in
-// which case both masks are AllRegs.
-func (a *Analysis) Summary(addr uint32, n int) (liveIn, liveOut uint32, ok bool) {
-	ri, wi, found := a.locate(addr)
-	if !found || wi+n > a.regions[ri].words() {
-		return AllRegs, AllRegs, false
-	}
-	r := a.regions[ri]
-	liveIn = r.liveIn[wi]
-	if liveIn == 0 {
-		return AllRegs, AllRegs, false
-	}
-	for i := wi; i < wi+n; i++ {
-		m := r.liveOut[i]
-		if m == 0 {
-			return AllRegs, AllRegs, false
-		}
-		liveOut |= m
-	}
-	return liveIn, liveOut, true
-}
-
 // Predecoded returns the image's shared predecoded instruction run
 // starting at addr and extending to the end of addr's region. The slice
-// is built once at load time and never mutated, so callers may retain
+// is built once and never mutated, so callers may retain
 // and re-slice it from any goroutine; entries whose word did not decode
 // hold the zero instruction. ok is false when addr is not a word inside
 // the image.
@@ -432,13 +330,6 @@ func (a *Analysis) Predecoded(addr uint32) (run []cpu.BlockIns, ok bool) {
 	return a.regions[ri].pre[wi:], true
 }
 
-// Reachable reports whether addr holds an instruction reachable from the
-// program entry point along direct control-flow edges.
-func (a *Analysis) Reachable(addr uint32) bool {
-	ri, wi, ok := a.locate(addr)
-	return ok && a.regions[ri].reach[wi] == reachEntry
-}
-
 // BlockLeader returns the address of the first instruction of the
 // recovered basic block containing addr. ok is false when addr is not
 // inside discovered code.
@@ -448,22 +339,6 @@ func (a *Analysis) BlockLeader(addr uint32) (leader uint32, ok bool) {
 		return 0, false
 	}
 	return a.regions[b.ri].wordAddr(b.start), true
-}
-
-// Succs returns the addresses of the resolved successor blocks of the
-// block whose leader is addr (direct edges only; indirect successors are
-// not represented).
-func (a *Analysis) Succs(addr uint32) []uint32 {
-	b := a.blockAt(addr)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint32, 0, len(b.succs))
-	for _, id := range b.succs {
-		s := a.blocks[id]
-		out = append(out, a.regions[s.ri].wordAddr(s.start))
-	}
-	return out
 }
 
 // NumBlocks returns the number of recovered basic blocks.

@@ -3,7 +3,6 @@ package sa
 import (
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -50,8 +49,8 @@ func TestCFGDiamond(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want 4", got)
 	}
 	for _, addr := range []uint32{0x1000, 0x1008, 0x1010, 0x1014, 0x1020} {
-		if !a.Reachable(addr) {
-			t.Errorf("Reachable(%#x) = false", addr)
+		if ri, wi, ok := a.locate(addr); !ok || a.regions[ri].reach[wi] != reachEntry {
+			t.Errorf("%#x is not reachable from the entry", addr)
 		}
 	}
 	leaders := map[uint32]uint32{
@@ -67,8 +66,11 @@ func TestCFGDiamond(t *testing.T) {
 		}
 	}
 	succs := func(addr uint32) []uint32 {
-		s := a.Succs(addr)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		var s []uint32
+		for _, id := range a.blockAt(addr).succs {
+			s = append(s, leaderAddr(a, id))
+		}
+		slices.Sort(s)
 		return s
 	}
 	checks := []struct {
@@ -83,20 +85,37 @@ func TestCFGDiamond(t *testing.T) {
 	for _, c := range checks {
 		got := succs(c.addr)
 		if len(got) != len(c.want) {
-			t.Errorf("Succs(%#x) = %#x, want %#x", c.addr, got, c.want)
+			t.Errorf("succs(%#x) = %#x, want %#x", c.addr, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("Succs(%#x) = %#x, want %#x", c.addr, got, c.want)
+				t.Errorf("succs(%#x) = %#x, want %#x", c.addr, got, c.want)
 				break
 			}
 		}
 	}
 }
 
+// leaderAddr returns the address of block id's first instruction.
+func leaderAddr(a *Analysis, id int) uint32 {
+	b := a.blocks[id]
+	return a.regions[b.ri].wordAddr(b.start)
+}
+
+// blockID returns the id of the block containing addr.
+func blockID(t *testing.T, a *Analysis, addr uint32) int {
+	t.Helper()
+	ri, wi, ok := a.locate(addr)
+	if !ok || a.regions[ri].blockOf[wi] < 0 {
+		t.Fatalf("%#x is in no block", addr)
+	}
+	return int(a.regions[ri].blockOf[wi])
+}
+
 func TestDominatorsDiamond(t *testing.T) {
 	a := diamond(t)
+	entry, join := blockID(t, a, 0x1000), blockID(t, a, 0x1014)
 	for _, c := range []struct {
 		addr, idom uint32
 	}{
@@ -104,133 +123,23 @@ func TestDominatorsDiamond(t *testing.T) {
 		{0x1010, 0x1000}, // else
 		{0x1014, 0x1000}, // join: neither arm dominates it
 	} {
-		got, ok := a.Idom(c.addr)
-		if !ok || got != c.idom {
-			t.Errorf("Idom(%#x) = %#x,%v, want %#x", c.addr, got, ok, c.idom)
+		d := a.idom[blockID(t, a, c.addr)]
+		if d < 0 || leaderAddr(a, d) != c.idom {
+			t.Errorf("idom(%#x) = block %d, want the block at %#x", c.addr, d, c.idom)
 		}
 	}
-	if _, ok := a.Idom(0x1000); ok {
+	if a.idom[entry] >= 0 {
 		t.Error("entry block must have no immediate dominator")
 	}
-	if !a.Dominates(0x1000, 0x1014) {
+	if !a.dominates(entry, join) {
 		t.Error("entry must dominate the join")
 	}
-	if a.Dominates(0x1008, 0x1014) || a.Dominates(0x1010, 0x1014) {
+	if a.dominates(blockID(t, a, 0x1008), join) || a.dominates(blockID(t, a, 0x1010), join) {
 		t.Error("neither diamond arm may dominate the join")
 	}
-	if !a.Dominates(0x1014, 0x1020) {
+	if !a.dominates(join, blockID(t, a, 0x1020)) {
 		t.Error("dominance must be reflexive within a block")
 	}
-}
-
-func TestLivenessDiamond(t *testing.T) {
-	a := diamond(t)
-	mask := func(regs ...uint) uint32 {
-		m := uint32(1) // stored masks always carry the r0 bit
-		for _, r := range regs {
-			m |= 1 << r
-		}
-		return m
-	}
-	cases := []struct {
-		addr uint32
-		in   uint32
-		what string
-	}{
-		// join add: r10/r11 feed it; r3..r5 survive to the syscall
-		// (argument registers of the proven exit, never redefined).
-		{0x1014, mask(3, 4, 5, 10, 11), "join add"},
-		// after the exit code is moved into r2 only the syscall's
-		// argument registers remain.
-		{0x1020, mask(1, 2, 3, 4, 5), "syscall"},
-		// then-arm entry: r11 is about to be redefined, r10 still live.
-		{0x1008, mask(3, 4, 5, 10), "then arm"},
-	}
-	for _, c := range cases {
-		if got := a.LiveIn(c.addr); got != c.in {
-			t.Errorf("LiveIn(%#x) [%s] = %#032b, want %#032b", c.addr, c.what, got, c.in)
-		}
-	}
-	// The proven-exit syscall leaves nothing live (bit 0 aside).
-	if got := a.LiveOut(0x1020); got != 1 {
-		t.Errorf("LiveOut(syscall) = %#032b, want just the r0 marker bit", got)
-	}
-	// Bit-0 invariant: every analyzed mask is nonzero and carries r0.
-	for addr := uint32(0x1000); addr <= 0x1020; addr += 4 {
-		if in := a.LiveIn(addr); in&1 == 0 {
-			t.Errorf("LiveIn(%#x) = %#x missing the r0 marker bit", addr, in)
-		}
-		if out := a.LiveOut(addr); out&1 == 0 {
-			t.Errorf("LiveOut(%#x) = %#x missing the r0 marker bit", addr, out)
-		}
-	}
-	// Unknown addresses answer with the conservative everything-mask.
-	if got := a.LiveIn(0xdead_0000); got != AllRegs {
-		t.Errorf("LiveIn(unknown) = %#x, want AllRegs", got)
-	}
-}
-
-// TestLivenessCallConservatism: to the intraprocedural tier a block
-// ending in a call has statically unknown effects (the callee could run
-// arbitrary code), so everything must be live across it. An unprovable
-// syscall number likewise keeps the maximal use set (it could be a
-// spawn, which snapshots every register).
-func TestLivenessCallConservatism(t *testing.T) {
-	b := asm.NewBuilder(0x1000)
-	b.I(isa.OpADDI, 10, isa.RegZero, 5) // 0x1000
-	b.Call("fn")                        // 0x1004
-	b.I(isa.OpADDI, isa.RegSys, isa.RegZero, 1)
-	b.Syscall()
-	b.Label("fn")
-	b.I(isa.OpADDI, isa.RegSys, 10, 0) // r1 from r10: number not provable
-	b.Syscall()                        // could be a spawn
-	a := AnalyzeIntra(b.MustFinish())
-	if got := a.LiveOut(0x1004); got != AllRegs {
-		t.Errorf("LiveOut(call) = %#x, want AllRegs", got)
-	}
-	fn := a.Addr(t, "fn")
-	if got := a.LiveIn(fn + 4); got != AllRegs {
-		t.Errorf("LiveIn(unprovable syscall) = %#x, want AllRegs", got)
-	}
-}
-
-// TestLivenessInterprocNarrows: with the call graph in hand the same
-// program proves r1 dead across the call — the callee certainly
-// overwrites it before the syscall can observe it — so the full tier's
-// mask is strictly narrower than the intraprocedural one, and never
-// wider anywhere.
-func TestLivenessInterprocNarrows(t *testing.T) {
-	b := asm.NewBuilder(0x1000)
-	b.I(isa.OpADDI, 10, isa.RegZero, 5)
-	b.Call("fn")
-	b.I(isa.OpADDI, isa.RegSys, isa.RegZero, 1)
-	b.Syscall()
-	b.Label("fn")
-	b.I(isa.OpADDI, isa.RegSys, 10, 0)
-	b.Syscall()
-	prog := b.MustFinish()
-	full := Analyze(prog)
-	intra := AnalyzeIntra(prog)
-	got := full.LiveOut(0x1004)
-	if got == AllRegs {
-		t.Errorf("LiveOut(call) = %#x: interprocedural tier did not narrow", got)
-	}
-	if got&(1<<isa.RegSys) != 0 {
-		t.Errorf("LiveOut(call) = %#x: r1 is certainly killed by the callee", got)
-	}
-	if wide := got &^ intra.LiveOut(0x1004); wide != 0 {
-		t.Errorf("full tier widened the mask by %#x", wide)
-	}
-}
-
-// Addr is a test helper resolving a label through the program symbols.
-func (a *Analysis) Addr(t *testing.T, label string) uint32 {
-	t.Helper()
-	addr, ok := a.prog.Symbols[label]
-	if !ok {
-		t.Fatalf("no symbol %q", label)
-	}
-	return addr
 }
 
 func TestPredecoded(t *testing.T) {
@@ -250,29 +159,10 @@ func TestPredecoded(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	a := diamond(t)
-	liveIn, liveOut, ok := a.Summary(0x1014, 4)
-	if !ok {
-		t.Fatal("Summary over the join block must succeed")
-	}
-	if liveIn != a.LiveIn(0x1014) {
-		t.Errorf("Summary liveIn = %#x, want LiveIn(head) = %#x", liveIn, a.LiveIn(0x1014))
-	}
-	want := a.LiveOut(0x1014) | a.LiveOut(0x1018) | a.LiveOut(0x101c) | a.LiveOut(0x1020)
-	if liveOut != want {
-		t.Errorf("Summary liveOut = %#x, want union %#x", liveOut, want)
-	}
-	if _, _, ok := a.Summary(0x1014, 1000); ok {
-		t.Error("Summary past the region end must fail")
-	}
-}
-
 // TestAnalysisConcurrentReaders shares one Analysis of gcc between
-// eight goroutines, as the artifact store and SuperPin's slice engines
-// do, and has each run every query over every image word. Run under
-// -race it proves the queries only read; each goroutine must also see
-// exactly the answers of a serial pass.
+// eight goroutines and has each run every query over every image word.
+// Run under -race it proves the queries only read; each goroutine must
+// also see exactly the answers of a serial pass.
 func TestAnalysisConcurrentReaders(t *testing.T) {
 	spec, _ := workload.ByName("gcc")
 	prog, err := spec.Scaled(0.02).Build()
@@ -280,14 +170,10 @@ func TestAnalysisConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Analyze(prog)
-	if !a.IPStats().ValuesOK {
-		t.Fatal("gcc has no fold-grade value states; ProveCond would not be exercised")
-	}
 	type answer struct {
-		liveIn, sumIn, sumOut uint32
-		sumOK, dom, eqVal     bool
-		eqProven, preOK       bool
-		pre                   isa.Inst
+		leader          uint32
+		leaderOK, preOK bool
+		pre             isa.Inst
 	}
 	query := func() []answer {
 		var out []answer
@@ -295,10 +181,7 @@ func TestAnalysisConcurrentReaders(t *testing.T) {
 			for i := 0; i < r.words(); i++ {
 				addr := r.wordAddr(i)
 				var ans answer
-				ans.liveIn = a.LiveIn(addr)
-				ans.sumIn, ans.sumOut, ans.sumOK = a.Summary(addr, 4)
-				ans.eqVal, ans.eqProven = a.ProveCond(addr, Cond{Kind: CondEQ, Reg: isa.RegSys, Imm: 1})
-				ans.dom = a.Dominates(prog.Entry, addr)
+				ans.leader, ans.leaderOK = a.BlockLeader(addr)
 				if run, ok := a.Predecoded(addr); ok {
 					ans.preOK, ans.pre = true, run[0].Inst
 				}
@@ -308,9 +191,6 @@ func TestAnalysisConcurrentReaders(t *testing.T) {
 		return out
 	}
 	want := query()
-	if !slices.ContainsFunc(want, func(w answer) bool { return w.eqProven }) {
-		t.Fatal("no ProveCond query was decided; the fold path would go untested")
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -1,14 +1,13 @@
-// Serialization of Analysis results for the on-disk artifact cache
-// (internal/artifact).
+// Serialization of Analysis results.
 //
-// Only the expensive derived tables are stored: per-word liveness,
-// reachability, leaders and block membership, the recovered block graph,
-// dominators and the verifier diagnostics. The per-region instruction
-// arrays (ins/ok/pre) are cheap pure functions of the image bytes, so
-// Decode rebuilds them with buildRegions and validates the stored tables
-// against the resulting shape — a payload that disagrees structurally
-// with the image it claims to describe is rejected, and the caller falls
-// back to a fresh Analyze.
+// Only the derived tables are stored: per-word reachability, leaders and
+// block membership, the recovered block graph, dominators and the
+// verifier diagnostics. The per-region instruction arrays (ins/ok/pre)
+// are cheap pure functions of the image bytes, so Decode rebuilds them
+// with buildRegions and validates the stored tables against the
+// resulting shape — a payload that disagrees structurally with the
+// image it claims to describe is rejected, and the caller falls back to
+// a fresh Analyze. Every accepted payload re-encodes byte for byte.
 package sa
 
 import (
@@ -16,7 +15,6 @@ import (
 	"fmt"
 
 	"superpin/internal/asm"
-	"superpin/internal/isa"
 )
 
 // serEnc is a minimal little-endian byte writer.
@@ -75,6 +73,16 @@ func (d *serDec) u32() uint32 {
 
 func (d *serDec) i32() int32 { return int32(d.u32()) }
 
+// bool reads a byte that must be 0 or 1, so an accepted payload
+// re-encodes unchanged.
+func (d *serDec) bool() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail("bad bool byte %d", v)
+	}
+	return v == 1
+}
+
 func (d *serDec) str() string {
 	n := d.u32()
 	if d.err == nil && uint64(n) > uint64(len(d.b)) {
@@ -84,20 +92,18 @@ func (d *serDec) str() string {
 	return string(d.take(int(n)))
 }
 
-// Serialization format versioning. Version 1 payloads (PR 5 through
-// PR 9) had no header at all; the magic makes them fail decoding
-// deterministically, and the artifact store falls back to a fresh
-// Analyze — old cache entries go cold on a version bump, they never
-// load wrong.
+// Serialization format versioning. Version 1 payloads had no header at
+// all; the magic makes them fail decoding deterministically. A payload
+// of any other version fails too, so a stored blob goes cold on a
+// version bump and never loads wrong.
 const (
 	serMagic   = uint32(0x53415053) // "SPAS"
-	serVersion = uint32(2)          // v2: interprocedural tier (patched CFG + value states)
+	serVersion = uint32(3)          // v3: no liveness masks, no value states
 )
 
 // Encode serializes the analysis's derived tables. The result is only
 // meaningful together with the exact program image the analysis was
-// built from; the artifact store guarantees that pairing by keying the
-// payload with the image content hash.
+// built from; whoever stores it must key it by the image.
 func (a *Analysis) Encode() []byte {
 	e := &serEnc{}
 	e.u32(serMagic)
@@ -106,12 +112,6 @@ func (a *Analysis) Encode() []byte {
 	for _, r := range a.regions {
 		e.u32(r.addr)
 		e.u32(uint32(r.words()))
-		for _, v := range r.liveIn {
-			e.u32(v)
-		}
-		for _, v := range r.liveOut {
-			e.u32(v)
-		}
 		for _, v := range r.reach {
 			e.u8(v)
 		}
@@ -150,53 +150,7 @@ func (a *Analysis) Encode() []byte {
 		e.u32(dg.Addr)
 		e.str(dg.Msg)
 	}
-	a.encodeValues(e)
 	return e.b
-}
-
-// encodeValues appends the interprocedural value tier: the summary
-// counters and, when the states are fold-grade, each reached block's
-// entry intervals. Exact value sets are not stored — ProveCond's
-// comparisons are interval/trailing-zeros decidable, and load
-// enumeration re-derives sets from the image on replay.
-func (a *Analysis) encodeValues(e *serEnc) {
-	if a.vals == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.u8(boolByte(a.vals.ok))
-	s := a.vals.stats
-	e.u32(uint32(a.IPStats().Functions))
-	e.u32(uint32(s.ResolvedIndirect))
-	e.u32(uint32(s.UnresolvedIndirect))
-	e.u32(uint32(s.ReachedBlocks))
-	if !a.vals.ok {
-		return // states are never consulted when not fold-grade
-	}
-	for id := range a.blocks {
-		if !a.vals.reached[id] {
-			e.u8(0)
-			continue
-		}
-		e.u8(1)
-		st := a.vals.entry[id]
-		var mask uint32
-		for r := 1; r < len(st); r++ {
-			if !st[r].isTop() {
-				mask |= 1 << uint(r)
-			}
-		}
-		e.u32(mask)
-		for r := 1; r < len(st); r++ {
-			if mask&(1<<uint(r)) == 0 {
-				continue
-			}
-			e.u32(st[r].lo)
-			e.u32(st[r].hi)
-			e.u8(st[r].tz)
-		}
-	}
 }
 
 func boolByte(v bool) uint8 {
@@ -220,7 +174,7 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 	d := &serDec{b: data}
 
 	if m := d.u32(); d.err == nil && m != serMagic {
-		d.fail("bad magic %#x (stale pre-v2 payload?)", m)
+		d.fail("bad magic %#x (headerless v1 payload?)", m)
 	}
 	if v := d.u32(); d.err == nil && v != serVersion {
 		d.fail("format version %d, want %d", v, serVersion)
@@ -238,12 +192,6 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 		if w := d.u32(); d.err == nil && int(w) != r.words() {
 			d.fail("region word count %d does not match image (%d)", w, r.words())
 		}
-		for i := range r.liveIn {
-			r.liveIn[i] = d.u32()
-		}
-		for i := range r.liveOut {
-			r.liveOut[i] = d.u32()
-		}
 		for i := range r.reach {
 			if v := d.u8(); v <= reachEntry {
 				r.reach[i] = v
@@ -252,10 +200,14 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 			}
 		}
 		for i := range r.leader {
-			r.leader[i] = d.u8() != 0
+			r.leader[i] = d.bool()
 		}
 		for i := range r.blockOf {
-			r.blockOf[i] = d.i32()
+			if v := d.i32(); v >= -1 {
+				r.blockOf[i] = v
+			} else {
+				d.fail("bad word block id %d", v)
+			}
 		}
 	}
 
@@ -271,8 +223,8 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 				start: int(d.u32()),
 				end:   int(d.u32()),
 			}
-			b.entryReach = d.u8() != 0
-			b.conservative = d.u8() != 0
+			b.entryReach = d.bool()
+			b.conservative = d.bool()
 			if d.err != nil {
 				break
 			}
@@ -309,6 +261,11 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 				break
 			}
 		}
+	}
+	if d.err != nil {
+		// nblocks sizes the tables below; after a failure it is
+		// unchecked and may be huge.
+		return nil, d.err
 	}
 
 	a.entryBlock = int(d.i32())
@@ -354,7 +311,6 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 			a.diags = append(a.diags, dg)
 		}
 	}
-	a.decodeValues(d, nblocks)
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
@@ -362,65 +318,4 @@ func Decode(data []byte, p *asm.Program) (*Analysis, error) {
 		return nil, d.err
 	}
 	return a, nil
-}
-
-// decodeValues restores the value tier written by encodeValues. Exact
-// sets were not stored, so decoded states are interval/tz hulls of the
-// originals — sound for ProveCond, which only weakens toward "not
-// provable". The image word table is rebuilt so load enumeration works
-// on replay.
-func (a *Analysis) decodeValues(d *serDec, nblocks int) {
-	if d.u8() == 0 || d.err != nil {
-		return
-	}
-	vi := &valueInfo{
-		reached: make([]bool, nblocks),
-		entry:   make([][]vval, nblocks),
-	}
-	vi.ok = d.u8() != 0
-	vi.stats.Functions = int(d.u32())
-	vi.stats.ResolvedIndirect = int(d.u32())
-	vi.stats.UnresolvedIndirect = int(d.u32())
-	vi.stats.ReachedBlocks = int(d.u32())
-	vi.stats.ValuesOK = vi.ok
-	if d.err != nil {
-		return
-	}
-	if vi.ok {
-		for id := 0; id < nblocks && d.err == nil; id++ {
-			if d.u8() == 0 {
-				continue
-			}
-			vi.reached[id] = true
-			st := make([]vval, isa.NumRegs)
-			for r := range st {
-				st[r] = vTop()
-			}
-			st[0] = vConst(0)
-			mask := d.u32()
-			if d.err == nil && mask&1 != 0 {
-				d.fail("block %d value mask claims r0", id)
-			}
-			for r := 1; r < isa.NumRegs && d.err == nil; r++ {
-				if mask&(1<<uint(r)) == 0 {
-					continue
-				}
-				lo, hi, tz := d.u32(), d.u32(), d.u8()
-				if d.err != nil {
-					break
-				}
-				if lo > hi || tz > 31 {
-					d.fail("block %d r%d has bad interval [%#x,%#x] tz %d", id, r, lo, hi, tz)
-					break
-				}
-				st[r] = vval{lo: lo, hi: hi, tz: tz}
-			}
-			vi.entry[id] = st
-		}
-	}
-	if d.err != nil {
-		return
-	}
-	a.vals = vi
-	a.img = a.newImageWords()
 }

@@ -9,54 +9,12 @@ import (
 	"superpin/internal/workload"
 )
 
-// stripProg returns a shallow copy of a with the prog pointer cleared
-// plus the fields the roundtrip intentionally does not reproduce
-// bit-for-bit, so DeepEqual compares only the derived tables (Decode is
-// handed the same *Program value in production but tests may rebuild
-// it). The call-graph summary (ip) is not serialized — its results are
-// baked into the liveness masks — and the value tier is reduced to its
-// serialized hull by hullVals.
+// stripProg returns a shallow copy of a with the prog pointer cleared,
+// so DeepEqual compares only the derived tables (Decode is handed the
+// same *Program value in production but tests may rebuild it).
 func stripProg(a *Analysis) Analysis {
 	c := *a
 	c.prog = nil
-	c.ip = nil
-	c.img = nil
-	c.vals = hullVals(c.vals)
-	return c
-}
-
-// hullVals reduces a value tier to what the v2 payload carries: per
-// reached block the interval/trailing-zeros hull of each register (the
-// exact value sets are recomputable and not stored), plus the summary
-// counters with Functions cleared (compared through IPStats instead,
-// which sources it from the call graph on fresh analyses). Non-ok
-// states are never consulted, so they reduce to the flags alone.
-func hullVals(v *valueInfo) *valueInfo {
-	if v == nil {
-		return nil
-	}
-	c := &valueInfo{ok: v.ok, stats: v.stats}
-	c.stats.Functions = 0
-	c.reached = make([]bool, len(v.reached))
-	c.entry = make([][]vval, len(v.entry))
-	if !v.ok {
-		return c
-	}
-	copy(c.reached, v.reached)
-	for id, st := range v.entry {
-		if !v.reached[id] || st == nil {
-			continue
-		}
-		hs := make([]vval, len(st))
-		for r, val := range st {
-			hs[r] = val
-			if r > 0 {
-				hs[r].set = nil
-			}
-		}
-		hs[0] = vConst(0)
-		c.entry[id] = hs
-	}
 	return c
 }
 
@@ -75,9 +33,6 @@ func TestSerialRoundtripCatalog(t *testing.T) {
 			}
 			if !reflect.DeepEqual(stripProg(want), stripProg(got)) {
 				t.Fatalf("roundtrip is not identical")
-			}
-			if want.IPStats() != got.IPStats() {
-				t.Fatalf("IPStats disagree after roundtrip: %+v vs %+v", want.IPStats(), got.IPStats())
 			}
 		})
 	}
@@ -172,11 +127,11 @@ func TestSerialDecodeRejectsStaleVersion(t *testing.T) {
 	blob := Analyze(prog).Encode()
 
 	// The v1 format had no header: its first word was the region count.
-	// A v1 payload therefore presents its region count where v2 expects
-	// the magic.
+	// A v1 payload therefore presents its region count where later
+	// versions expect the magic.
 	headerless := blob[8:]
 	if _, err := Decode(headerless, prog); err == nil {
-		t.Fatal("decode accepted a headerless pre-v2 payload")
+		t.Fatal("decode accepted a headerless v1 payload")
 	}
 
 	// A payload from a future (or merely different) version must also

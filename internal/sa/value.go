@@ -11,27 +11,15 @@
 // return edges re-enter the caller with the callee's may-define set
 // cleared to unknown.
 //
-// Two consumers sit on top:
-//
-//   - indirect-target resolution (resolveValues): a jalr whose operand
-//     carries an exact value set, all of whose targets are discovered
-//     block leaders, has its successor edges patched into the CFG. The
-//     resolution loop alternates SCCP fixpoints with patching until the
-//     graph stops changing — patching a call exposes the callee's
-//     effects, which widens the caller's loop state, which can enlarge
-//     the next round's target set.
-//   - predicate folding (ProveCond): the Pin engine asks whether a
-//     tool-declared condition on a register is provably constant at an
-//     instruction, and folds the If-call when it is.
-//
-// Soundness is asymmetric. Patched CFG edges feed liveness, dominators
-// and hoisting, whose consumers are pure observers — an imprecise or
-// even stale edge set costs precision, never correctness. Fold verdicts
-// change which Then-calls fire, so they are only issued when the final
-// fixpoint converged, the final graph is consistent with the final
-// states, and the program has no wild control (see classifyWild); the
-// engine additionally drops all folds at run time once the guest
-// writes its own code image (mem.CodeWritten).
+// Its one consumer is indirect-target resolution (resolveValues): a
+// jalr whose operand carries an exact value set, all of whose targets
+// are discovered block leaders, has its successor edges patched into
+// the CFG; a provable target that is no leader is the indirect-data
+// diagnostic. The resolution loop alternates SCCP fixpoints with
+// patching until the graph stops changing — patching a call exposes
+// the callee's effects, which widens the caller's loop state, which can
+// enlarge the next round's target set. The states are local to that
+// loop: the Analysis keeps only the patched graph.
 package sa
 
 import (
@@ -44,48 +32,6 @@ import (
 	"superpin/internal/isa"
 	"superpin/internal/kernel"
 )
-
-// CondKind identifies the comparison shape of a foldable tool
-// predicate (see Cond).
-type CondKind uint8
-
-// Predicate condition kinds. All compare one guest register against a
-// constant.
-const (
-	CondNone CondKind = iota
-	CondEQ            // reg == imm
-	CondNE            // reg != imm
-	CondLTU           // reg <  imm (unsigned)
-	CondGEU           // reg >= imm (unsigned)
-)
-
-// Cond is the declarative form of an instrumentation predicate: the
-// tool asserts its If-callback returns exactly `R[Reg] <op> Imm`. The
-// engine uses ProveCond to fold call sites where the comparison is
-// statically decided.
-type Cond struct {
-	Kind CondKind
-	Reg  uint8
-	Imm  uint32
-}
-
-// IPStats summarizes the interprocedural tier's outcome for metrics
-// and the differential harness.
-type IPStats struct {
-	// Functions recovered on the call graph.
-	Functions int
-	// ResolvedIndirect / UnresolvedIndirect count indirect-transfer
-	// blocks (jalr terminators that are not returns) by whether their
-	// target set was proven.
-	ResolvedIndirect   int
-	UnresolvedIndirect int
-	// ReachedBlocks is the number of blocks the value analysis reached
-	// along executable edges.
-	ReachedBlocks int
-	// ValuesOK reports fold-grade value states: the fixpoint converged
-	// and the program has no wild control flow.
-	ValuesOK bool
-}
 
 // Tuning knobs for the value analysis.
 const (
@@ -887,14 +833,6 @@ func filterSetSigned(set []uint32, lo, hi uint32) []uint32 {
 // The SCCP engine
 // ---------------------------------------------------------------------
 
-// valueInfo is the value analysis result attached to an Analysis.
-type valueInfo struct {
-	ok      bool     // fold-grade: converged and the program is not wild
-	reached []bool   // per block
-	entry   [][]vval // per reached block: register state at block entry
-	stats   IPStats
-}
-
 // termKind classifies how a block hands control onward for the value
 // propagation.
 type termKind uint8
@@ -947,16 +885,17 @@ func (a *Analysis) classifyTerm(b *block) termKind {
 	return termFlow
 }
 
-// sccp runs the worklist fixpoint over the current CFG. mayDefOf maps
-// a callee entry block id to the registers the callee (transitively)
-// may modify (see ipInfo.calleeMayDefs).
-// Returns nil states with ok=false when the sweep cap was exceeded.
-func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) *valueInfo {
+// sccp runs the worklist fixpoint over the current CFG and returns the
+// register state at each block's entry, nil for blocks it never
+// reached. mayDefOf maps a callee entry block id to the registers the
+// callee (transitively) may modify (see ipInfo.calleeMayDefs). When the
+// sweep cap is exceeded every state is nil.
+func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) [][]vval {
 	n := len(a.blocks)
-	vi := &valueInfo{reached: make([]bool, n), entry: make([][]vval, n)}
+	entry := make([][]vval, n)
 	entryID := a.entryBlockID()
 	if entryID < 0 {
-		return vi
+		return entry
 	}
 	raises := make([][isa.NumRegs]uint8, n)
 	inQueue := make([]bool, n)
@@ -973,8 +912,7 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) *valueInfo {
 		seed[i] = vTop()
 	}
 	seed[isa.RegZero] = vConst(0)
-	vi.reached[entryID] = true
-	vi.entry[entryID] = seed
+	entry[entryID] = seed
 	enqueue(entryID)
 
 	// propagate copies st on first reach (into a slot carved from a
@@ -982,8 +920,7 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) *valueInfo {
 	// buffers.
 	var slab []vval
 	propagate := func(to int, st []vval) {
-		if !vi.reached[to] {
-			vi.reached[to] = true
+		if entry[to] == nil {
 			if len(slab) == 0 {
 				slab = make([]vval, 16*isa.NumRegs)
 			}
@@ -991,11 +928,11 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) *valueInfo {
 			slab = slab[isa.NumRegs:]
 			copy(cp, st)
 			cp[isa.RegZero] = vConst(0)
-			vi.entry[to] = cp
+			entry[to] = cp
 			enqueue(to)
 			return
 		}
-		cur := vi.entry[to]
+		cur := entry[to]
 		changed := false
 		for r := 1; r < isa.NumRegs; r++ {
 			if cur[r].subsumes(&st[r]) {
@@ -1038,12 +975,12 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) *valueInfo {
 		inQueue[id] = false
 		steps++
 		if steps > budget {
-			return &valueInfo{reached: make([]bool, n), entry: make([][]vval, n)}
+			return make([][]vval, n)
 		}
 		b := a.blocks[id]
 		r := a.regions[b.ri]
 		st := scratch
-		copy(st, vi.entry[id])
+		copy(st, entry[id])
 		last := b.end - 1
 		lastIn := r.ins[last]
 		kind := a.classifyTerm(b)
@@ -1110,13 +1047,7 @@ func (a *Analysis) sccp(img *imageWords, mayDefOf []uint32) *valueInfo {
 			// resolves (or the whole program is declared wild).
 		}
 	}
-	vi.ok = true
-	for _, r := range vi.reached {
-		if r {
-			vi.stats.ReachedBlocks++
-		}
-	}
-	return vi
+	return entry
 }
 
 // evalBranch decides a conditional branch outcome from the state just
@@ -1173,14 +1104,14 @@ func (a *Analysis) indirectBlocks() []int {
 // candidateTargets replays block id from its entry state and returns
 // the exact jalr target set when provable. bad collects provable
 // targets that are not discovered block leaders (indirect-call-to-data).
-func (a *Analysis) candidateTargets(vi *valueInfo, img *imageWords, id int) (targets []int, bad []uint32, provable bool) {
-	if !vi.reached[id] {
+func (a *Analysis) candidateTargets(entry [][]vval, img *imageWords, id int) (targets []int, bad []uint32, provable bool) {
+	if entry[id] == nil {
 		return nil, nil, false
 	}
 	b := a.blocks[id]
 	r := a.regions[b.ri]
 	st := make([]vval, isa.NumRegs)
-	copy(st, vi.entry[id])
+	copy(st, entry[id])
 	last := b.end - 1
 	for i := b.start; i < last; i++ {
 		vstep(st, r.ins[i], r.wordAddr(i), img)
@@ -1268,15 +1199,14 @@ func (a *Analysis) applyIndirect(id int, targets []int, provable bool) bool {
 }
 
 // resolveValues is the interprocedural driver: it alternates SCCP
-// fixpoints with indirect-edge patching until the graph is stable,
-// then classifies the program's wildness and records the final,
-// graph-consistent value states for predicate folding. It returns the
-// call graph of the final CFG when the loop converged (the last
-// round's build saw the graph no patch changed afterwards), or nil
-// when it ran out of rounds.
+// fixpoints with indirect-edge patching until the graph is stable, and
+// diagnoses provable indirect transfers into non-code. It returns the
+// call graph of the final CFG when the loop converged (the last round's
+// build saw the graph no patch changed afterwards), or nil when it ran
+// out of rounds.
 func (z *analyzer) resolveValues() *ipInfo {
 	a := z.Analysis
-	a.img = a.newImageWords()
+	img := a.newImageWords()
 	// Direct calls whose callee and continuation both resolved are
 	// trusted edges in the interprocedural graph.
 	for _, b := range a.blocks {
@@ -1287,17 +1217,16 @@ func (z *analyzer) resolveValues() *ipInfo {
 		}
 	}
 	indirect := a.indirectBlocks()
-	var vi *valueInfo
 	converged := false
 	var badTargets map[int][]uint32
 	var ip *ipInfo
 	for round := 0; round < maxResolveRounds; round++ {
 		ip = z.buildInterproc()
-		vi = a.sccp(a.img, ip.calleeMayDefs())
+		entry := a.sccp(img, ip.calleeMayDefs())
 		changed := false
 		badTargets = make(map[int][]uint32)
 		for _, id := range indirect {
-			targets, bad, provable := a.candidateTargets(vi, a.img, id)
+			targets, bad, provable := a.candidateTargets(entry, img, id)
 			if len(bad) > 0 {
 				badTargets[id] = bad
 			}
@@ -1310,10 +1239,6 @@ func (z *analyzer) resolveValues() *ipInfo {
 			break
 		}
 	}
-	if vi == nil {
-		vi = &valueInfo{reached: make([]bool, len(a.blocks)), entry: make([][]vval, len(a.blocks))}
-	}
-	vi.ok = vi.ok && converged
 
 	// Diagnose provable indirect transfers into non-code.
 	ids := make([]int, 0, len(badTargets))
@@ -1327,16 +1252,6 @@ func (z *analyzer) resolveValues() *ipInfo {
 		a.diags = append(a.diags, Diag{Sev: SevWarn, Code: CodeIndirectData, Addr: addr,
 			Msg: diagBadTargets(badTargets[id])})
 	}
-
-	for _, id := range indirect {
-		if a.blocks[id].conservative {
-			vi.stats.UnresolvedIndirect++
-		} else {
-			vi.stats.ResolvedIndirect++
-		}
-	}
-	vi.stats.ValuesOK = vi.ok
-	a.vals = vi
 	if !converged {
 		return nil
 	}
@@ -1355,73 +1270,14 @@ func diagBadTargets(bad []uint32) string {
 	return msg
 }
 
-// ---------------------------------------------------------------------
-// Predicate proofs
-// ---------------------------------------------------------------------
-
-// ProveCond reports whether the condition c is statically decided at
-// the instruction at addr: proven is true when every execution
-// reaching addr satisfies (val=true) or violates (val=false) the
-// condition. Proofs are only issued from fold-grade value states (the
-// fixpoint converged and the program has no wild control flow); all
-// other cases return proven=false.
-func (a *Analysis) ProveCond(addr uint32, c Cond) (val, proven bool) {
-	if a.vals == nil || !a.vals.ok || c.Kind == CondNone || c.Reg >= isa.NumRegs {
-		return false, false
-	}
-	ri, wi, ok := a.locate(addr)
-	if !ok {
-		return false, false
-	}
-	id := a.regions[ri].blockOf[wi]
-	if id < 0 || !a.vals.reached[id] {
-		return false, false
-	}
-	b := a.blocks[id]
-	r := a.regions[b.ri]
-	st := make([]vval, isa.NumRegs)
-	copy(st, a.vals.entry[id])
-	for i := b.start; i < wi; i++ {
-		vstep(st, r.ins[i], r.wordAddr(i), a.img)
-	}
-	v := st[c.Reg]
-	imm := vConst(c.Imm)
-	switch c.Kind {
-	case CondEQ:
-		return cmpEQ(v, imm)
-	case CondNE:
-		eq, p := cmpEQ(v, imm)
-		return !eq, p
-	case CondLTU:
-		return cmpLTU(v, imm)
-	case CondGEU:
-		lt, p := cmpLTU(v, imm)
-		return !lt, p
-	}
-	return false, false
-}
-
-// IPStats returns the interprocedural tier's summary counters. The
-// zero value is returned for intraprocedural analyses.
-func (a *Analysis) IPStats() IPStats {
-	if a.vals == nil {
-		return IPStats{}
-	}
-	s := a.vals.stats
-	if a.ip != nil {
-		s.Functions = len(a.ip.fns)
-	}
-	return s
-}
-
 // classifyWild scans the blocks reachable from the entry (over all
 // edge kinds in the final graph) for control the analysis cannot
 // account for: an unresolved indirect transfer that is not a return,
 // a run cut short without a terminator, or a syscall whose number is
 // unknown or provably a spawn (children start at an arbitrary entry
 // with a copy of the register file, outside any per-block state). A
-// wild program keeps its liveness and CFG results but forfeits
-// value-based folding.
+// wild program raises no unreachable-fn warning: an unresolved transfer
+// could reach anything.
 func (z *analyzer) classifyWild() bool {
 	entryID := z.entryBlockID()
 	if entryID < 0 {

@@ -26,20 +26,27 @@ func (a *Analysis) verify() {
 // (The third interprocedural diagnostic, CodeIndirectData, is emitted
 // during indirect-target resolution where the provable-but-bad target
 // set is in hand.)
-func (a *Analysis) verifyInterproc() {
-	if a.ip == nil {
-		return
+func (z *analyzer) verifyInterproc() {
+	// called[id]: some resolved call edge targets block id.
+	called := make([]bool, len(z.blocks))
+	for _, b := range z.blocks {
+		for i, s := range b.succs {
+			if b.kinds[i] == edgeCall {
+				called[s] = true
+			}
+		}
 	}
-	a.verifyUnreachableFns()
-	a.verifyCallBalance()
+	z.verifyUnreachableFns(called)
+	z.verifyCallBalance(called)
 }
 
 // verifyUnreachableFns warns about symbol-labeled, function-shaped
 // bodies (they contain a return) that no resolved call edge targets
 // and that the entry cannot reach. Suppressed for wild programs, where
 // an unresolved transfer could reach anything.
-func (a *Analysis) verifyUnreachableFns() {
-	if a.ip.wild || a.entryBlock < 0 {
+func (z *analyzer) verifyUnreachableFns(called []bool) {
+	a := z.Analysis
+	if z.ip.wild || a.entryBlock < 0 {
 		return
 	}
 	// Blocks reachable from the entry over any edge kind.
@@ -53,14 +60,6 @@ func (a *Analysis) verifyUnreachableFns() {
 			if !reach[s] {
 				reach[s] = true
 				stack = append(stack, s)
-			}
-		}
-	}
-	called := make(map[int]bool)
-	for _, b := range a.blocks {
-		for i, s := range b.succs {
-			if b.kinds[i] == edgeCall {
-				called[s] = true
 			}
 		}
 	}
@@ -80,7 +79,7 @@ func (a *Analysis) verifyUnreachableFns() {
 		if id == a.entryBlock || called[id] || reach[id] {
 			continue
 		}
-		if len(a.ip.retBlks[id]) == 0 {
+		if len(z.ip.retBlks[id]) == 0 {
 			continue // not function shaped (data that decodes, a raw loop)
 		}
 		a.diags = append(a.diags, Diag{Sev: SevWarn, Code: CodeUnreachableFn, Addr: addr,
@@ -92,17 +91,21 @@ func (a *Analysis) verifyUnreachableFns() {
 // depth 0 at the function entry, `addi sp, sp, imm` moves the depth,
 // any other sp write poisons it, and resolved calls are assumed
 // balanced. A canonical return reached with a provably nonzero delta
-// means callers resume with a shifted stack.
-func (a *Analysis) verifyCallBalance() {
+// means callers resume with a shifted stack. Only functions some
+// resolved call edge targets are checked: a symbol-labeled leader
+// inside a function (a loop head, say) is a function entry to the call
+// graph, but it holds only part of its function's frame.
+func (z *analyzer) verifyCallBalance(called []bool) {
+	a := z.Analysis
 	// depth is indexed by block id; inBody marks the current function's
 	// body and is cleared after each function.
 	depth := make([]int32, len(a.blocks))
 	inBody := make([]bool, len(a.blocks))
-	for _, f := range a.ip.fns {
-		if a.ip.wildFn[f] {
+	for _, f := range z.ip.fns {
+		if !called[f] || z.ip.wildFn[f] {
 			continue
 		}
-		for _, id := range a.ip.body[f] {
+		for _, id := range z.ip.body[f] {
 			depth[id] = depthUnset
 			inBody[id] = true
 		}
@@ -143,10 +146,10 @@ func (a *Analysis) verifyCallBalance() {
 				}
 			}
 		}
-		for _, id := range a.ip.body[f] {
+		for _, id := range z.ip.body[f] {
 			inBody[id] = false
 		}
-		for _, id := range a.ip.retBlks[f] {
+		for _, id := range z.ip.retBlks[f] {
 			d := depth[id] // return blocks lie in the body
 			if d == depthUnset || d == depthConflict {
 				continue
@@ -255,12 +258,10 @@ func (a *Analysis) verifyStackDepth() {
 // whatever the kernel zeroed it to, which working programs should not
 // depend on.
 //
-// Unlike the liveness dataflow, this pass does not treat SYSCALL as
-// reading every register (liveness must, because SysSpawn copies the
-// whole file to the child) — that would flag every never-written
-// register in any program that exits. Which argument registers a
-// syscall reads depends on the syscall number, so only r1 (the number
-// itself, always read) counts here.
+// A SYSCALL counts as reading only r1 (the number itself, always
+// read): which argument registers it reads depends on the number, and
+// counting them all would flag every never-written register in any
+// program that exits.
 func (a *Analysis) verifyUninitReads() {
 	var read, written uint32
 	var firstRead [isa.NumRegs]uint32
