@@ -160,6 +160,13 @@ func TestRunTraceAndMetricsOutput(t *testing.T) {
 			t.Errorf("counter %q is zero; fast path did not engage", key)
 		}
 	}
+	// Host trace builds are published beside the virtual compiles; the
+	// slices adopt from the run's image cache, so they build fewer.
+	builds, _ := counters["pin.trace_builds"].(float64)
+	compiles, _ := counters["pin.cache.compiles"].(float64)
+	if builds == 0 || builds >= compiles {
+		t.Errorf("pin.trace_builds %v, pin.cache.compiles %v: want some builds, fewer than compiles", builds, compiles)
+	}
 }
 
 // TestRunPinModeTrace: the -sp 0 serial-Pin path must also honour -trace.

@@ -144,7 +144,7 @@ func TestRunWarmstartSmall(t *testing.T) {
 // leave equal. Together with the arms' declared host counters they
 // classify every field of pin.Stats and jit.CacheStats.
 var comparedCounters = []string{
-	"Engine.ExecIns", "Engine.AnalysisCalls", "Engine.IfCalls", "Engine.ThenCalls", "Engine.Dispatches",
+	"Engine.ExecIns", "Engine.AnalysisCalls", "Engine.IfCalls", "Engine.ThenCalls", "Engine.Dispatches", "Engine.TraceBuilds",
 	"Cache.Lookups", "Cache.Misses", "Cache.Compiles", "Cache.CompiledIns", "Cache.Flushes",
 }
 

@@ -12,6 +12,7 @@ import (
 	"superpin/internal/asm"
 	"superpin/internal/isa"
 	"superpin/internal/kernel"
+	"superpin/internal/obs"
 	"superpin/internal/pin"
 )
 
@@ -176,6 +177,55 @@ func TestArtifactSuperPinSMC(t *testing.T) {
 	}
 	if st := store.Stats(); st.PredecodeComputes != 1 {
 		t.Fatalf("store recomputed the predecode set across runs: %+v", st)
+	}
+}
+
+// TestSuperPinSMCAdoption: the self-modifying guest under SuperPin with
+// short slices, counted by an inline-add icount whose traces are
+// shareable through the run's image cache. The merged count and exit
+// code must match native. The patched loop is the guest's only hot
+// trace, so every timer-bounded slice has its boundary inside it and
+// builds it privately; the exit-bounded last slice has no boundary PC
+// and adopts the patched loop an earlier slice built.
+func TestSuperPinSMCAdoption(t *testing.T) {
+	const iters, step = 20000, 3
+	cfg := testKernelCfg()
+	prog := smcProg(t, iters, step)
+	native, err := RunNative(cfg, prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total []uint64
+	factory := func(ctl *ToolCtl) Tool {
+		tl := &inlineIcountTool{local: make([]uint64, 1)}
+		if shared := ctl.CreateSharedArea(tl.local, MergeSum); ctl.SliceNum() == -1 {
+			total = shared
+		}
+		return tl
+	}
+	opts := smallOpts(1)
+	opts.Metrics = obs.NewMetrics()
+	res, err := Run(cfg, prog, factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil || res.ExitCode != native.ExitCode || total[0] != native.Ins {
+		t.Fatalf("exit/icount = %d/%d, want %d/%d (%v)", res.ExitCode, total[0], native.ExitCode, native.Ins, res.Err)
+	}
+	builds, compiles := opts.Metrics.Counter("pin.trace_builds"), opts.Metrics.Counter("pin.cache.compiles")
+	t.Logf("%d slices built %d traces and compiled %d", len(res.Slices), builds, compiles)
+	if len(res.Slices) < 10 || builds >= compiles {
+		t.Fatalf("%d slices built %d traces of %d compiled, want an adoption", len(res.Slices), builds, compiles)
+	}
+}
+
+// inlineIcountTool counts each block with an inline add into its local
+// counter, as the icount2 tool does.
+type inlineIcountTool struct{ local []uint64 }
+
+func (t *inlineIcountTool) Instrument(tr *pin.Trace) {
+	for _, bbl := range tr.Bbls() {
+		bbl.InsertInlineAdd(pin.Before, &t.local[0], uint64(bbl.NumIns()))
 	}
 }
 

@@ -118,6 +118,7 @@ type Engine struct {
 	endTime         kernel.Cycles
 
 	sharedAreas  [][]uint64
+	image        *pin.ImageCache // the slices' shared instrumented code
 	sharedTraces *jit.TraceCache // non-nil with Options.SharedCodeCache
 	masterRing   *kernel.IPRing  // non-nil with DetectorIPHistory
 
@@ -177,7 +178,7 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 		cfg.Metrics = opts.Metrics
 	}
 	k := kernel.New(cfg)
-	e := &Engine{k: k, opts: opts, factory: factory}
+	e := &Engine{k: k, opts: opts, factory: factory, image: pin.NewImageCache()}
 	if opts.SharedCodeCache {
 		e.sharedTraces = jit.NewTraceCache()
 		// Traces built by a slice during a quantum publish into the
@@ -464,7 +465,9 @@ func (e *Engine) requestFork(kind boundaryKind) {
 }
 
 // doFork creates the next timeslice: a copy-on-write fork of the master
-// running a fresh Pin engine and tool instance, initially asleep. The new
+// running a fresh Pin engine and tool instance, initially asleep. The
+// engine starts with an empty code cache but shares the run's image
+// cache, so on the host it adopts the code earlier slices built. The new
 // slice records its start signature (in recording mode, charged to its
 // own time); that signature becomes the previous slice's end trigger, and
 // the previous slice wakes to begin detection-mode execution.
@@ -475,6 +478,7 @@ func (e *Engine) doFork(kind boundaryKind) {
 	sl.eng = pin.NewEngine(e.opts.PinCost)
 	sl.ctl.endFlag = sl.eng.RequestStop
 	sl.tool = e.factory(sl.ctl)
+	sl.eng.UseImage(e.image, sl.ctl.localAreas())
 	threaded := e.opts.Threads
 	// Detection is registered before the tool so its boundary check runs
 	// first at the boundary PC: the slice stops before any tool analysis

@@ -86,6 +86,7 @@ func PublishPinMetrics(m *obs.Metrics, res *PinResult) {
 	m.Add("pin.then_calls", res.Engine.ThenCalls)
 	m.Add("pin.dispatches", res.Engine.Dispatches)
 	m.Add("pin.superblock.ins", res.Engine.SuperblockIns)
+	m.Add("pin.trace_builds", res.Engine.TraceBuilds)
 	m.Add("pin.cache.lookups", res.Cache.Lookups)
 	m.Add("pin.cache.misses", res.Cache.Misses)
 	m.Add("pin.cache.compiles", res.Cache.Compiles)

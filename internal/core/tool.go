@@ -8,6 +8,14 @@ import "superpin/internal/pin"
 // SP_Init's reset function clears slice-local state — here the factory
 // simply constructs clean state), and one instance is created for the
 // master process to own shared state and the fini output.
+//
+// Instrument must be a pure function of the trace it is given: every
+// instance, in every slice and at any time, inserts the same calls into
+// the same trace. Slices rely on it for inline adds. A trace whose calls
+// are all inline adds into the instance's CreateSharedArea locals (or
+// that receives no calls) is built once per run, and later slices adopt
+// that code without calling Instrument. Calls of any other kind, and
+// inline adds to any other counter, keep the trace private to its slice.
 type Tool interface {
 	// Instrument is the trace-instrumentation callback, the analogue of
 	// TRACE_AddInstrumentFunction's payload.
@@ -104,6 +112,16 @@ func (c *ToolCtl) CreateSharedArea(local []uint64, kind MergeKind) []uint64 {
 	c.areaIdx++
 	c.bindings = append(c.bindings, sharedBinding{local: local, shared: shared, kind: kind})
 	return shared
+}
+
+// localAreas returns the local slices of the instance's shared areas, in
+// registration order: the counter areas its slice engine names by slot.
+func (c *ToolCtl) localAreas() [][]uint64 {
+	areas := make([][]uint64, len(c.bindings))
+	for i, b := range c.bindings {
+		areas[i] = b.local
+	}
+	return areas
 }
 
 // autoMerge applies the registered auto-merge bindings.

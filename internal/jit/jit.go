@@ -48,6 +48,12 @@ type Trace struct {
 	Addr   uint32
 	Bbls   []BBL
 	NumIns int
+	// Cut reports that the trace ended for a reason outside its own
+	// instructions — at the split point, or before a word that did not
+	// decode — so a build with another split or over other memory may
+	// run past its end. A trace that is not cut is a function of its
+	// instructions alone.
+	Cut bool
 }
 
 // BuildTrace decodes a trace starting at pc from guest memory. It never
@@ -78,9 +84,11 @@ func BuildTraceSplit(m *mem.Memory, pc, split uint32) (*Trace, error) {
 	var buf [MaxTraceIns]isa.Inst
 	var ends [MaxTraceBbls]int // ends[b]: one past block b's last instruction
 	n, nb := 0, 0
+	cut := false
 	for nb < MaxTraceBbls && n < MaxTraceIns {
 		cur := pc + uint32(n)*isa.WordSize
 		if split != 0 && cur == split && n > 0 {
+			cut = true
 			break
 		}
 		in, err := m.FetchInst(cur)
@@ -88,6 +96,7 @@ func BuildTraceSplit(m *mem.Memory, pc, split uint32) (*Trace, error) {
 			if n == 0 {
 				return nil, &cpu.Error{PC: pc, Err: err}
 			}
+			cut = true
 			break
 		}
 		buf[n] = in
@@ -108,7 +117,7 @@ func BuildTraceSplit(m *mem.Memory, pc, split uint32) (*Trace, error) {
 	}
 	ins := make([]isa.Inst, n)
 	copy(ins, buf[:n])
-	tr := &Trace{Addr: pc, Bbls: make([]BBL, nb), NumIns: n}
+	tr := &Trace{Addr: pc, Bbls: make([]BBL, nb), NumIns: n, Cut: cut}
 	start := 0
 	for b := range tr.Bbls {
 		end := ends[b]
@@ -134,17 +143,23 @@ type PredicateFn func(ctx *Ctx) bool
 //   - a plain call: Fn is set (InsertCall);
 //   - an If/Then pair: If is set, and Then when the if guards a routine
 //     (an inlined InsertIfCall guarding an InsertThenCall);
-//   - an inline add: Ctr is set, and the call means *Ctr += N
+//   - an inline add: neither is set, and the call adds N to the counter
+//     in slot Slot of the executing engine's counter table
 //     (InsertInlineAdd). It runs no tool code and cannot request a stop,
 //     so superblocks may run through it and settle the counter once per
-//     run.
+//     run. Naming the counter by slot rather than by address is what
+//     lets a trace that holds only inline adds run on any engine whose
+//     table maps the slot to that engine's own counter.
 type Call struct {
 	Fn   AnalysisFn
 	If   PredicateFn
 	Then AnalysisFn
-	Ctr  *uint64
+	Slot uint32
 	N    uint64
 }
+
+// IsAdd reports whether c is an inline add.
+func (c *Call) IsAdd() bool { return c.Fn == nil && c.If == nil }
 
 // CallIdx indexes a trace's call slab. A trace holds at most
 // MaxTraceCalls calls; the engine panics, naming the trace, when one
@@ -185,11 +200,11 @@ type Superblock struct {
 	// the dispatch loop can binary-search for the exact instruction
 	// where a cycle budget would trip.
 	Cum []uint64
-	// Ctr is the counter the run's inline adds target, nil when the run
-	// has none. Adds[i] and Sites[i] are the cumulative amount added to
-	// it and the cumulative number of add sites over Block[:i+1]; both
-	// are nil when Ctr is.
-	Ctr   *uint64
+	// Slot is the counter-table slot the run's inline adds target.
+	// Adds[i] and Sites[i] are the cumulative amount added to it and the
+	// cumulative number of add sites over Block[:i+1]; both are nil when
+	// the run has no adds, and Slot is then meaningless.
+	Slot  uint32
 	Adds  []uint64
 	Sites []uint64
 }
@@ -208,10 +223,13 @@ type traceLink struct {
 	next  *CompiledTrace
 }
 
-// CompiledTrace is the code-cache resident, instrumented form of a trace.
-type CompiledTrace struct {
-	Addr uint32
-	Ins  []CompiledIns
+// Code is the executable body of a compiled trace: its instructions, the
+// call slab they index and the superblock index. It is immutable once
+// sealed. Inline adds name their counters by slot, so a body whose calls
+// are all inline adds holds nothing that belongs to one engine, and
+// engines may share it, each through its own CompiledTrace header.
+type Code struct {
+	Ins []CompiledIns
 	// Calls is the slab every instruction's call ranges index.
 	Calls []Call
 
@@ -224,8 +242,24 @@ type CompiledTrace struct {
 	// has at most 32 runs and an int8 indexes them.
 	Sblocks []Superblock
 	RunAt   []int8
+}
+
+// CompiledTrace is the code-cache resident, instrumented form of a trace:
+// one engine's header over a Code body. The body's slice headers are
+// held by value, so the dispatch loop reaches the instructions through
+// the header alone; the successor links are the engine's own, because
+// each engine's code cache has its own epochs and residency.
+type CompiledTrace struct {
+	Addr uint32
+	Code
 
 	links [numTraceLinks]traceLink
+}
+
+// Share returns a fresh header over ct's code, at ct's address, with no
+// links: how an engine adopts a trace another engine compiled.
+func (ct *CompiledTrace) Share() *CompiledTrace {
+	return &CompiledTrace{Addr: ct.Addr, Code: ct.Code}
 }
 
 // NumIns returns the number of guest instructions in the compiled trace.
@@ -268,7 +302,7 @@ func (ct *CompiledTrace) Link(pc uint32, epoch uint64) (next *CompiledTrace, sta
 // instrumentation; the pin engine's instrumentation pass fills in the
 // call slab and each instruction's ranges afterwards).
 func Compile(tr *Trace) *CompiledTrace {
-	ct := &CompiledTrace{Addr: tr.Addr, Ins: make([]CompiledIns, 0, tr.NumIns)}
+	ct := &CompiledTrace{Addr: tr.Addr, Code: Code{Ins: make([]CompiledIns, 0, tr.NumIns)}}
 	for _, b := range tr.Bbls {
 		for i, in := range b.Ins {
 			ct.Ins = append(ct.Ins, CompiledIns{Addr: b.InsAddr(i), Inst: in})
@@ -309,10 +343,13 @@ const traceCacheShards = 16
 
 // TraceCache is a translation cache shared across engines — the paper's
 // Section 8 future-work idea of sharing the code cache across all
-// timeslices. It stores *uninstrumented* built traces: translation (the
-// expensive part of compilation) happens once, while each engine still
-// weaves its own instrumentation, since analysis calls are bound to
-// per-slice tool state.
+// timeslices. It stores *uninstrumented* built traces, and what it
+// changes is virtual: an engine that finds a translation here is charged
+// the weaving cost instead of a compile. The host-side sharing of
+// instrumented code is the pin engine's image cache (pin.ImageCache),
+// which serves every SuperPin slice with or without this cache; a
+// translation adopted from here is woven on the host only when no slice
+// has already instrumented it.
 //
 // Visibility contract: engines only *read* the cache (Lookup) while
 // they run and count outcomes through RecordLookup. Newly built traces

@@ -198,7 +198,7 @@ func TestCodeCacheFlushAtCapacity(t *testing.T) {
 func TestCodeCacheInvalidateRange(t *testing.T) {
 	c := NewCodeCache(100)
 	for _, addr := range []uint32{0x100, 0x200, 0x300} {
-		c.Insert(&CompiledTrace{Addr: addr, Ins: make([]CompiledIns, 4)}) // [addr, addr+15]
+		c.Insert(&CompiledTrace{Addr: addr, Code: Code{Ins: make([]CompiledIns, 4)}}) // [addr, addr+15]
 	}
 	epoch := c.Epoch()
 	if n := c.Invalidate(0x110, 0x1ff); n != 0 || c.Epoch() != epoch {
@@ -217,7 +217,7 @@ func TestCodeCacheInvalidateRange(t *testing.T) {
 	}
 	// A trace that wraps past the top of the address space, as the PC
 	// does, covers [0xfffffff8, 0x7].
-	c.Insert(&CompiledTrace{Addr: 0xfffffff8, Ins: make([]CompiledIns, 4)})
+	c.Insert(&CompiledTrace{Addr: 0xfffffff8, Code: Code{Ins: make([]CompiledIns, 4)}})
 	if n := c.Invalidate(0x8, 0x8); n != 0 {
 		t.Fatalf("store past a wrapped trace dropped %d", n)
 	}
@@ -229,7 +229,7 @@ func TestCodeCacheInvalidateRange(t *testing.T) {
 func TestCodeCacheUnlimited(t *testing.T) {
 	c := NewCodeCache(0)
 	for i := uint32(0); i < 100; i++ {
-		ct := &CompiledTrace{Addr: i * 0x100, Ins: make([]CompiledIns, 50)}
+		ct := &CompiledTrace{Addr: i * 0x100, Code: Code{Ins: make([]CompiledIns, 50)}}
 		c.Insert(ct)
 	}
 	if c.Stats().Flushes != 0 {

@@ -173,7 +173,7 @@ func (b *Bbl) InsertCall(when IPoint, fn AnalysisFn) {
 // InsertInlineAdd attaches an inline counter add to the head of the
 // block: *ctr += n, the shape of icount2's per-block count.
 func (b *Bbl) InsertInlineAdd(when IPoint, ctr *uint64, n uint64) {
-	b.trace.insert(int(b.start), when, inlineAdd(ctr, n))
+	b.trace.insert(int(b.start), when, b.trace.inlineAdd(ctr, n))
 }
 
 func (i *Ins) slot() *jit.CompiledIns { return &i.trace.ct.Ins[i.idx] }
@@ -214,15 +214,16 @@ func (i *Ins) InsertCall(when IPoint, fn AnalysisFn) {
 // invisible to the tool: a run's adds are settled before any other
 // analysis call runs and before Run returns.
 func (i *Ins) InsertInlineAdd(when IPoint, ctr *uint64, n uint64) {
-	i.trace.insert(i.idx, when, inlineAdd(ctr, n))
+	i.trace.insert(i.idx, when, i.trace.inlineAdd(ctr, n))
 }
 
-// inlineAdd builds an inline-add call, panicking on a nil counter.
-func inlineAdd(ctr *uint64, n uint64) jit.Call {
+// inlineAdd builds an inline-add call naming ctr by its slot in the
+// engine's counter table, panicking on a nil counter.
+func (t *Trace) inlineAdd(ctr *uint64, n uint64) jit.Call {
 	if ctr == nil {
 		panic("pin: InsertInlineAdd with nil counter")
 	}
-	return jit.Call{Ctr: ctr, N: n}
+	return jit.Call{Slot: t.e.slotOf(ctr), N: n}
 }
 
 // wrapPredicate, when non-nil, wraps every predicate InsertIfCall

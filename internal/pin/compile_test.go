@@ -132,8 +132,8 @@ func (l *callLog) describe(calls []jit.Call) []string {
 		if c.Then != nil {
 			c.Then(nil)
 		}
-		out = append(out, fmt.Sprintf("fn=%t if=%t then=%t ids=%v add=%p+%d",
-			c.Fn != nil, c.If != nil, c.Then != nil, l.ids, c.Ctr, c.N))
+		out = append(out, fmt.Sprintf("fn=%t if=%t then=%t ids=%v add=slot%d+%d",
+			c.Fn != nil, c.If != nil, c.Then != nil, l.ids, c.Slot, c.N))
 	}
 	return out
 }
@@ -183,7 +183,7 @@ func TestPlacementMatchesDirectAppend(t *testing.T) {
 				case 3:
 					ctr := &ctrs[id%len(ctrs)]
 					ins.InsertInlineAdd(when, ctr, uint64(id))
-					*list = append(*list, jit.Call{Ctr: ctr, N: uint64(id)})
+					*list = append(*list, jit.Call{Slot: e.slotOf(ctr), N: uint64(id)})
 				}
 			}
 		})

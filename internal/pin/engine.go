@@ -115,7 +115,10 @@ func NativeCost(interp, memSurcharge kernel.Cycles) CostModel {
 // plain calls and inline adds. SuperblockIns counts the subset of ExecIns
 // executed through the batched superblock fast path (zero when the fast
 // path is disabled or every instruction carries a call other than an
-// inline add). It is host-side: it never affects virtual-cycle results.
+// inline add). TraceBuilds counts the traces the engine instrumented
+// itself, as opposed to adopting another engine's code from an image
+// cache; the code cache's Compiles counts both. Both are host-side: they
+// never affect virtual-cycle results.
 type Stats struct {
 	ExecIns       uint64
 	AnalysisCalls uint64
@@ -123,6 +126,7 @@ type Stats struct {
 	ThenCalls     uint64
 	Dispatches    uint64
 	SuperblockIns uint64
+	TraceBuilds   uint64
 }
 
 // SyscallFilter lets a wrapper (SuperPin's slice engine) intercept guest
@@ -135,9 +139,11 @@ type SyscallFilter func(k *kernel.Kernel, p *kernel.Proc) (handled bool, cost ke
 
 // Engine is one instance of the instrumentation VM: a code cache plus the
 // registered instrumentation and fini callbacks. Each instrumented
-// process owns its own Engine — in SuperPin mode every slice gets a fresh
-// one, which is exactly the paper's "each slice has its own copy of the
-// code cache, and it starts in a clean state" compilation overhead.
+// process owns its own Engine. In SuperPin mode every slice gets a fresh
+// one whose code cache starts in a clean state, so each slice still pays
+// the paper's per-slice compilation overhead in virtual time; on the
+// host, a slice engine adopts the instrumented code an earlier slice of
+// the same run built (see ImageCache) instead of building it again.
 type Engine struct {
 	// Cost is the engine's cycle-cost model. Mutable until first Run.
 	Cost CostModel
@@ -174,7 +180,8 @@ type Engine struct {
 	InsLimit uint64
 
 	cache         *jit.CodeCache
-	sealScratch   []runSpan // reused across seal calls to avoid per-compile allocs
+	image         *ImageCache // nil unless UseImage attached one
+	sealScratch   []runSpan   // reused across seal calls to avoid per-compile allocs
 	instrumenters []func(*Trace)
 	finiFns       []func(code uint32)
 	ctx           jit.Ctx
@@ -229,6 +236,17 @@ type Engine struct {
 	// synchronized with (syncCode): stores into translated code past it
 	// have not yet dropped the translations they overwrote.
 	codeGen uint64
+
+	// The counter table inline adds name their counters through (see
+	// slotOf): ctrs[slot] is the counter. Slots below nShared are the
+	// elements of the counter areas UseImage registered, in area order;
+	// the rest are private, one per other counter, in first-use order.
+	// lastCtr and lastSlot cache the latest resolution, since a tool
+	// usually inserts adds to one counter.
+	ctrs     []*uint64
+	nShared  int
+	lastCtr  *uint64
+	lastSlot uint32
 }
 
 // NewEngine creates an engine with the given cost model.
@@ -362,6 +380,7 @@ func (e *Engine) PublishMetrics(m *obs.Metrics, prefix string) {
 	m.Add(prefix+".then_calls", e.stats.ThenCalls)
 	m.Add(prefix+".dispatches", e.stats.Dispatches)
 	m.Add(prefix+".superblock.ins", e.stats.SuperblockIns)
+	m.Add(prefix+".trace_builds", e.stats.TraceBuilds)
 	cs := e.cache.Stats()
 	m.Add(prefix+".cache.lookups", cs.Lookups)
 	m.Add(prefix+".cache.misses", cs.Misses)
@@ -557,13 +576,13 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 				if n > 0 {
 					last := off + n - 1
 					used += kernel.Cycles(sb.Cum[last] - pre)
-					if sb.Ctr != nil {
+					if sb.Adds != nil {
 						// Settle the run's inline adds once.
 						var preAdd, preSites uint64
 						if off > 0 {
 							preAdd, preSites = sb.Adds[off-1], sb.Sites[off-1]
 						}
-						*sb.Ctr += sb.Adds[last] - preAdd
+						*e.ctrs[sb.Slot] += sb.Adds[last] - preAdd
 						e.stats.AnalysisCalls += sb.Sites[last] - preSites
 					}
 					e.idx += n
@@ -802,6 +821,9 @@ func (e *Engine) leaveTrace(nextPC uint32, fast bool) {
 // translation), lowers it, runs the instrumentation callbacks, places
 // their calls and seals the result. sharedHit reports an adopted
 // translation, which is charged the weaving cost instead of a compile.
+// With an image cache attached, the host work after the translation is
+// skipped when the cache holds the code this engine would produce: the
+// engine adopts it, and the caller charges exactly what a build costs.
 func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledTrace, sharedHit bool, err error) {
 	var tr *jit.Trace
 	if e.Shared != nil {
@@ -817,6 +839,14 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 			sharedHit = true
 		}
 	}
+	if e.image != nil && !imageSeam.noAdopt {
+		if ct = e.adopt(m, pc, tr); ct != nil {
+			if imageSeam.adopted != nil {
+				imageSeam.adopted(e, m, tr, ct)
+			}
+			return ct, sharedHit, nil
+		}
+	}
 	if tr == nil {
 		if tr, err = jit.BuildTraceSplit(m, pc, e.SplitPC); err != nil {
 			return nil, false, err
@@ -826,7 +856,19 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 		}
 	}
 	m.WatchCode(tr.Addr, uint32(tr.NumIns)*isa.WordSize)
-	ct = jit.Compile(tr)
+	ct = e.instrument(tr, fast)
+	e.stats.TraceBuilds++
+	if e.image != nil {
+		e.offer(tr, ct)
+	}
+	return ct, sharedHit, nil
+}
+
+// instrument lowers tr, runs the instrumentation callbacks over it,
+// places the calls they inserted and, on the fast path, seals the
+// result.
+func (e *Engine) instrument(tr *jit.Trace, fast bool) *jit.CompiledTrace {
+	ct := jit.Compile(tr)
 	view := e.newTraceView(tr, ct)
 	e.instrumenting = view
 	e.pending = e.pending[:0] // a callback that panicked may have left some
@@ -837,7 +879,7 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 	if fast {
 		e.seal(ct)
 	}
-	return ct, sharedHit, nil
+	return ct
 }
 
 // decodesFrom reports whether tr is what m's bytes decode to now. A shared
@@ -861,30 +903,30 @@ const minSuperblockIns = 2
 
 // fastEligible reports whether instruction i of ct may live inside a
 // superblock: it must not trap (SYSCALL returns to the kernel), and its
-// analysis calls, if any, must all be inline adds to one counter, ctr
-// (nil when it has no calls). Nothing else may run between a run's
+// analysis calls, if any, must all be inline adds to one counter slot,
+// slot (-1 when it has no calls). Nothing else may run between a run's
 // instructions.
-func fastEligible(ct *jit.CompiledTrace, i int) (ok bool, ctr *uint64) {
+func fastEligible(ct *jit.CompiledTrace, i int) (ok bool, slot int) {
 	ci := &ct.Ins[i]
 	if ci.Inst.Op == isa.OpSYSCALL {
-		return false, nil
+		return false, -1
 	}
+	slot = -1
 	for k := ci.B0; k < ci.A1; k++ {
-		c := ct.Calls[k].Ctr
-		if c == nil || (ctr != nil && c != ctr) {
-			return false, nil
+		c := &ct.Calls[k]
+		if !c.IsAdd() || (slot >= 0 && int(c.Slot) != slot) {
+			return false, -1
 		}
-		ctr = c
+		slot = int(c.Slot)
 	}
-	return true, ctr
+	return true, slot
 }
 
 // runSpan is one superblock run found by seal's sizing pass:
 // instructions i through j-1 of the trace, whose inline adds (if any)
-// target ctr.
+// target counter slot slot (-1 when none do).
 type runSpan struct {
-	i, j int
-	ctr  *uint64
+	i, j, slot int
 }
 
 // seal precomputes a freshly instrumented trace's superblock index:
@@ -896,7 +938,7 @@ type runSpan struct {
 // their cumulative amounts and site counts. Runs after the tool's
 // instrumenters, which are what decide eligibility.
 //
-// Sealing runs on every compile, so allocation cost matters: a sizing
+// Sealing runs on every build, so allocation cost matters: a sizing
 // pass finds the runs (into an engine-owned scratch slice) before a fill
 // pass allocates single backing arrays.
 func (e *Engine) seal(ct *jit.CompiledTrace) {
@@ -905,27 +947,27 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 	spans := e.sealScratch[:0]
 	covered, counted := 0, 0
 	for i := 0; i < n; {
-		ok, ctr := fastEligible(ct, i)
+		ok, slot := fastEligible(ct, i)
 		if !ok {
 			i++
 			continue
 		}
 		j := i + 1
 		for ; j < n; j++ {
-			ok, c := fastEligible(ct, j)
-			if !ok || (c != nil && ctr != nil && c != ctr) {
+			ok, s := fastEligible(ct, j)
+			if !ok || (s >= 0 && slot >= 0 && s != slot) {
 				break
 			}
-			if ctr == nil {
-				ctr = c
+			if slot < 0 {
+				slot = s
 			}
 		}
 		if j-i >= minSuperblockIns {
 			covered += j - i
-			if ctr != nil {
+			if slot >= 0 {
 				counted += j - i
 			}
-			spans = append(spans, runSpan{i: i, j: j, ctr: ctr})
+			spans = append(spans, runSpan{i: i, j: j, slot: slot})
 		}
 		i = j
 	}
@@ -953,8 +995,8 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 			Cum:   cums[pos : pos+m : pos+m],
 		}
 		pos += m
-		if sp.ctr != nil {
-			sb.Ctr = sp.ctr
+		if sp.slot >= 0 {
+			sb.Slot = uint32(sp.slot)
 			sb.Adds = addSums[apos : apos+m : apos+m]
 			sb.Sites = addSums[apos+m : apos+2*m : apos+2*m]
 			apos += 2 * m
@@ -970,7 +1012,7 @@ func (e *Engine) seal(ct *jit.CompiledTrace) {
 			}
 			sb.Block[x-i] = cpu.BlockIns{Inst: ci.Inst, Next: ci.Addr + isa.WordSize}
 			sb.Cum[x-i] = cum
-			if sb.Ctr != nil {
+			if sb.Adds != nil {
 				for c := ci.B0; c < ci.A1; c++ {
 					adds += ct.Calls[c].N
 				}
@@ -1027,6 +1069,6 @@ func (e *Engine) runCall(ctx *jit.Ctx, c *jit.Call) kernel.Cycles {
 		return cy
 	}
 	e.stats.AnalysisCalls++
-	*c.Ctr += c.N
+	*e.ctrs[c.Slot] += c.N
 	return cost.Call
 }

@@ -278,9 +278,9 @@ func TestSealCutsRunsAtCounterChange(t *testing.T) {
 		ctr      *uint64
 	}{{0, 6, &a}, {6, 9, &b}} {
 		sb := &ct.Sblocks[r]
-		if sb.Start != want.start || len(sb.Block) != want.n || sb.Ctr != want.ctr {
+		if ctr := e.ctrs[sb.Slot]; sb.Start != want.start || len(sb.Block) != want.n || sb.Adds == nil || ctr != want.ctr {
 			t.Fatalf("run %d: start %d, %d instructions, counter a=%t; want start %d, %d instructions, counter a=%t",
-				r, sb.Start, len(sb.Block), sb.Ctr == &a, want.start, want.n, want.ctr == &a)
+				r, sb.Start, len(sb.Block), ctr == &a, want.start, want.n, want.ctr == &a)
 		}
 		var adds uint64
 		for x := range sb.Block {
