@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -75,6 +76,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *jobs < 0 {
 		return fmt.Errorf("-j %d: want 0 (automatic) or a positive worker count", *jobs)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-scale", *scale}, {"-msec", *msec}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("%s %v: want a finite, non-negative number", f.name, f.v)
+		}
 	}
 
 	if *cpuProf != "" {

@@ -140,6 +140,14 @@ func TestRunRejectsBadHarnessInput(t *testing.T) {
 	if err := run(fig3("-benchmarks", "gzip,gzip"), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("-benchmarks gzip,gzip: err = %v", err)
 	}
+	for _, v := range []string{"NaN", "+Inf", "-1"} {
+		if err := run(fig3("-benchmarks", "gzip", "-msec", v), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-msec") {
+			t.Errorf("-msec %s: err = %v", v, err)
+		}
+	}
+	if err := run([]string{"-exp", "fig3", "-scale", "NaN"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-scale") {
+		t.Errorf("-scale NaN: err = %v", err)
+	}
 	for _, v := range []string{"abc", "0", "-2"} {
 		t.Setenv(bench.WorkersEnv, v)
 		if err := run(fig3("-benchmarks", "gzip"), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), bench.WorkersEnv) {

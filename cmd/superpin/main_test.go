@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -34,6 +35,18 @@ func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded", args)
+		}
+	}
+}
+
+// TestRunRejectsNonFiniteInterval: a -spmsec that is not a finite
+// positive number is an error naming the option, so main exits non-zero
+// instead of running the application as one slice.
+func TestRunRejectsNonFiniteInterval(t *testing.T) {
+	for _, v := range []string{"NaN", "+Inf", "-1"} {
+		err := run([]string{"-spmsec", v, "-compare=false", "-scale", "0.01", "--", "gzip"})
+		if err == nil || !strings.Contains(err.Error(), "SliceMSec") {
+			t.Errorf("-spmsec %s: %v", v, err)
 		}
 	}
 }
@@ -161,7 +174,7 @@ func TestRunTraceAndMetricsOutput(t *testing.T) {
 		}
 	}
 	// Host trace builds are published beside the virtual compiles; the
-	// slices adopt from the run's image cache, so they build fewer.
+	// slices adopt from the run's trace cache, so they build fewer.
 	builds, _ := counters["pin.trace_builds"].(float64)
 	compiles, _ := counters["pin.cache.compiles"].(float64)
 	if builds == 0 || builds >= compiles {

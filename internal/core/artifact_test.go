@@ -182,7 +182,7 @@ func TestArtifactSuperPinSMC(t *testing.T) {
 
 // TestSuperPinSMCAdoption: the self-modifying guest under SuperPin with
 // short slices, counted by an inline-add icount whose traces are
-// shareable through the run's image cache. The merged count and exit
+// shareable through the run's trace cache. The merged count and exit
 // code must match native. The patched loop is the guest's only hot
 // trace, so every timer-bounded slice has its boundary inside it and
 // builds it privately; the exit-bounded last slice has no boundary PC

@@ -117,10 +117,9 @@ type Engine struct {
 	timer           *kernel.Timer
 	endTime         kernel.Cycles
 
-	sharedAreas  [][]uint64
-	image        *pin.ImageCache // the slices' shared instrumented code
-	sharedTraces *jit.TraceCache // non-nil with Options.SharedCodeCache
-	masterRing   *kernel.IPRing  // non-nil with DetectorIPHistory
+	sharedAreas [][]uint64
+	traces      *jit.TraceCache // what the slices reuse of each other's work
+	masterRing  *kernel.IPRing  // non-nil with DetectorIPHistory
 
 	// masterProbe (non-nil with Options.ProfInterval) shadows the
 	// master's call stack without recording, so each fork can seed its
@@ -178,20 +177,7 @@ func Run(cfg kernel.Config, program *asm.Program, factory ToolFactory, opts Opti
 		cfg.Metrics = opts.Metrics
 	}
 	k := kernel.New(cfg)
-	e := &Engine{k: k, opts: opts, factory: factory, image: pin.NewImageCache()}
-	if opts.SharedCodeCache {
-		e.sharedTraces = jit.NewTraceCache()
-		// Traces built by a slice during a quantum publish into the
-		// shared cache at quantum end, in slice order: a translation
-		// becomes visible to the other slices one quantum after it was
-		// built, which fixes the cache's hit pattern (and therefore its
-		// timing) in virtual time.
-		k.QuantumHook = func() {
-			for _, sl := range e.slices {
-				sl.eng.PublishShared()
-			}
-		}
-	}
+	e := &Engine{k: k, opts: opts, factory: factory, traces: jit.NewTraceCache()}
 	// The master runs the application uninstrumented, traced by the
 	// control process (this engine) via the syscall hook. The rejected
 	// IP-history detector additionally requires branch-tracing the
@@ -466,7 +452,7 @@ func (e *Engine) requestFork(kind boundaryKind) {
 
 // doFork creates the next timeslice: a copy-on-write fork of the master
 // running a fresh Pin engine and tool instance, initially asleep. The
-// engine starts with an empty code cache but shares the run's image
+// engine starts with an empty code cache but shares the run's trace
 // cache, so on the host it adopts the code earlier slices built. The new
 // slice records its start signature (in recording mode, charged to its
 // own time); that signature becomes the previous slice's end trigger, and
@@ -478,7 +464,7 @@ func (e *Engine) doFork(kind boundaryKind) {
 	sl.eng = pin.NewEngine(e.opts.PinCost)
 	sl.ctl.endFlag = sl.eng.RequestStop
 	sl.tool = e.factory(sl.ctl)
-	sl.eng.UseImage(e.image, sl.ctl.localAreas())
+	sl.eng.UseCache(e.traces, num, sl.ctl.localAreas(), e.opts.SharedCodeCache)
 	threaded := e.opts.Threads
 	// Detection is registered before the tool so its boundary check runs
 	// first at the boundary PC: the slice stops before any tool analysis
@@ -493,9 +479,6 @@ func (e *Engine) doFork(kind boundaryKind) {
 		}
 	}
 	sl.eng.AddTraceInstrumenter(sl.tool.Instrument)
-	sl.eng.Shared = e.sharedTraces
-	// Publication waits for quantum end (see Run's QuantumHook).
-	sl.eng.SharedBarrier = true
 
 	var runner kernel.Runner = sl.eng
 	var tr *threadedRunner

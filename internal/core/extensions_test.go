@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"superpin/internal/kernel"
+	"superpin/internal/obs"
 )
 
 // TestSharedCodeCacheExactAndFaster covers the Section 8 shared code
@@ -41,6 +42,31 @@ func TestSharedCodeCacheExactAndFaster(t *testing.T) {
 	}
 	if timeOn >= timeOff {
 		t.Fatalf("shared code cache did not help: %d vs %d", timeOn, timeOff)
+	}
+}
+
+// TestSharedCodeCacheLookupCounts checks the pin.shared.* metrics: a
+// slice looks a translation up once per local code-cache miss, so over
+// the run's slices the hits and misses sum to pin.cache.misses. They
+// used to sum to each slice's copy of the cache-wide totals instead.
+func TestSharedCodeCacheLookupCounts(t *testing.T) {
+	prog := buildWorkload(t, 8000, 4095, kernel.SysTime)
+	factory, _ := newIcount()
+	opts := smallOpts(20)
+	opts.SharedCodeCache = true
+	opts.Metrics = obs.NewMetrics()
+	res, err := Run(testKernelCfg(), prog, factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	m := opts.Metrics
+	hits, misses := m.Counter("pin.shared.hits"), m.Counter("pin.shared.misses")
+	if local := m.Counter("pin.cache.misses"); hits+misses != local || hits == 0 || len(res.Slices) < 10 {
+		t.Fatalf("%d slices: %d shared hits + %d shared misses, %d local misses",
+			len(res.Slices), hits, misses, local)
 	}
 }
 

@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"superpin/internal/artifact"
 	"superpin/internal/kernel"
@@ -184,33 +185,45 @@ func DefaultOptions() Options {
 	}
 }
 
-// normalize validates o and fills derived defaults.
+// normalize validates o and fills derived defaults. It rejects a float
+// option that is not finite, and a negative value of any option whose
+// zero means "default" or "off"; the error names the field.
 func (o *Options) normalize() error {
-	if o.SliceMSec <= 0 {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SliceMSec", o.SliceMSec}, {"ExpectedAppMSec", o.ExpectedAppMSec}, {"MinSliceMSec", o.MinSliceMSec},
+		{"MaxSysRecs", float64(o.MaxSysRecs)}, {"StackWords", float64(o.StackWords)},
+		{"RegPickIns", float64(o.RegPickIns)}, {"BubblePages", float64(o.BubblePages)},
+		{"IPHistoryLen", float64(o.IPHistoryLen)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("core: %s must be finite and non-negative, got %v", f.name, f.v)
+		}
+	}
+	if o.SliceMSec == 0 {
 		return fmt.Errorf("core: SliceMSec must be positive, got %v", o.SliceMSec)
 	}
 	if o.MaxSlices < 1 {
 		return fmt.Errorf("core: MaxSlices must be at least 1, got %d", o.MaxSlices)
 	}
-	if o.MaxSysRecs < 0 {
-		return fmt.Errorf("core: MaxSysRecs must be non-negative, got %d", o.MaxSysRecs)
-	}
 	if o.ProfInterval > 0 && o.Threads {
 		return fmt.Errorf("core: ProfInterval is incompatible with Threads (the profiler follows a single instruction stream)")
 	}
-	if o.StackWords <= 0 {
+	if o.StackWords == 0 {
 		o.StackWords = 100
 	}
-	if o.RegPickIns <= 0 {
+	if o.RegPickIns == 0 {
 		o.RegPickIns = 512
 	}
-	if o.BubblePages <= 0 {
+	if o.BubblePages == 0 {
 		o.BubblePages = 256
 	}
-	if o.IPHistoryLen <= 0 {
+	if o.IPHistoryLen == 0 {
 		o.IPHistoryLen = 256
 	}
-	if o.MinSliceMSec <= 0 {
+	if o.MinSliceMSec == 0 {
 		o.MinSliceMSec = o.SliceMSec / 8
 	}
 	if o.PinCost == (pin.CostModel{}) {

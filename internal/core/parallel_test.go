@@ -146,8 +146,7 @@ func TestParallelThreadedReplayDeterministic(t *testing.T) {
 
 // TestParallelSharedCacheEpochStress forces constant code-cache churn —
 // a capacity far below the working set flushes and recompiles traces
-// throughout the run — while slices publish into the shared cache at
-// every quantum end.
+// throughout the run — while slices share Section 8 translations.
 func TestParallelSharedCacheEpochStress(t *testing.T) {
 	prog := buildWorkload(t, 2500, 31, kernel.SysRand)
 	opts := smallOpts(20)

@@ -11,7 +11,7 @@
 package jit
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"superpin/internal/cpu"
 	"superpin/internal/isa"
@@ -329,122 +329,149 @@ func (t *Trace) ContainsBeyondHead(pc uint32) bool {
 	return false
 }
 
-// TraceCacheStats are cumulative shared-translation-cache statistics.
-type TraceCacheStats struct {
-	Hits   uint64
-	Misses uint64
-}
-
-// traceCacheShards is the number of entry-address shards in a shared
-// TraceCache. Sharding keeps publication cache-friendly and
-// bounds any one map's growth; the shard of an entry depends only on its
-// address, never on who built it.
-const traceCacheShards = 16
-
-// TraceCache is a translation cache shared across engines — the paper's
-// Section 8 future-work idea of sharing the code cache across all
-// timeslices. It stores *uninstrumented* built traces, and what it
-// changes is virtual: an engine that finds a translation here is charged
-// the weaving cost instead of a compile. The host-side sharing of
-// instrumented code is the pin engine's image cache (pin.ImageCache),
-// which serves every SuperPin slice with or without this cache; a
-// translation adopted from here is woven on the host only when no slice
-// has already instrumented it.
+// TraceCache is a SuperPin run's one store of work slices reuse, keyed
+// by trace entry PC. Per PC it holds two things:
 //
-// Visibility contract: engines only *read* the cache (Lookup) while
-// they run and count outcomes through RecordLookup. Newly built traces
-// are not inserted mid-quantum — each engine keeps them pending
-// privately and SuperPin publishes every engine's pending set, in slice
-// order, at quantum end (Publish), so what the cache holds is a pure
-// function of virtual time. Within one simulation a single goroutine
-// performs every call. The statistics are atomic so that lookups may
-// still run concurrently with each other, provided no Publish overlaps
-// them; the cache takes no locks. Each Publish batch that lands at
-// least one new entry advances the cache epoch.
+//   - the Section 8 translation, the uninstrumented trace of the paper's
+//     shared code cache. A slice that sees one is charged the weaving
+//     cost instead of a compile, so its visibility is part of the virtual
+//     model. A build at virtual time t is published when t's scheduling
+//     quantum ends; until then only its builder sees it. Of one quantum's
+//     builds of a PC, the lowest-numbered slice's first build wins, and a
+//     published translation is never replaced;
+//   - sealed instrumented code and the translation it was compiled from,
+//     which slices adopt on the host instead of building the trace again.
+//     It changes nothing virtual, and a later offer replaces an earlier one.
+//
+// One goroutine drives every engine of a run, so the cache takes no locks.
 type TraceCache struct {
-	shards [traceCacheShards]map[uint32]*Trace
-	epoch  uint64
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	entries map[uint32]*traceEntry
+	layout  []int // the counter-area sizes of the engines that share code
 }
 
-// NewTraceCache creates an empty shared translation cache.
+// traceEntry is what a TraceCache holds for one entry PC.
+type traceEntry struct {
+	pub *Trace         // the published translation, nil until one is
+	at  uint64         // the virtual time of the builds in own
+	own map[int]*Trace // each slice's first build at time at, by slice
+
+	code *CompiledTrace // a link-free header over shareable sealed code
+	src  *Trace         // the translation code was compiled from
+}
+
+// NewTraceCache creates an empty trace cache.
 func NewTraceCache() *TraceCache {
-	tc := &TraceCache{}
-	for i := range tc.shards {
-		tc.shards[i] = make(map[uint32]*Trace)
+	return &TraceCache{entries: make(map[uint32]*traceEntry)}
+}
+
+func (tc *TraceCache) entry(pc uint32) *traceEntry {
+	en := tc.entries[pc]
+	if en == nil {
+		en = &traceEntry{}
+		tc.entries[pc] = en
 	}
-	return tc
+	return en
 }
 
-// shardOf maps a (word-aligned) trace entry address to its shard.
-func shardOf(pc uint32) uint32 { return (pc >> 2) % traceCacheShards }
-
-// Lookup returns the shared trace entered at pc, if present. Lookup is a
-// pure read — it mutates no statistics — so the cache safely serves
-// concurrent readers; the engine that owns the lookup records its outcome
-// with RecordLookup.
-func (tc *TraceCache) Lookup(pc uint32) (*Trace, bool) {
-	tr, ok := tc.shards[shardOf(pc)][pc]
-	return tr, ok
-}
-
-// RecordLookup accumulates one lookup outcome into the statistics.
-// Every engine sharing the cache records through the same pair of
-// atomic counters.
-func (tc *TraceCache) RecordLookup(hit bool) {
-	if hit {
-		tc.hits.Add(1)
-	} else {
-		tc.misses.Add(1)
-	}
-}
-
-// Insert publishes a built trace for other engines to reuse, returning
-// whether it created a new entry. Re-inserting an existing entry keeps
-// the first (all engines build identical traces from the same code).
-// Insert must not overlap any Lookup.
-func (tc *TraceCache) Insert(tr *Trace) bool {
-	s := tc.shards[shardOf(tr.Addr)]
-	if _, dup := s[tr.Addr]; dup {
-		return false
-	}
-	s[tr.Addr] = tr
-	return true
-}
-
-// Publish inserts a batch of built traces (one engine's pending set, in
-// build order) at quantum end, advancing the cache epoch if any entry
-// is new. It returns the number of entries created.
-func (tc *TraceCache) Publish(trs []*Trace) int {
-	n := 0
-	for _, tr := range trs {
-		if tc.Insert(tr) {
-			n++
+// winner returns the build a quantum's end publishes: the one of the
+// lowest-numbered slice.
+func (en *traceEntry) winner() *Trace {
+	win := -1
+	for slice := range en.own { //detguard:ok the minimum is order-free
+		if win < 0 || slice < win {
+			win = slice
 		}
 	}
-	if n > 0 {
-		tc.epoch++
-	}
-	return n
+	return en.own[win]
 }
 
-// Epoch returns the publication epoch: the number of Publish batches
-// that added at least one entry.
-func (tc *TraceCache) Epoch() uint64 { return tc.epoch }
-
-// Len returns the number of published traces.
-func (tc *TraceCache) Len() int {
-	n := 0
-	for _, s := range tc.shards {
-		n += len(s)
+// settle publishes the builds of a quantum that ended before now.
+func (en *traceEntry) settle(now uint64) {
+	if len(en.own) == 0 || now <= en.at {
+		return
 	}
-	return n
+	if en.pub == nil {
+		en.pub = en.winner()
+	}
+	clear(en.own)
 }
 
-// Stats returns cumulative statistics.
-func (tc *TraceCache) Stats() TraceCacheStats {
-	return TraceCacheStats{Hits: tc.hits.Load(), Misses: tc.misses.Load()}
+// Lookup returns the translation published for pc, counting the builds
+// of the current quantum as published. It is a pure read.
+func (tc *TraceCache) Lookup(pc uint32) (*Trace, bool) {
+	en := tc.entries[pc]
+	if en == nil {
+		return nil, false
+	}
+	if en.pub == nil && len(en.own) > 0 {
+		return en.winner(), true
+	}
+	return en.pub, en.pub != nil
+}
+
+// Insert publishes tr at once, unless a translation for its PC is
+// already published.
+func (tc *TraceCache) Insert(tr *Trace) {
+	if en := tc.entry(tr.Addr); en.pub == nil {
+		en.pub = tr
+	}
+}
+
+// Visible returns the translation for pc that slice sees at virtual
+// time now: the published one, or else the slice's own build of the
+// current quantum.
+func (tc *TraceCache) Visible(pc uint32, slice int, now uint64) (*Trace, bool) {
+	en := tc.entry(pc)
+	en.settle(now)
+	if en.pub != nil {
+		return en.pub, true
+	}
+	tr := en.own[slice]
+	return tr, tr != nil
+}
+
+// Built records that slice built tr at virtual time now. It is
+// published when now's quantum ends, unless a translation for its PC
+// already is, or a lower-numbered slice builds one in the same quantum;
+// a slice's later builds of the PC in that quantum are ignored.
+func (tc *TraceCache) Built(tr *Trace, slice int, now uint64) {
+	en := tc.entry(tr.Addr)
+	en.settle(now)
+	if en.pub != nil || en.own[slice] != nil {
+		return
+	}
+	if en.own == nil {
+		en.own = make(map[int]*Trace)
+	}
+	en.at = now
+	en.own[slice] = tr
+}
+
+// Code returns the sealed code offered for pc and the translation it was
+// compiled from, or nil when none was offered.
+func (tc *TraceCache) Code(pc uint32) (*CompiledTrace, *Trace) {
+	if en := tc.entries[pc]; en != nil {
+		return en.code, en.src
+	}
+	return nil, nil
+}
+
+// SetCode offers ct, compiled from tr, for adoption by other engines,
+// replacing any earlier offer for its PC. The cache keeps a link-free
+// header over ct's code.
+func (tc *TraceCache) SetCode(ct *CompiledTrace, tr *Trace) {
+	en := tc.entry(ct.Addr)
+	en.code, en.src = ct.Share(), tr
+}
+
+// UseLayout fixes the counter-area layout of the engines that share
+// code through the cache on its first call, and reports whether sizes
+// is that layout.
+func (tc *TraceCache) UseLayout(sizes []int) bool {
+	if tc.layout == nil {
+		tc.layout = sizes
+	}
+	return slices.Equal(tc.layout, sizes)
 }
 
 // CacheStats are cumulative code-cache statistics. The Link counters

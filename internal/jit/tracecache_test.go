@@ -1,9 +1,6 @@
 package jit
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // buildTraces builds the distinct traces of a small program (one per
 // basic-block entry) for cache tests.
@@ -32,82 +29,100 @@ alt:
 	return trs
 }
 
-// TestTraceCacheInsertFirstWins checks the duplicate-publication rule:
-// every engine builds identical traces from the same code, so the first
-// published copy is kept and re-insertion is a no-op.
+// TestTraceCacheInsertFirstWins checks that Insert publishes at once
+// and never replaces a published translation.
 func TestTraceCacheInsertFirstWins(t *testing.T) {
 	trs := buildTraces(t)
 	tc := NewTraceCache()
-	if !tc.Insert(trs[0]) {
-		t.Fatal("first insert reported duplicate")
-	}
+	tc.Insert(trs[0])
 	clone := *trs[0]
-	if tc.Insert(&clone) {
-		t.Fatal("duplicate insert reported new entry")
-	}
-	got, ok := tc.Lookup(trs[0].Addr)
-	if !ok || got != trs[0] {
+	tc.Insert(&clone)
+	if got, ok := tc.Lookup(trs[0].Addr); !ok || got != trs[0] {
 		t.Fatal("lookup did not return the first-published trace")
 	}
-}
-
-// TestTraceCacheEpochAdvancesPerBatch checks that the epoch counts
-// publication batches that landed something new — the version number the
-// deterministic merge relies on.
-func TestTraceCacheEpochAdvancesPerBatch(t *testing.T) {
-	trs := buildTraces(t)
-	tc := NewTraceCache()
-	if tc.Publish(trs[:2]) != 2 || tc.Epoch() != 1 {
-		t.Fatalf("first batch: len=%d epoch=%d", tc.Len(), tc.Epoch())
-	}
-	// Re-publishing the same batch adds nothing and must not bump the epoch.
-	if tc.Publish(trs[:2]) != 0 || tc.Epoch() != 1 {
-		t.Fatalf("duplicate batch bumped epoch to %d", tc.Epoch())
-	}
-	if tc.Publish(trs[2:]) == 0 || tc.Epoch() != 2 {
-		t.Fatalf("second batch: epoch=%d, want 2", tc.Epoch())
+	if _, ok := tc.Lookup(trs[1].Addr); ok {
+		t.Fatal("lookup hit a PC nothing was published for")
 	}
 }
 
-// TestTraceCacheConcurrentReadersWithBarrierPublish checks the cache's
-// concurrency contract under the race detector: rounds of concurrent
-// readers (Lookup + atomic RecordLookup), separated by barriers where a
-// single goroutine publishes the next batch. The cache itself is
-// lock-free; keeping Publish apart from lookups is the caller's job.
-func TestTraceCacheConcurrentReadersWithBarrierPublish(t *testing.T) {
-	trs := buildTraces(t)
-	tc := NewTraceCache()
-	const readers = 4
-	for round := 0; round < len(trs); round++ {
-		tc.Publish(trs[round : round+1])
-		var wg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, tr := range trs {
-					_, hit := tc.Lookup(tr.Addr)
-					tc.RecordLookup(hit)
+// TestTraceCacheVisibility drives the Section 8 visibility rule from one
+// goroutine, as a SuperPin run does. Each case is a sequence of steps
+// at virtual times: a slice's build of a translation, an offer of code
+// compiled from one, or a lookup and the translation it must return
+// (nil for none). Slice 0 looks up through Lookup, the others through
+// Visible. a and b are two translations of one PC, as two slices with
+// different split points build them.
+func TestTraceCacheVisibility(t *testing.T) {
+	a := buildTraces(t)[0]
+	clone := *a
+	b := &clone
+	type step struct {
+		op    string // "build", "code" or "see"
+		slice int
+		now   uint64
+		tr    *Trace
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"lower slice wins at the barrier", []step{
+			{"build", 2, 10, a}, {"build", 1, 10, b},
+			{"see", 0, 10, b}, {"see", 3, 20, b}, {"see", 2, 20, b}, {"see", 1, 20, b},
+		}},
+		{"each slice sees its own build in the quantum", []step{
+			{"build", 2, 10, a}, {"build", 1, 10, b},
+			{"see", 2, 10, a}, {"see", 1, 10, b}, {"see", 3, 10, nil},
+		}},
+		{"a slice's first build in a quantum counts", []step{
+			{"build", 1, 10, a}, {"build", 1, 10, b},
+			{"see", 1, 10, a}, {"see", 2, 20, a},
+		}},
+		{"a published entry is never replaced", []step{
+			{"build", 2, 10, a}, {"see", 1, 20, a},
+			{"build", 1, 20, b}, {"see", 1, 20, a}, {"see", 1, 30, a}, {"see", 0, 30, a},
+		}},
+		{"an offer of code leaves the translation", []step{
+			{"build", 2, 10, a}, {"code", 1, 10, b}, {"see", 1, 20, a},
+			{"code", 3, 20, b}, {"see", 3, 30, a}, {"see", 0, 30, a},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := NewTraceCache()
+			for i, s := range c.steps {
+				switch s.op {
+				case "build":
+					tc.Built(s.tr, s.slice, s.now)
+				case "code":
+					tc.SetCode(Compile(s.tr), s.tr)
+					if ct, src := tc.Code(s.tr.Addr); ct == nil || src != s.tr {
+						t.Fatalf("step %d: the cache does not hold the offered code", i)
+					}
+				case "see":
+					var got *Trace
+					var ok bool
+					if s.slice == 0 {
+						got, ok = tc.Lookup(a.Addr)
+					} else {
+						got, ok = tc.Visible(a.Addr, s.slice, s.now)
+					}
+					if got != s.tr || ok != (s.tr != nil) {
+						t.Fatalf("step %d: slice %d at %d sees %p (%t), want %p", i, s.slice, s.now, got, ok, s.tr)
+					}
 				}
-			}()
-		}
-		wg.Wait()
+			}
+		})
 	}
-	st := tc.Stats()
-	rounds := uint64(len(trs))
-	lookups := rounds * readers * uint64(len(trs))
-	if st.Hits+st.Misses != lookups {
-		t.Fatalf("recorded %d outcomes, want %d", st.Hits+st.Misses, lookups)
+}
+
+// TestTraceCacheLayout checks that the first layout sticks.
+func TestTraceCacheLayout(t *testing.T) {
+	tc := NewTraceCache()
+	if !tc.UseLayout([]int{1}) || !tc.UseLayout([]int{1}) {
+		t.Fatal("the first layout does not match itself")
 	}
-	// Round r sees r+1 published traces.
-	wantHits := uint64(0)
-	for r := uint64(1); r <= rounds; r++ {
-		wantHits += r * readers
-	}
-	if st.Hits != wantHits {
-		t.Fatalf("hits = %d, want %d", st.Hits, wantHits)
-	}
-	if tc.Len() != len(trs) || tc.Epoch() != rounds {
-		t.Fatalf("len=%d epoch=%d, want %d/%d", tc.Len(), tc.Epoch(), len(trs), rounds)
+	if tc.UseLayout([]int{1, 2}) || tc.UseLayout(nil) {
+		t.Fatal("another layout matched the first")
 	}
 }

@@ -92,13 +92,6 @@ type Kernel struct {
 	// application became multithreaded.
 	ThreadHook func(parent, child *Proc)
 
-	// QuantumHook, when non-nil, runs after every scheduling quantum,
-	// before the clock advances. SuperPin's shared code cache uses it to
-	// publish slice-built JIT traces in slice order at quantum end, which
-	// is the virtual-time visibility rule of that cache: a trace one slice
-	// builds becomes usable by the others from the next quantum on.
-	QuantumHook func()
-
 	// Now is the current virtual time.
 	Now Cycles
 
@@ -452,9 +445,6 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		k.runQuantum()
-		if k.QuantumHook != nil {
-			k.QuantumHook()
-		}
 		k.Now += quantum
 	}
 	k.fireTimers() // flush anything scheduled exactly at the end

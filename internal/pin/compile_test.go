@@ -66,7 +66,7 @@ func TestCompileAllocs(t *testing.T) {
 		e := NewEngine(DefaultCost())
 		addIcount1(e)
 		compile := func() {
-			ct, _, err := e.compile(m, pc, true)
+			ct, _, err := e.compile(m, pc, 0, true)
 			if err != nil || ct.NumIns() != n || len(ct.Sblocks) != 1 {
 				panic(fmt.Sprintf("compile: %d instructions, %d runs, %v", ct.NumIns(), len(ct.Sblocks), err))
 			}
@@ -96,13 +96,13 @@ func BenchmarkCompileTrace(b *testing.B) {
 	m, pc := loadCode(b, straightLine(jit.MaxTraceIns))
 	e := NewEngine(DefaultCost())
 	addIcount1(e)
-	if _, _, err := e.compile(m, pc, true); err != nil { // size the engine's scratch
+	if _, _, err := e.compile(m, pc, 0, true); err != nil { // size the engine's scratch
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.compile(m, pc, true); err != nil {
+		if _, _, err := e.compile(m, pc, 0, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestPlacementMatchesDirectAppend(t *testing.T) {
 				}
 			}
 		})
-		ct, _, err := e.compile(m, pc, true)
+		ct, _, err := e.compile(m, pc, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestThenPairsOnlyAtSameInsAndPoint(t *testing.T) {
 		head.InsertThenCall(Before, nop)
 		expectPanic(t, "second Then for one If", func() { head.InsertThenCall(Before, nop) })
 	})
-	if _, _, err := e.compile(m, pc, true); err != nil {
+	if _, _, err := e.compile(m, pc, 0, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,14 +251,14 @@ func TestInsertAfterCallbackPanics(t *testing.T) {
 		expectPanic(t, "Ins.InsertThenCall "+when, func() { ins.InsertThenCall(Before, nop) })
 		expectPanic(t, "Bbl.InsertCall "+when, func() { bbl.InsertCall(Before, nop) })
 	}
-	if _, _, err := e.compile(m, pc, true); err != nil {
+	if _, _, err := e.compile(m, pc, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	check("after the callback")
 	// A stale handle stays closed while a later trace is being
 	// instrumented.
 	e.AddTraceInstrumenter(func(*Trace) { check("during a later callback") })
-	if _, _, err := e.compile(m, pc, true); err != nil {
+	if _, _, err := e.compile(m, pc, 0, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -282,7 +282,7 @@ func TestBblInsAppendKeepsNeighbours(t *testing.T) {
 			t.Fatal("appending to Bbls changed the trace's blocks")
 		}
 	})
-	if _, _, err := e.compile(m, pc, true); err != nil {
+	if _, _, err := e.compile(m, pc, 0, true); err != nil {
 		t.Fatal(err)
 	}
 }

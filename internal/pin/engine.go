@@ -34,12 +34,12 @@ type CostModel struct {
 	// predicate fires.
 	ThenCall kernel.Cycles
 	// WeavePerIns is the per-instruction cost of instrumenting a
-	// translation obtained from a shared trace cache (the translation
-	// itself was paid for once by whoever built it).
+	// translation another slice published to the Section 8 shared code
+	// cache (the translation itself was paid for once by its builder).
 	WeavePerIns kernel.Cycles
 	// SharedCheck is the per-dispatch consistency-check surcharge paid
-	// when a shared trace cache is attached (paper Section 8: "a little
-	// extra overhead by performing extra consistency checks").
+	// by an engine that shares Section 8 translations (paper Section 8:
+	// "a little extra overhead by performing extra consistency checks").
 	SharedCheck kernel.Cycles
 	// MemSurcharge is an extra cost per memory instruction, modeling the
 	// cache behavior of the instrumented run (per-benchmark; see
@@ -97,8 +97,8 @@ func DefaultCost() CostModel {
 //	MemSurcharge   memSurcharge  the native cache-behavior surcharge
 //	CompilePerIns  0             the interpreter translates nothing
 //	Dispatch       0             ... and enters no code cache
-//	SharedCheck    0             no shared translation cache attached
-//	WeavePerIns    0             ... so nothing is adopted and woven
+//	SharedCheck    0             no Section 8 sharing (UseCache)
+//	WeavePerIns    0             ... so no translation is woven
 //	Call           0             no tool: no analysis calls
 //	IfCall         0             no tool: no predicates
 //	ThenCall       0             no tool: no then-routines
@@ -116,7 +116,7 @@ func NativeCost(interp, memSurcharge kernel.Cycles) CostModel {
 // executed through the batched superblock fast path (zero when the fast
 // path is disabled or every instruction carries a call other than an
 // inline add). TraceBuilds counts the traces the engine instrumented
-// itself, as opposed to adopting another engine's code from an image
+// itself, as opposed to adopting another engine's code from a trace
 // cache; the code cache's Compiles counts both. Both are host-side: they
 // never affect virtual-cycle results.
 type Stats struct {
@@ -143,7 +143,7 @@ type SyscallFilter func(k *kernel.Kernel, p *kernel.Proc) (handled bool, cost ke
 // one whose code cache starts in a clean state, so each slice still pays
 // the paper's per-slice compilation overhead in virtual time; on the
 // host, a slice engine adopts the instrumented code an earlier slice of
-// the same run built (see ImageCache) instead of building it again.
+// the same run built (see UseCache) instead of building it again.
 type Engine struct {
 	// Cost is the engine's cycle-cost model. Mutable until first Run.
 	Cost CostModel
@@ -157,22 +157,6 @@ type Engine struct {
 	// stays exact across a mid-block slice boundary.
 	SplitPC uint32
 
-	// Shared, when non-nil, is a translation cache shared with other
-	// engines (SuperPin's Section 8 shared-code-cache mode): on a local
-	// code-cache miss the engine reuses a shared translation when one
-	// exists, paying only the instrumentation-weaving cost, and
-	// publishes translations it builds itself. Traces crossing this
-	// engine's SplitPC are never adopted from the shared cache.
-	Shared *jit.TraceCache
-
-	// SharedBarrier defers publication of locally built translations
-	// until an explicit PublishShared call. SuperPin sets it on every
-	// slice engine and publishes at quantum end in slice order, so a
-	// translation becomes visible to other slices one quantum after it
-	// was built. When false (the default, for standalone engines)
-	// translations publish immediately, as plain Pin would.
-	SharedBarrier bool
-
 	// InsLimit, when non-zero, pauses execution (StopBudget) once the
 	// process's total InsCount reaches it. SuperPin's deterministic
 	// thread replay uses it to stop a thread's burst at exactly the
@@ -180,8 +164,7 @@ type Engine struct {
 	InsLimit uint64
 
 	cache         *jit.CodeCache
-	image         *ImageCache // nil unless UseImage attached one
-	sealScratch   []runSpan   // reused across seal calls to avoid per-compile allocs
+	sealScratch   []runSpan // reused across seal calls to avoid per-compile allocs
 	instrumenters []func(*Trace)
 	finiFns       []func(code uint32)
 	ctx           jit.Ctx
@@ -215,15 +198,6 @@ type Engine struct {
 	locBatchN   uint64
 	lastFlushed Stats
 
-	// pendingShared holds translations this engine built but has not yet
-	// published into Shared (map for dedup, slice for build order). The
-	// engine never inserts into the shared cache mid-run: SuperPin
-	// publishes every engine's pending set at quantum end, in slice
-	// order, which makes shared-cache contents a pure function of
-	// virtual time.
-	pendingShared map[uint32]*jit.Trace
-	pendingOrder  []*jit.Trace
-
 	// linkNext is a successor trace resolved by the previous trace exit's
 	// link-cache hit, consumed by the next dispatch in place of the map
 	// lookup. linkFrom is the previous trace when its exit missed the
@@ -237,9 +211,19 @@ type Engine struct {
 	// have not yet dropped the translations they overwrote.
 	codeGen uint64
 
+	// The SuperPin run's trace cache (UseCache), nil for the master and
+	// serial Pin. slice is this engine's slice number, its order key
+	// there. shareTr turns on Section 8 sharing of translations, and
+	// shareCode adoption and offers of sealed code. sharedHits and
+	// sharedMisses count the translation lookups this engine made.
+	traces                   *jit.TraceCache
+	slice                    int
+	shareTr, shareCode       bool
+	sharedHits, sharedMisses uint64
+
 	// The counter table inline adds name their counters through (see
 	// slotOf): ctrs[slot] is the counter. Slots below nShared are the
-	// elements of the counter areas UseImage registered, in area order;
+	// elements of the counter areas UseCache registered, in area order;
 	// the rest are private, one per other counter, in first-use order.
 	// lastCtr and lastSlot cache the latest resolution, since a tool
 	// usually inserts adds to one counter.
@@ -332,40 +316,6 @@ func (e *Engine) flushTelemetry() {
 	e.lastFlushed = e.stats
 }
 
-// queueShared records a locally built translation for publication into
-// the shared cache at the next quantum barrier (first build of an
-// address wins, matching TraceCache.Insert). Without SharedBarrier it
-// publishes immediately.
-func (e *Engine) queueShared(tr *jit.Trace) {
-	if !e.SharedBarrier {
-		e.Shared.Insert(tr)
-		return
-	}
-	if e.pendingShared == nil {
-		e.pendingShared = make(map[uint32]*jit.Trace)
-	}
-	if _, dup := e.pendingShared[tr.Addr]; dup {
-		return
-	}
-	e.pendingShared[tr.Addr] = tr
-	e.pendingOrder = append(e.pendingOrder, tr)
-}
-
-// PublishShared moves this engine's pending translations into the shared
-// cache, in build order. The SuperPin core calls it for every slice
-// engine, in slice order, at quantum end. No-op without a shared cache
-// or pending translations.
-func (e *Engine) PublishShared() {
-	if e.Shared == nil || len(e.pendingOrder) == 0 {
-		return
-	}
-	e.Shared.Publish(e.pendingOrder)
-	for _, tr := range e.pendingOrder {
-		delete(e.pendingShared, tr.Addr)
-	}
-	e.pendingOrder = e.pendingOrder[:0]
-}
-
 // PublishMetrics publishes the engine's cumulative statistics into m
 // under the given dotted prefix (e.g. "pin"). Counters accumulate, so
 // publishing several engines under one prefix sums them. No-op when m
@@ -390,10 +340,9 @@ func (e *Engine) PublishMetrics(m *obs.Metrics, prefix string) {
 	m.Add(prefix+".link.hits", cs.LinkHits)
 	m.Add(prefix+".link.misses", cs.LinkMisses)
 	m.Add(prefix+".link.invalidations", cs.LinkInvalidations)
-	if e.Shared != nil {
-		ts := e.Shared.Stats()
-		m.Add(prefix+".shared.hits", ts.Hits)
-		m.Add(prefix+".shared.misses", ts.Misses)
+	if e.shareTr {
+		m.Add(prefix+".shared.hits", e.sharedHits)
+		m.Add(prefix+".shared.misses", e.sharedMisses)
 	}
 }
 
@@ -476,7 +425,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 		if e.cur == nil {
 			used += cost.Dispatch
 			e.stats.Dispatches++
-			if e.Shared != nil {
+			if e.shareTr {
 				used += cost.SharedCheck
 			}
 			if next := e.linkNext; next != nil && next.Addr == p.Regs.PC {
@@ -497,7 +446,7 @@ func (e *Engine) run(k *kernel.Kernel, p *kernel.Proc, budget kernel.Cycles) (ke
 					}
 					var sharedHit bool
 					var err error
-					ct, sharedHit, err = e.compile(p.Mem, p.Regs.PC, fast)
+					ct, sharedHit, err = e.compile(p.Mem, p.Regs.PC, uint64(k.Now), fast)
 					if err != nil {
 						p.Err = err
 						return used, kernel.StopError
@@ -786,7 +735,7 @@ func (e *Engine) syncCode(m *mem.Memory) (curHit bool) {
 // reached, since a real trace exit would stop before re-dispatching.
 func (e *Engine) selfLoop(used *kernel.Cycles) {
 	*used += e.Cost.Dispatch
-	if e.Shared != nil {
+	if e.shareTr {
 		*used += e.Cost.SharedCheck
 	}
 	e.stats.Dispatches++
@@ -817,30 +766,28 @@ func (e *Engine) leaveTrace(nextPC uint32, fast bool) {
 	e.cur = nil
 }
 
-// compile builds the trace entered at pc (or adopts a shared
-// translation), lowers it, runs the instrumentation callbacks, places
-// their calls and seals the result. sharedHit reports an adopted
-// translation, which is charged the weaving cost instead of a compile.
-// With an image cache attached, the host work after the translation is
-// skipped when the cache holds the code this engine would produce: the
-// engine adopts it, and the caller charges exactly what a build costs.
-func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledTrace, sharedHit bool, err error) {
+// compile builds the trace entered at pc at virtual time now (or weaves
+// a Section 8 translation), lowers it, runs the instrumentation
+// callbacks, places their calls and seals the result. sharedHit reports
+// a woven translation, which is charged the weaving cost instead of a
+// compile. When the trace cache holds the code this engine would
+// produce, the host work after the translation is skipped: the engine
+// adopts it, and the caller charges exactly what a build costs.
+func (e *Engine) compile(m *mem.Memory, pc uint32, now uint64, fast bool) (ct *jit.CompiledTrace, sharedHit bool, err error) {
 	var tr *jit.Trace
-	if e.Shared != nil {
-		st, ok := e.Shared.Lookup(pc)
+	if e.shareTr {
+		st, ok := e.traces.Visible(pc, e.slice, now)
 		if !ok {
-			// A translation this engine built but has not published yet
-			// serves the same way: pay the weaving cost, not a rebuild.
-			st, ok = e.pendingShared[pc]
-		}
-		e.Shared.RecordLookup(ok)
-		if ok && !st.ContainsBeyondHead(e.SplitPC) && decodesFrom(m, st) {
-			tr = st
-			sharedHit = true
+			e.sharedMisses++
+		} else {
+			e.sharedHits++
+			if !st.ContainsBeyondHead(e.SplitPC) && decodesFrom(m, st) {
+				tr, sharedHit = st, true
+			}
 		}
 	}
-	if e.image != nil && !imageSeam.noAdopt {
-		if ct = e.adopt(m, pc, tr); ct != nil {
+	if e.shareCode && !imageSeam.noAdopt {
+		if ct = e.adopt(m, pc, now, tr); ct != nil {
 			if imageSeam.adopted != nil {
 				imageSeam.adopted(e, m, tr, ct)
 			}
@@ -851,14 +798,14 @@ func (e *Engine) compile(m *mem.Memory, pc uint32, fast bool) (ct *jit.CompiledT
 		if tr, err = jit.BuildTraceSplit(m, pc, e.SplitPC); err != nil {
 			return nil, false, err
 		}
-		if e.Shared != nil {
-			e.queueShared(tr)
+		if e.shareTr {
+			e.traces.Built(tr, e.slice, now)
 		}
 	}
 	m.WatchCode(tr.Addr, uint32(tr.NumIns)*isa.WordSize)
 	ct = e.instrument(tr, fast)
 	e.stats.TraceBuilds++
-	if e.image != nil {
+	if e.shareCode {
 		e.offer(tr, ct)
 	}
 	return ct, sharedHit, nil
@@ -882,9 +829,9 @@ func (e *Engine) instrument(tr *jit.Trace, fast bool) *jit.CompiledTrace {
 	return ct
 }
 
-// decodesFrom reports whether tr is what m's bytes decode to now. A shared
-// translation was built from another engine's image; either image may
-// have modified that code since.
+// decodesFrom reports whether tr is what m's bytes decode to now. A
+// cached translation was built from another engine's memory; either
+// memory may have modified that code since.
 func decodesFrom(m *mem.Memory, tr *jit.Trace) bool {
 	for _, b := range tr.Bbls {
 		for i, in := range b.Ins {

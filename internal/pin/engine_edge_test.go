@@ -15,6 +15,14 @@ import (
 // kernel, returning the proc.
 func runToExit(t *testing.T, src string, setup func(*Engine)) (*kernel.Proc, *Engine) {
 	t.Helper()
+	return runFrom(t, src, 0, setup)
+}
+
+// runFrom is runToExit on a kernel whose clock starts at start, so that
+// a trace cache has published every translation recorded in it at
+// earlier times to the engine.
+func runFrom(t *testing.T, src string, start kernel.Cycles, setup func(*Engine)) (*kernel.Proc, *Engine) {
+	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
@@ -26,6 +34,7 @@ func runToExit(t *testing.T, src string, setup func(*Engine)) (*kernel.Proc, *En
 	cfg := kernel.DefaultConfig()
 	cfg.MaxCycles = 1_000_000_000
 	k := kernel.New(cfg)
+	k.Now = start
 	e := NewEngine(DefaultCost())
 	if setup != nil {
 		setup(e)
@@ -107,39 +116,26 @@ func TestAfterStopRequestStopsBeforeNextInstruction(t *testing.T) {
 	}
 }
 
+// TestSharedTraceCacheAcrossEngines: an engine that starts after
+// another finished sees every translation the first one built, and
+// counts its own lookups. Its counter areas are laid out differently,
+// which stops code adoption but not the sharing of translations.
 func TestSharedTraceCacheAcrossEngines(t *testing.T) {
-	p, err := asm.Assemble(tinyLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
 	shared := jit.NewTraceCache()
-
-	runWith := func() *Engine {
-		m := mem.New()
-		p.LoadInto(m)
-		regs := cpu.Regs{PC: p.Entry}
-		regs.R[isa.RegSP] = 0x00f0_0000
-		cfg := kernel.DefaultConfig()
-		cfg.MaxCycles = 1_000_000_000
-		k := kernel.New(cfg)
-		e := NewEngine(DefaultCost())
-		e.Shared = shared
-		k.Spawn("t", m, regs, e)
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e
+	_, first := runFrom(t, tinyLoop, 0, func(e *Engine) { e.UseCache(shared, 1, nil, true) })
+	_, second := runFrom(t, tinyLoop, 1_000_000, func(e *Engine) {
+		e.UseCache(shared, 2, [][]uint64{make([]uint64, 2)}, true)
+	})
+	if second.shareCode {
+		t.Fatal("an engine with another counter layout shares code")
 	}
-	runWith()
-	missesAfterFirst := shared.Stats().Misses
-	runWith()
-	st := shared.Stats()
-	if st.Hits == 0 {
-		t.Fatal("second engine never hit the shared cache")
+	if first.sharedHits != 0 || first.sharedMisses != first.CacheStats().Misses {
+		t.Fatalf("first engine: %d hits, %d misses, %d local misses",
+			first.sharedHits, first.sharedMisses, first.CacheStats().Misses)
 	}
-	if st.Misses != missesAfterFirst {
-		t.Fatalf("second engine missed (%d -> %d): translations not shared",
-			missesAfterFirst, st.Misses)
+	if second.sharedHits != second.CacheStats().Misses || second.sharedMisses != 0 {
+		t.Fatalf("second engine: %d hits, %d misses, %d local misses: translations not shared",
+			second.sharedHits, second.sharedMisses, second.CacheStats().Misses)
 	}
 }
 
@@ -173,7 +169,7 @@ func TestSharedCacheRespectsSplitPC(t *testing.T) {
 	cfg.MaxCycles = 1_000_000_000
 	k := kernel.New(cfg)
 	e := NewEngine(DefaultCost())
-	e.Shared = shared
+	e.UseCache(shared, 1, nil, true)
 	e.SplitPC = split
 	var bblStarts []uint32
 	e.AddTraceInstrumenter(func(tr *Trace) {

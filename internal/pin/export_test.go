@@ -17,7 +17,7 @@ func SetPredicateWrapper(wrap func(PredicateFn) PredicateFn) (restore func()) {
 	return func() { wrapPredicate = prev }
 }
 
-// SetImageSeam sets the image-cache seam (imageSeam) and returns a
+// SetImageSeam sets the code-adoption seam (imageSeam) and returns a
 // function restoring the previous one. noAdopt turns adoption off. check,
 // when non-nil, rebuilds every adopted trace on the adopting engine, as
 // that engine would have built it, and receives the trace's entry PC and

@@ -15,7 +15,7 @@ import (
 	"superpin/internal/workload"
 )
 
-// imageScale is the catalog scale of the image-cache tests, and
+// imageScale is the catalog scale of the code-adoption tests, and
 // imageMSec the slice interval that gives them a few dozen slices.
 const (
 	imageScale = 0.01
@@ -57,7 +57,7 @@ type imageRun struct {
 	metrics *obs.Metrics
 }
 
-// runImage runs prog under SuperPin with tool and opts, the image-cache
+// runImage runs prog under SuperPin with tool and opts, the code-adoption
 // seam set to noAdopt and check for the run's duration.
 func runImage(t *testing.T, prog *asm.Program, tool imageTool, opts core.Options, noAdopt bool, check func(uint32, string)) imageRun {
 	t.Helper()
@@ -88,7 +88,7 @@ func (c *adoptionCheck) check(pc uint32, diff string) {
 	}
 }
 
-// TestImageAdoptionMatchesBuilding is the image cache's differential and
+// TestImageAdoptionMatchesBuilding is the trace cache's code-adoption differential and
 // purity check (ROADMAP 14(c)). Every inline-add tool runs over four
 // catalog programs, with and without the Section 8 shared translation
 // cache, profiled, twice: once adopting, with every adopted trace
@@ -142,7 +142,7 @@ func TestImageAdoptionMatchesBuilding(t *testing.T) {
 
 // togglingSMCSrc patches its own loop every 64 iterations: the increment
 // at patch alternates between +1 and +3, so slices fork with either
-// version in memory, and the image cache holds the patched trace as
+// version in memory, and the trace cache holds the patched trace as
 // whichever slice built it last. Each iteration also calls a 60-
 // instruction routine, where most slice boundaries land, so that most
 // slices run the patched trace without their boundary in it.
@@ -190,7 +190,7 @@ alt:
 
 // TestImageAdoptionSelfModifyingCode runs a guest that keeps patching
 // its code under SuperPin with short slices: later slices find the
-// patched trace in the image cache as an earlier slice built it, before
+// patched trace in the trace cache as an earlier slice built it, before
 // or after a patch, and must adopt it only when their own memory holds
 // the same code. Count, exit code and the whole result equal native and
 // the run with adoption off.

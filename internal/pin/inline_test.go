@@ -264,7 +264,7 @@ func TestSealCutsRunsAtCounterChange(t *testing.T) {
 	var a, b uint64
 	e := NewEngine(DefaultCost())
 	twoCounters(&a, &b, 6)(e)
-	ct, _, err := e.compile(m, pc, true)
+	ct, _, err := e.compile(m, pc, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestSealCutsRunsAtCounterChange(t *testing.T) {
 		}
 		tr.Bbls()[0].Ins()[3].InsertInlineAdd(After, &b, 1)
 	})
-	ct, _, err = e.compile(m, pc, true)
+	ct, _, err = e.compile(m, pc, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +341,6 @@ func TestPlaceRejectsSlabOverflow(t *testing.T) {
 			t.Fatalf("panic %q does not name trace %s", msg, want)
 		}
 	}()
-	e.compile(m, pc, true)
+	e.compile(m, pc, 0, true)
 	t.Fatal("a trace with more calls than its slab can index compiled")
 }
